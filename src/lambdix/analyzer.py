@@ -28,8 +28,8 @@ class LambdaStruct:
     level's values in the currently installed environment.
     """
 
-    __slots__ = ("uid", "name", "params", "local_names", "body",
-                 "binding_exprs", "parent", "current_block", "depth")
+    __slots__ = ("uid", "name", "params", "local_names", "body", "parent",
+                 "current_block", "depth")
 
     def __init__(self, uid, name, params, local_names, parent):
         self.uid = uid
@@ -37,15 +37,10 @@ class LambdaStruct:
         self.params = tuple(params)
         self.local_names = tuple(local_names)
         self.body = None
-        self.binding_exprs = ()
         self.parent = parent
         self.current_block = None
         # chain length up to (excluding) the top pseudo-struct
         self.depth = 0 if parent is None else parent.depth + 1
-
-    @property
-    def slot_count(self):
-        return len(self.params) + len(self.local_names)
 
     def __repr__(self):
         return f"<struct {self.name}#{self.uid}>"
@@ -328,6 +323,5 @@ class Analyzer:
                 bindings.append(self.analyze(p[2], inner))
             else:
                 bindings.append(LambdaRef(self.make_lambda_struct(p[0], p[2], p[3], inner)))
-        struct.binding_exprs = tuple(bindings)
         struct.body = self.analyze(body_sx, inner)
         return LetForm(struct, bindings)

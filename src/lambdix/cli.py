@@ -81,6 +81,10 @@ def _cmd_repl(args):
                 print("= " + interp.eval_form_rendered(sx))
             except LambdixError as e:
                 print(f"** error - {e.message} **")
+            except KeyboardInterrupt:
+                # _apply and _force restore the environment on the way out
+                print("** interrupted **")
+                break
     if args.stats:
         _dump_stats(interp)
     return EXIT_OK

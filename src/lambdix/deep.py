@@ -1,39 +1,29 @@
-"""Deep-recursion support.
+"""Python-stack policy for top-level evaluation.
 
 The tree-walking evaluator recurses a few Python frames per interpreted
-call, so the configured depth limit (default 100,000) needs far more stack
-than a default thread provides. Top-level evaluation therefore runs on a
-dedicated worker thread with an enlarged stack; the interpreter's own depth
-limit is what actually stops runaway recursion.
+call. Since Python 3.11, Python-to-Python calls use no C stack, so the
+calling thread can run the configured depth limit (default 100,000) once
+the recursion limit is raised; no dedicated thread is needed. Should the
+recursion limit still bind first (a depth limit raised far past the
+default), the RecursionError is reported as the depth limit.
+
+`call_with_deep_stack` keeps its name because callers outside the package
+import it.
 """
 
 import sys
-import threading
 
-STACK_BYTES = 512 * 1024 * 1024
+from .errors import LimitExceeded
+
 RECURSION_LIMIT = 700_000
 
 
 def call_with_deep_stack(fn, *args, **kwargs):
-    """Run fn(*args, **kwargs) on a big-stack thread; result or exception
-    propagates to the caller."""
+    """Run fn(*args, **kwargs) on the caller's thread with the recursion
+    limit raised; a RecursionError surfaces as LimitExceeded("depth")."""
     if sys.getrecursionlimit() < RECURSION_LIMIT:
         sys.setrecursionlimit(RECURSION_LIMIT)
-    box = {}
-
-    def runner():
-        try:
-            box["value"] = fn(*args, **kwargs)
-        except BaseException as exc:  # re-raised below, in the caller
-            box["error"] = exc
-
-    old = threading.stack_size(STACK_BYTES)
     try:
-        thread = threading.Thread(target=runner, name="lambdix-eval")
-        thread.start()
-    finally:
-        threading.stack_size(old)
-    thread.join()
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
+        return fn(*args, **kwargs)
+    except RecursionError:
+        raise LimitExceeded("depth") from None

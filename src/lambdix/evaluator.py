@@ -60,11 +60,14 @@ class Interpreter:
 
     def eval_source(self, text):
         """Evaluate every top-level form; returns their values in order."""
-        return call_with_deep_stack(self._eval_source, text)
+        return call_with_deep_stack(
+            lambda: [self._eval_top_form(sx) for sx in read_program(text)])
 
     def eval_source_rendered(self, text):
         """Evaluate every top-level form; returns rendered results."""
-        return call_with_deep_stack(self._eval_source_rendered, text)
+        return call_with_deep_stack(
+            lambda: [self.render_value(self._eval_top_form(sx))
+                     for sx in read_program(text)])
 
     def eval_form_rendered(self, sx):
         """Evaluate one already-read form; returns its rendered result."""
@@ -75,13 +78,6 @@ class Interpreter:
         return render(v, self.force1, self.print_items, self.print_nesting)
 
     # -- top level ------------------------------------------------------------
-
-    def _eval_source(self, text):
-        return [self._eval_top_form(sx) for sx in read_program(text)]
-
-    def _eval_source_rendered(self, text):
-        return [self.render_value(self._eval_top_form(sx))
-                for sx in read_program(text)]
 
     def _eval_top_form(self, sx):
         if is_de_form(sx):
@@ -100,7 +96,7 @@ class Interpreter:
         compiled = self.analyzer.analyze(expr_sx, None)
         self.counters.thunks_created += 1
         if self.lazy:
-            slot = Thunk(compiled, self.top_struct, self.rt.top_block)
+            slot = Thunk(compiled, self.rt.top_block)
         else:
             slot = self._eval(compiled, self.top_struct)
         self.rt.top_table[name] = slot
@@ -169,7 +165,7 @@ class Interpreter:
             self.counters.thunks_created += len(arg_exprs)
             if self.lazy:
                 cb = struct.current_block
-                args = [Thunk(a, struct, cb) for a in arg_exprs]
+                args = [Thunk(a, cb) for a in arg_exprs]
             else:
                 args = [self._eval(a, struct) for a in arg_exprs]
             block = self.rt.new_block(callee, args, head.block)
@@ -191,7 +187,7 @@ class Interpreter:
                     f"got {len(arg_exprs)}", "arity")
             if head.lazy and self.lazy:
                 cb = struct.current_block
-                args = [Thunk(a, struct, cb) for a in arg_exprs]
+                args = [Thunk(a, cb) for a in arg_exprs]
                 self.counters.thunks_created += len(arg_exprs)
             else:
                 args = []
@@ -214,7 +210,7 @@ class Interpreter:
         self.counters.thunks_created += len(x.bindings)
         if self.lazy:
             for i, b in enumerate(x.bindings):
-                slots[i] = Thunk(b, L, block)
+                slots[i] = Thunk(b, block)
             log = self.rt.install(L, block)
             try:
                 return self._eval(L.body, L)
@@ -256,9 +252,10 @@ class Interpreter:
                     th.state = TH_NEW
                     raise LimitExceeded("depth")
                 try:
-                    log = self.rt.install(th.owner, th.block)
+                    owner = th.block.owner
+                    log = self.rt.install(owner, th.block)
                     try:
-                        v = self._eval(th.expr, th.owner)
+                        v = self._eval(th.expr, owner)
                     finally:
                         self.rt.restore(log)
                 except BaseException:
@@ -306,7 +303,5 @@ def run_with_limit(text, strategy, step_limit, depth_limit=100_000,
         return Outcome("value", tuple(rendered), out.getvalue())
     except LimitExceeded as e:
         return Outcome("limit", e.kind, out.getvalue())
-    except RecursionError:
-        return Outcome("limit", "depth", out.getvalue())
     except LambdixError as e:
         return Outcome("error", (e.category, e.message), out.getvalue())

@@ -121,7 +121,7 @@ class Oracle:
             return Sym(name)
         _, name, expr = de
         if self.lazy:
-            slot = Thunk(expr, None, None)
+            slot = Thunk(expr, None)
         else:
             slot = self.eval(expr, None)
         self.top[name] = slot
@@ -262,7 +262,7 @@ class Oracle:
                 if p[0] == "func":
                     frame.vars[p[1]] = Closure(OLambda(p[1], p[2], p[3]), frame)
                 else:
-                    frame.vars[p[1]] = Thunk(p[2], None, frame)
+                    frame.vars[p[1]] = Thunk(p[2], frame)
         else:
             for name in names:
                 frame.vars[name] = _LATER
@@ -283,7 +283,7 @@ class Oracle:
                 raise LimitExceeded("step")
             lam = f.struct
             if self.lazy:
-                args = [Thunk(a, None, env) for a in arg_sxs]
+                args = [Thunk(a, env) for a in arg_sxs]
             else:
                 args = [self.eval(a, env) for a in arg_sxs]
             if len(args) != len(lam.params):
@@ -305,7 +305,7 @@ class Oracle:
                     f"{f.name}: expected {f.arity} argument(s), got "
                     f"{len(arg_sxs)}", "arity")
             if f.lazy and self.lazy:
-                args = [Thunk(a, None, env) for a in arg_sxs]
+                args = [Thunk(a, env) for a in arg_sxs]
             else:
                 args = [self.whnf(self.eval(a, env)) for a in arg_sxs]
             return self._prim(f.name, args)
@@ -410,8 +410,6 @@ def _oracle_outcome(text, strategy, step_limit, depth_limit):
         rendered = call_with_deep_stack(oracle.eval_source_rendered, text)
         return ("value", tuple(rendered), out.getvalue())
     except LimitExceeded:
-        return ("limit", None, out.getvalue())
-    except RecursionError:
         return ("limit", None, out.getvalue())
     except LambdixError as e:
         return ("error", e.category, out.getvalue())

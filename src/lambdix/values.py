@@ -75,11 +75,10 @@ TH_NEW, TH_BUSY, TH_DONE = 0, 1, 2
 
 
 class Thunk:
-    __slots__ = ("expr", "owner", "block", "state", "memo")
+    __slots__ = ("expr", "block", "state", "memo")
 
-    def __init__(self, expr, owner, block):
+    def __init__(self, expr, block):
         self.expr = expr
-        self.owner = owner
         self.block = block
         self.state = TH_NEW
         self.memo = None

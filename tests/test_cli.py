@@ -1,6 +1,12 @@
 import subprocess
 import sys
 
+import pytest
+
+from lambdix import cli as cli_module
+from lambdix.evaluator import Interpreter
+from lambdix.values import Primitive
+
 MAPFUN_FILE = """\
 (de (mapfun f l)
   (if (nullist l) ()
@@ -125,3 +131,58 @@ def test_bench_fib_tsv_and_json(tmp_path):
 def test_usage_error_exit_code():
     proc = cli("run")  # missing file argument
     assert proc.returncode == 2
+
+
+def test_run_recursion_past_python_limit_reports_depth(tmp_path):
+    path = tmp_path / "deep.lx"
+    path.write_text("(de (down n) (if (< n 1) 0 (+ 1 (down (- n 1)))))\n"
+                    "(print (down 400000))\n")
+    proc = cli("run", str(path), "--strategy", "value",
+               "--depth-limit", "1000000")
+    assert proc.returncode == 4
+    assert "** error - depth limit exceeded **" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+def test_repl_interrupt_returns_to_prompt(strategy, monkeypatch, capsys):
+    # Ctrl-C is simulated by a primitive that raises KeyboardInterrupt
+    # from 51 nested calls of down
+    depths = []
+
+    def interrupt(interp, args):
+        depths.append(interp.depth)
+        raise KeyboardInterrupt
+
+    made = []
+
+    def make_interp(args, out=None):
+        interp = Interpreter(strategy=args.strategy, out=out)
+        interp.rt.top_table["interrupt"] = Primitive("interrupt", 1, interrupt)
+        made.append(interp)
+        return interp
+
+    lines = iter(["(de (down n) (if (< n 1) (interrupt n)"
+                  " (+ 1 (down (- n 1)))))", "(down 50)", "(+ 1 2)"])
+    snapshots = []
+
+    def fake_input(prompt):
+        interp = made[0]
+        snapshots.append([(s, s.current_block) for s in interp.structs])
+        try:
+            return next(lines)
+        except StopIteration:
+            raise EOFError from None
+
+    monkeypatch.setattr(cli_module, "_make_interp", make_interp)
+    monkeypatch.setattr("builtins.input", fake_input)
+    assert cli_module.main(["repl", "--strategy", strategy]) == 0
+    out = capsys.readouterr().out
+    assert depths == [51]
+    assert "** interrupted **" in out
+    assert "= 3" in out
+    # every current block as it was before the interrupted form
+    before, after = snapshots[1], snapshots[2]
+    assert len(after) == len(before)
+    assert all(a is b for (_, a), (_, b) in zip(before, after))
+    assert made[0].depth == 0

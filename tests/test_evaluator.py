@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from conftest import make_interp, run
@@ -53,6 +55,53 @@ def test_depth_limit_reported_as_limit():
                              10_000_000, depth_limit=50)
     assert outcome.kind == "limit"
     assert outcome.payload == "depth"
+
+
+# Each shape recurses back into `down` through a primitive's arguments or
+# through excla; all must reach 99,000 deep on the caller's stack.
+DEEP_SHAPES = {
+    "print": "(+ 1 (print (down (- n 1))))",
+    "=": "(if (= (down (- n 1)) -1) -1 n)",
+    "excla": "(+ 1 (! (cons 'down (cons (- n 1) ()))))",
+}
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_recursion_99000_calls_deep(shape, strategy):
+    text = f"(de (down n) (if (< n 1) 0 {DEEP_SHAPES[shape]})) (down 99000)"
+    rendered, _, _ = run(text, strategy)
+    assert rendered[-1] == "99000"
+
+
+def test_recursion_through_lazy_car_99000_deep():
+    # cons is lazy only under need; every level applies down and forces
+    # the car's thunk, so 49,500 calls nest 99,000 deep
+    text = ("(de (down n) (if (< n 1) 0 (+ 1 (car (cons (down (- n 1)) ())))))"
+            " (down 49500)")
+    rendered, _, _ = run(text, "need")
+    assert rendered[-1] == "49500"
+
+
+def test_evaluation_runs_on_the_calling_thread():
+    interp, _ = make_interp("need")
+    threads = set()
+    interp.rt.install_observer = \
+        lambda s, t, a: threads.add(threading.get_ident())
+    interp.eval_source("(de (f x) (+ x 1)) (f 1)")
+    assert threads == {threading.get_ident()}
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "Runtime.install stops early at a link that is already correct while an "
+    "ancestor has been re-pointed by a recursive call"))
+def test_let_closure_reentering_its_own_function():
+    # prints 1 under value and in the oracle; need reports a cyclic
+    # definition and debug_checks a stale ancestor link above the let
+    text = ("(de (down n) (if (< n 1) 0 (let ((m (- n 1))"
+            " (de (g k) (+ 1 (down k)))) (g m)))) (print (down 1))")
+    _, output, _ = run(text, "need")
+    assert output == "1\n"
 
 
 def test_closure_captures_defining_block():
