@@ -60,16 +60,17 @@ class Frame:
 
 def resolve(frame, name):
     """Innermost-first search; parameters take priority over local
-    definitions within one frame. Returns (hops, offset, kind) or None."""
+    definitions within one frame. Returns (hops, offset, kind, struct) or
+    None, where struct is the level `hops` up that owns the slot."""
     hops = 0
     while frame is not None:
         try:
-            return hops, frame.params.index(name), "param"
+            return hops, frame.params.index(name), "param", frame.struct
         except ValueError:
             pass
         try:
             offset = frame.locals.index(name)
-            return hops, len(frame.params) + offset, "local"
+            return hops, len(frame.params) + offset, "local", frame.struct
         except ValueError:
             pass
         frame = frame.parent
@@ -78,7 +79,7 @@ def resolve(frame, name):
 
 
 # ---------------------------------------------------------------------------
-# compiled expression nodes
+# compiled expression nodes; evaluator.py gives each its ev(interp, struct)
 
 class Lit:
     __slots__ = ("value",)
@@ -88,13 +89,15 @@ class Lit:
 
 
 class LocalRef:
-    __slots__ = ("hops", "offset", "name", "kind")
+    __slots__ = ("hops", "offset", "name", "kind", "target")
 
-    def __init__(self, hops, offset, name, kind):
+    def __init__(self, hops, offset, name, kind, target):
         self.hops = hops
         self.offset = offset
         self.name = name
         self.kind = kind
+        # the struct `hops` levels up: a read is target.current_block's slot
+        self.target = target
 
 
 class TopRef:
@@ -237,8 +240,8 @@ class Analyzer:
             if addr is None:
                 # top level is late-bound: missing names fail at use time
                 return TopRef(sx.name)
-            hops, offset, kind = addr
-            return LocalRef(hops, offset, sx.name, kind)
+            hops, offset, kind, target = addr
+            return LocalRef(hops, offset, sx.name, kind, target)
         if t is SList:
             items = sx.items
             if not items:

@@ -1,6 +1,7 @@
 """Primitive function suite: strict 64-bit integer arithmetic and
 comparison, list operations with a strategy-dependent cons, predicates, and
-the forcing printer."""
+the forcing printer. Each primitive is called as fn(interp, arg, ...), one
+positional argument per parameter."""
 
 from .errors import EvalError
 from .reader import INT_MAX, INT_MIN
@@ -29,23 +30,23 @@ def _trunc_div(a, b, op):
 
 
 def _arith(name, fn):
-    def impl(interp, args):
-        return _fit(fn(_num(args[0], name), _num(args[1], name)))
+    def impl(interp, a, b):
+        return _fit(fn(_num(a, name), _num(b, name)))
     return Primitive(name, 2, impl)
 
 
 def _compare(name, fn):
-    def impl(interp, args):
-        return fn(_num(args[0], name), _num(args[1], name))
+    def impl(interp, a, b):
+        return fn(_num(a, name), _num(b, name))
     return Primitive(name, 2, impl)
 
 
-def _eq(interp, args):
-    return structural_eq(args[0], args[1], interp.force1)
+def _eq(interp, a, b):
+    return structural_eq(a, b, interp.force1)
 
 
-def _cons(interp, args):
-    return Pair(args[0], args[1])
+def _cons(interp, head, tail):
+    return Pair(head, tail)
 
 
 def _pair_arg(v, op):
@@ -56,31 +57,31 @@ def _pair_arg(v, op):
     raise EvalError(f"{op}: expected a pair", "type")
 
 
-def _car(interp, args):
-    return _pair_arg(args[0], "car").head
+def _car(interp, v):
+    return _pair_arg(v, "car").head
 
 
-def _cdr(interp, args):
-    return _pair_arg(args[0], "cdr").tail
+def _cdr(interp, v):
+    return _pair_arg(v, "cdr").tail
 
 
-def _cadr(interp, args):
-    tail = interp.force1(_pair_arg(args[0], "cadr").tail)
+def _cadr(interp, v):
+    tail = interp.force1(_pair_arg(v, "cadr").tail)
     return _pair_arg(tail, "cadr").head
 
 
-def _nullist(interp, args):
-    return type(args[0]) is EmptyList
+def _nullist(interp, v):
+    return type(v) is EmptyList
 
 
-def _atom(interp, args):
-    return type(args[0]) is not Pair
+def _atom(interp, v):
+    return type(v) is not Pair
 
 
-def _print(interp, args):
-    text = render(args[0], interp.force1, interp.print_items, interp.print_nesting)
+def _print(interp, v):
+    text = render(v, interp.force1, interp.print_items, interp.print_nesting)
     interp.out.write(text + "\n")
-    return args[0]
+    return v
 
 
 def make_primitives():
@@ -88,8 +89,8 @@ def make_primitives():
         _arith("+", lambda a, b: a + b),
         _arith("-", lambda a, b: a - b),
         _arith("*", lambda a, b: a * b),
-        Primitive("/", 2, lambda i, a: _fit(_trunc_div(_num(a[0], "/"), _num(a[1], "/"), "/"))),
-        Primitive("mod", 2, lambda i, a: _mod(a)),
+        Primitive("/", 2, lambda i, a, b: _fit(_trunc_div(_num(a, "/"), _num(b, "/"), "/"))),
+        Primitive("mod", 2, _mod),
         _compare("<", lambda a, b: a < b),
         _compare("<=", lambda a, b: a <= b),
         _compare(">", lambda a, b: a > b),
@@ -106,8 +107,8 @@ def make_primitives():
     return {p.name: p for p in prims}
 
 
-def _mod(args):
-    a, b = _num(args[0], "mod"), _num(args[1], "mod")
+def _mod(interp, a, b):
+    a, b = _num(a, "mod"), _num(b, "mod")
     # remainder of truncated division: sign follows the dividend
     q = _trunc_div(a, b, "mod")
     return _fit(a - b * q)

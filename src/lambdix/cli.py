@@ -82,7 +82,7 @@ def _cmd_repl(args):
             except LambdixError as e:
                 print(f"** error - {e.message} **")
             except KeyboardInterrupt:
-                # _apply and _force restore the environment on the way out
+                # every install is undone by a finally on the way out
                 print("** interrupted **")
                 break
     if args.stats:

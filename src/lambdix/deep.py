@@ -1,11 +1,13 @@
 """Python-stack policy for top-level evaluation.
 
-The tree-walking evaluator recurses a few Python frames per interpreted
-call. Since Python 3.11, Python-to-Python calls use no C stack, so the
-calling thread can run the configured depth limit (default 100,000) once
-the recursion limit is raised; no dedicated thread is needed. Should the
-recursion limit still bind first (a depth limit raised far past the
-default), the RecursionError is reported as the depth limit.
+Evaluation recurses through the nodes' `ev` methods: one Python frame per
+application, `if` or `let` between two interpreted calls, plus two (the
+variable read and `_force`) per thunk forced on the way. Since Python 3.11,
+Python-to-Python calls use no C stack, so the calling thread can run the
+configured depth limit (default 100,000) once the recursion limit is
+raised; no dedicated thread is needed. Should the recursion limit still
+bind first (a depth limit raised far past the default), the RecursionError
+is reported as the depth limit.
 
 `call_with_deep_stack` keeps its name because callers outside the package
 import it.

@@ -8,6 +8,11 @@ state, and the analysis registry, and evaluates under exactly one strategy:
   need  - all of those are suspended as memoized thunks, forced at most once,
           with strict primitives still strict.
 
+Each analyzed node class has one `ev(interp, struct)` method, defined at
+the end of this module; `struct` is the level whose environment the node
+runs in. There is no compile pass, so a one-shot REPL form costs no more
+than its analysis.
+
 A "step" is one application of a closure; step and depth limits turn
 divergence into a reported outcome rather than a hang.
 """
@@ -83,7 +88,7 @@ class Interpreter:
         if is_de_form(sx):
             return self._eval_top_de(sx)
         compiled = self.analyzer.analyze(sx, None)
-        return self._eval(compiled, self.top_struct)
+        return compiled.ev(self, self.top_struct)
 
     def _eval_top_de(self, sx):
         de = parse_de(sx)
@@ -98,166 +103,29 @@ class Interpreter:
         if self.lazy:
             slot = Thunk(compiled, self.rt.top_block)
         else:
-            slot = self._eval(compiled, self.top_struct)
+            slot = compiled.ev(self, self.top_struct)
         self.rt.top_table[name] = slot
         return slot
-
-    # -- core evaluation ------------------------------------------------------
-
-    def _eval(self, x, struct):
-        rt = self.rt
-        while True:
-            t = type(x)
-            if t is LocalRef:
-                slot = rt.lookup(x.hops, x.offset, struct)
-                if type(slot) is Thunk:
-                    return self._force(slot)
-                if slot is UNSET:
-                    raise EvalError(f"{x.name} is used before its definition",
-                                    "undefined")
-                return slot
-            if t is App:
-                head = self._eval(x.head, struct)
-                if type(head) is Thunk:
-                    head = self._force(head)
-                return self._apply(head, x.args, struct)
-            if t is If:
-                test = self._eval(x.test, struct)
-                if type(test) is Thunk:
-                    test = self._force(test)
-                if type(test) is not bool:
-                    raise EvalError("if: test must be a boolean", "type")
-                x = x.then if test else x.orelse
-                continue
-            if t is Lit:
-                return x.value
-            if t is TopRef:
-                slot = rt.top_table.get(x.name, UNSET)
-                if slot is UNSET:
-                    raise EvalError(f"{x.name} not defined", "undefined")
-                self.counters.lookups += 1
-                if type(slot) is Thunk:
-                    return self._force(slot)
-                return slot
-            if t is LambdaRef:
-                # the defining environment is the current block of the
-                # struct's lexical parent, i.e. of the enclosing level
-                return Closure(x.struct, struct.current_block)
-            if t is QuoteForm:
-                datum = x.datum
-                if datum is None:
-                    datum = x.datum = quote_datum(x.sexpr)
-                return datum
-            if t is LetForm:
-                return self._eval_let(x, struct)
-            if t is ExclaForm:
-                return self._eval_excla(x, struct)
-            raise EvalError(f"internal: unknown expression node {x!r}",
-                            "internal")
-
-    def _apply(self, head, arg_exprs, struct):
-        t = type(head)
-        if t is Closure:
-            self.steps += 1
-            if self.steps > self.step_limit:
-                raise LimitExceeded("step")
-            callee = head.struct
-            self.counters.thunks_created += len(arg_exprs)
-            if self.lazy:
-                cb = struct.current_block
-                args = [Thunk(a, cb) for a in arg_exprs]
-            else:
-                args = [self._eval(a, struct) for a in arg_exprs]
-            block = self.rt.new_block(callee, args, head.block)
-            log = self.rt.install(callee, block)
-            self.depth += 1
-            if self.depth > self.depth_limit:
-                self.depth -= 1
-                self.rt.restore(log)
-                raise LimitExceeded("depth")
-            try:
-                return self._eval(callee.body, callee)
-            finally:
-                self.depth -= 1
-                self.rt.restore(log)
-        if t is Primitive:
-            if len(arg_exprs) != head.arity:
-                raise EvalError(
-                    f"{head.name}: expected {head.arity} argument(s), "
-                    f"got {len(arg_exprs)}", "arity")
-            if head.lazy and self.lazy:
-                cb = struct.current_block
-                args = [Thunk(a, cb) for a in arg_exprs]
-                self.counters.thunks_created += len(arg_exprs)
-            else:
-                args = []
-                for a in arg_exprs:
-                    v = self._eval(a, struct)
-                    if type(v) is Thunk:
-                        v = self._force(v)
-                    args.append(v)
-                if head.lazy:
-                    # strict strategy still counts the positions a lazy run
-                    # would suspend, for like-for-like cost comparisons
-                    self.counters.thunks_created += len(arg_exprs)
-            return head.fn(self, args)
-        raise EvalError("cannot apply a value that is not a function", "type")
-
-    def _eval_let(self, x, struct):
-        L = x.struct
-        block = self.rt.new_block(L, (), struct.current_block)
-        slots = block.slots
-        self.counters.thunks_created += len(x.bindings)
-        if self.lazy:
-            for i, b in enumerate(x.bindings):
-                slots[i] = Thunk(b, block)
-            log = self.rt.install(L, block)
-            try:
-                return self._eval(L.body, L)
-            finally:
-                self.rt.restore(log)
-        log = self.rt.install(L, block)
-        try:
-            # strict lets evaluate bindings top to bottom; reading a sibling
-            # that has no value yet is an error (see LocalRef)
-            for i, b in enumerate(x.bindings):
-                value = self._eval(b, L)
-                assert slots[i] is UNSET  # slots are written exactly once
-                slots[i] = value
-            return self._eval(L.body, L)
-        finally:
-            self.rt.restore(log)
-
-    def _eval_excla(self, x, struct):
-        v = self._eval(x.arg, struct)
-        src = datum_to_source(v, self.force1)
-        compiled = self.analyzer.analyze(src, x.frame)
-        return self._eval(compiled, struct)
 
     # -- forcing ---------------------------------------------------------------
 
     def _force(self, th):
         while True:
             state = th.state
-            if state == TH_DONE:
-                v = th.memo
-            elif state == TH_BUSY:
-                raise EvalError("cyclic definition: a value depends on itself",
-                                "cyclic")
-            else:
-                th.state = TH_BUSY
-                self.depth += 1
-                if self.depth > self.depth_limit:
-                    self.depth -= 1
-                    th.state = TH_NEW
+            if state == TH_NEW:
+                depth = self.depth + 1
+                if depth > self.depth_limit:
                     raise LimitExceeded("depth")
+                self.depth = depth
+                th.state = TH_BUSY
+                block = th.block
+                rt = self.rt
                 try:
-                    owner = th.block.owner
-                    log = self.rt.install(owner, th.block)
+                    log = rt.install(block)
                     try:
-                        v = self._eval(th.expr, owner)
+                        v = th.expr.ev(self, block.owner)
                     finally:
-                        self.rt.restore(log)
+                        rt.restore(log)
                 except BaseException:
                     # un-blackhole so a later retry reports the same error
                     # instead of a bogus cycle
@@ -270,6 +138,14 @@ class Interpreter:
                 self.counters.thunks_forced += 1
                 th.memo = v
                 th.state = TH_DONE
+                # the memo is final: release the defining block, and with it
+                # every sibling thunk that block holds
+                th.expr = th.block = None
+            elif state == TH_DONE:
+                v = th.memo
+            else:
+                raise EvalError("cyclic definition: a value depends on itself",
+                                "cyclic")
             if type(v) is Thunk:
                 th = v
                 continue
@@ -280,6 +156,170 @@ class Interpreter:
         if type(v) is Thunk:
             return self._force(v)
         return v
+
+
+# ---------------------------------------------------------------------------
+# node evaluation: each function below becomes one node class's ev method
+
+def _ev_lit(self, interp, struct):
+    return self.value
+
+
+def _ev_local(self, interp, struct):
+    # the analyzer resolved which struct owns the slot; no hops are walked
+    block = self.target.current_block
+    if block is None:
+        raise EvalError(f"internal: environment of {self.target.name} not "
+                        "installed", "internal")
+    interp.counters.lookups += 1
+    slot = block.slots[self.offset]
+    if type(slot) is Thunk:
+        return interp._force(slot)
+    if slot is UNSET:
+        raise EvalError(f"{self.name} is used before its definition",
+                        "undefined")
+    return slot
+
+
+def _ev_top(self, interp, struct):
+    slot = interp.rt.top_table.get(self.name, UNSET)
+    if slot is UNSET:
+        raise EvalError(f"{self.name} not defined", "undefined")
+    interp.counters.lookups += 1
+    if type(slot) is Thunk:
+        return interp._force(slot)
+    return slot
+
+
+def _ev_if(self, interp, struct):
+    test = self.test.ev(interp, struct)
+    if type(test) is Thunk:
+        test = interp._force(test)
+    if test is True:
+        return self.then.ev(interp, struct)
+    if test is False:
+        return self.orelse.ev(interp, struct)
+    raise EvalError("if: test must be a boolean", "type")
+
+
+def _ev_lambda(self, interp, struct):
+    # the defining environment is the current block of the struct's
+    # lexical parent, i.e. of the enclosing level
+    return Closure(self.struct, struct.current_block)
+
+
+def _ev_quote(self, interp, struct):
+    datum = self.datum
+    if datum is None:
+        datum = self.datum = quote_datum(self.sexpr)
+    return datum
+
+
+def _ev_app(self, interp, struct):
+    head = self.head.ev(interp, struct)
+    if type(head) is Thunk:
+        head = interp._force(head)
+    args = self.args
+    n = len(args)
+    t = type(head)
+    if t is Primitive:
+        # every primitive takes one or two arguments; lazy ones take two
+        if n != head.arity:
+            raise EvalError(f"{head.name}: expected {head.arity} "
+                            f"argument(s), got {n}", "arity")
+        if head.lazy and interp.lazy:
+            interp.counters.thunks_created += 2
+            cb = struct.current_block
+            return head.fn(interp, Thunk(args[0], cb), Thunk(args[1], cb))
+        a = args[0].ev(interp, struct)
+        if type(a) is Thunk:
+            a = interp._force(a)
+        if n == 1:
+            return head.fn(interp, a)
+        b = args[1].ev(interp, struct)
+        if type(b) is Thunk:
+            b = interp._force(b)
+        if head.lazy:
+            # a strict run still counts the positions a lazy run would
+            # suspend, for like-for-like cost comparisons
+            interp.counters.thunks_created += 2
+        return head.fn(interp, a, b)
+    if t is not Closure:
+        raise EvalError("cannot apply a value that is not a function", "type")
+    interp.steps += 1
+    if interp.steps > interp.step_limit:
+        raise LimitExceeded("step")
+    interp.counters.thunks_created += n
+    # arities 1-3 are spelled out: a list comprehension costs a function
+    # object and a frame on every call
+    if interp.lazy:
+        cb = struct.current_block
+        if n == 1:
+            vals = [Thunk(args[0], cb)]
+        elif n == 2:
+            vals = [Thunk(args[0], cb), Thunk(args[1], cb)]
+        elif n == 3:
+            vals = [Thunk(args[0], cb), Thunk(args[1], cb),
+                    Thunk(args[2], cb)]
+        else:
+            vals = [Thunk(a, cb) for a in args]
+    elif n == 1:
+        vals = [args[0].ev(interp, struct)]
+    elif n == 2:
+        vals = [args[0].ev(interp, struct), args[1].ev(interp, struct)]
+    elif n == 3:
+        vals = [args[0].ev(interp, struct), args[1].ev(interp, struct),
+                args[2].ev(interp, struct)]
+    else:
+        vals = [a.ev(interp, struct) for a in args]
+    callee = head.struct
+    rt = interp.rt
+    log = rt.install(rt.new_block(callee, vals, head.block))
+    depth = interp.depth + 1
+    if depth > interp.depth_limit:
+        rt.restore(log)
+        raise LimitExceeded("depth")
+    interp.depth = depth
+    try:
+        return callee.body.ev(interp, callee)
+    finally:
+        interp.depth -= 1
+        rt.restore(log)
+
+
+def _ev_let(self, interp, struct):
+    L = self.struct
+    rt = interp.rt
+    block = rt.new_block(L, [], struct.current_block)
+    slots = block.slots
+    interp.counters.thunks_created += len(self.bindings)
+    if interp.lazy:
+        for i, b in enumerate(self.bindings):
+            slots[i] = Thunk(b, block)
+    log = rt.install(block)
+    try:
+        if not interp.lazy:
+            # strict lets evaluate bindings top to bottom; reading a sibling
+            # that has no value yet is an error (see LocalRef)
+            for i, b in enumerate(self.bindings):
+                value = b.ev(interp, L)
+                assert slots[i] is UNSET  # slots are written exactly once
+                slots[i] = value
+        return L.body.ev(interp, L)
+    finally:
+        rt.restore(log)
+
+
+def _ev_excla(self, interp, struct):
+    v = self.arg.ev(interp, struct)
+    src = datum_to_source(v, interp.force1)
+    return interp.analyzer.analyze(src, self.frame).ev(interp, struct)
+
+
+for _node, _ev in ((Lit, _ev_lit), (LocalRef, _ev_local), (TopRef, _ev_top),
+                   (If, _ev_if), (LambdaRef, _ev_lambda), (QuoteForm, _ev_quote),
+                   (App, _ev_app), (LetForm, _ev_let), (ExclaForm, _ev_excla)):
+    _node.ev = _ev
 
 
 Outcome = namedtuple("Outcome", "kind payload output")

@@ -9,8 +9,9 @@ too. Restoration replays the recorded old pointers in reverse, so the cost
 of a switch is bounded by the lexical depth of the callee, never by the
 dynamic call depth or the argument count.
 
-Variable access reads one current-block slot after a fixed number of parent
-hops; global access is a hash-table fetch. Everything is counted.
+Variable access reads one slot of one structure's current block; the
+analyzer resolves the structure `hops` levels up ahead of time. Global
+access is a hash-table fetch. Everything is counted.
 """
 
 from .errors import EvalError
@@ -70,49 +71,55 @@ class Runtime:
         self.install_observer = None
 
     def new_block(self, struct, args, defining_block):
+        """A block for one entry into `struct`; it takes over the fresh list
+        `args` as its slots."""
         if len(args) != len(struct.params):
             raise EvalError(
                 f"{struct.name}: expected {len(struct.params)} argument(s), "
                 f"got {len(args)}", "arity")
-        slots = list(args)
         if struct.local_names:
-            slots.extend([UNSET] * len(struct.local_names))
+            args.extend([UNSET] * len(struct.local_names))
         self.counters.blocks_allocated += 1
-        return Block(struct, slots, defining_block)
+        return Block(struct, args, defining_block)
 
-    def install(self, struct, block):
-        """Make `block` (and its ancestors) current for `struct` (and its
-        ancestors); returns the log restore() needs. Stops early at the
+    def install(self, block):
+        """Make `block` (and its ancestors) current for its owner struct (and
+        the owner's ancestors); returns the log restore() needs: each
+        switched struct followed by its previous block. Stops early at the
         first already-correct link or at the top pseudo-struct."""
-        if block.owner is not struct:
-            raise EvalError("internal: block installed on the wrong structure",
-                            "internal")
-        c = self.counters
         top = self.top_struct
         log = []
-        s, b = struct, block
+        struct = s = block.owner
+        b = block
         tests = 0
         while s is not top:
-            tests += 1
-            if s.current_block is b:
+            old = s.current_block
+            if old is b:
+                tests = 1
                 break
-            log.append((s, s.current_block))
+            log.append(s)
+            log.append(old)
             s.current_block = b
             s = s.parent
             b = b.parent
+        assignments = len(log) >> 1
+        tests += assignments
+        c = self.counters
         c.switch_tests += tests
-        c.switch_assignments += len(log)
+        c.switch_assignments += assignments
         if self.install_observer is not None:
-            self.install_observer(struct, tests, len(log))
+            self.install_observer(struct, tests, assignments)
         if self.debug_checks:
-            self._assert_installed(struct, block)
+            self._assert_installed(block)
             self._assert_coherent()
         return log
 
     def restore(self, log):
-        """Undo one install exactly (strict LIFO discipline)."""
-        for s, old in reversed(log):
-            s.current_block = old
+        """Undo one install exactly (strict LIFO discipline); consumes the
+        log."""
+        while log:
+            old = log.pop()
+            log.pop().current_block = old
         if self.debug_checks:
             self._assert_coherent()
 
@@ -132,8 +139,8 @@ class Runtime:
 
     # -- debug-run assertions ------------------------------------------------
 
-    def _assert_installed(self, struct, block):
-        s, b = struct, block
+    def _assert_installed(self, block):
+        s, b = block.owner, block
         while s is not self.top_struct:
             assert s.current_block is b, \
                 f"install left {s!r} pointing away from {b!r}"

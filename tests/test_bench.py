@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from lambdix.bench import (SUITE_NAMES, BenchResult, program_source,
                            run_program, run_suite, to_json, to_tsv)
 
@@ -77,3 +79,27 @@ def test_pct_diff_matches_relative_formula():
                      / max(v.median_ms, n.median_ms) * 100.0, 1)
     assert v.pct_diff == n.pct_diff == expected
     assert v.digest == n.digest
+
+
+# the cost model's figures for the fast rows, as switch_tests,
+# switch_assignments, thunks_created, thunks_forced, blocks_allocated; an
+# evaluator change must not move them
+PINNED_COUNTERS = {
+    ("Fib", "value"): (21891, 21891, 21891, 0, 21892),
+    ("Fib", "need"): (43781, 43781, 21891, 21891, 21892),
+    ("Fib2", "value"): (21891, 21891, 65673, 0, 21892),
+    ("Fib2", "need"): (43781, 43781, 65673, 21891, 21892),
+    ("Tak", "value"): (63609, 63609, 190827, 0, 63610),
+    ("Tak", "need"): (254433, 254433, 190827, 190827, 63610),
+    ("LComp", "need"): (223, 199, 230, 156, 78),
+    ("LSum", "need"): (935, 899, 743, 719, 226),
+}
+
+
+@pytest.mark.parametrize("program,strategy", sorted(PINNED_COUNTERS))
+def test_counters_pinned(program, strategy):
+    _, counters, _ = run_program(program_source(program, strategy), strategy)
+    columns = ("switch_tests", "switch_assignments", "thunks_created",
+               "thunks_forced", "blocks_allocated")
+    assert tuple(counters[c] for c in columns) == \
+        PINNED_COUNTERS[(program, strategy)]

@@ -201,6 +201,23 @@ def test_error_during_forcing_is_repeatable():
         assert exc.value.category == "undefined"
 
 
+def test_forced_thunk_releases_its_environment():
+    interp, _ = make_interp()
+    interp.eval_source("(de l (cons (+ 1 2) ())) (de m (cons (car '()) 1))")
+    head = interp.force1(interp.rt.top_table["l"]).head
+    assert (head.expr, head.block) != (None, None)
+    assert interp.eval_source_rendered("(car l)") == ["3"]
+    assert (head.expr, head.block, head.memo) == (None, None, 3)
+    # a forcing that fails keeps both, so a retry reports the same error
+    bad = interp.force1(interp.rt.top_table["m"]).head
+    for _ in range(2):
+        with pytest.raises(EvalError) as exc:
+            interp.eval_source_rendered("(car m)")
+        assert (exc.value.category, exc.value.message) == \
+            ("type", "car: empty list")
+        assert bad.expr is not None and bad.block is not None
+
+
 def test_forced_thunks_never_exceed_created():
     from lambdix.errors import LambdixError
     from lambdix.oracle import generate_program

@@ -48,7 +48,7 @@ def test_zero_parameter_block_still_allocated():
 
 def test_install_all_stale_costs_chain_length():
     rt, counters, structs, blocks = chain(3)
-    log = rt.install(structs[2], blocks[2])
+    log = rt.install(blocks[2])
     assert (counters.switch_tests, counters.switch_assignments) == (3, 3)
     assert structs[2].current_block is blocks[2]
     assert structs[0].current_block is blocks[0]
@@ -58,9 +58,9 @@ def test_install_all_stale_costs_chain_length():
 
 def test_reinstall_is_one_test_no_assignment():
     rt, counters, structs, blocks = chain(3)
-    rt.install(structs[2], blocks[2])
+    rt.install(blocks[2])
     before = counters.snapshot()
-    log = rt.install(structs[2], blocks[2])
+    log = rt.install(blocks[2])
     d = counters.delta(before)
     assert (d["switch_tests"], d["switch_assignments"]) == (1, 0)
     assert log == []
@@ -68,11 +68,11 @@ def test_reinstall_is_one_test_no_assignment():
 
 def test_install_stops_at_first_correct_ancestor():
     rt, counters, structs, blocks = chain(3)
-    log_all = rt.install(structs[2], blocks[2])
+    log_all = rt.install(blocks[2])
     rt.restore(log_all)
-    rt.install(structs[0], blocks[0])
+    rt.install(blocks[0])
     before = counters.snapshot()
-    rt.install(structs[2], blocks[2])
+    rt.install(blocks[2])
     d = counters.delta(before)
     # s3 and s2 stale, s1 already correct: three tests, two assignments
     assert (d["switch_tests"], d["switch_assignments"]) == (3, 2)
@@ -81,19 +81,19 @@ def test_install_stops_at_first_correct_ancestor():
 def test_self_recursion_is_one_test_one_assignment():
     rt, counters, structs, blocks = chain(1)
     s1 = structs[0]
-    rt.install(s1, blocks[0])
+    rt.install(blocks[0])
     b2 = rt.new_block(s1, [99], rt.top_block)
     before = counters.snapshot()
-    rt.install(s1, b2)
+    rt.install(b2)
     d = counters.delta(before)
     assert (d["switch_tests"], d["switch_assignments"]) == (1, 1)
 
 
 def test_restore_replays_in_reverse():
     rt, counters, structs, blocks = chain(2)
-    outer = rt.install(structs[1], blocks[1])
+    outer = rt.install(blocks[1])
     alt = rt.new_block(structs[1], [77], blocks[0])
-    inner = rt.install(structs[1], alt)
+    inner = rt.install(alt)
     assert structs[1].current_block is alt
     rt.restore(inner)
     assert structs[1].current_block is blocks[1]
@@ -102,16 +102,20 @@ def test_restore_replays_in_reverse():
     rt.restore([])  # empty log is a no-op
 
 
-def test_install_owner_mismatch_is_internal_error():
-    rt, counters, structs, blocks = chain(2)
-    with pytest.raises(EvalError) as exc:
-        rt.install(structs[0], blocks[1])
-    assert exc.value.category == "internal"
+def test_install_walks_the_block_owners_chain():
+    # the struct is block.owner; owner and block chains climb in lockstep,
+    # and the observer still receives the struct
+    rt, counters, structs, blocks = chain(3)
+    seen = []
+    rt.install_observer = lambda s, t, a: seen.append((s, t, a))
+    rt.install(blocks[1])
+    assert seen == [(structs[1], 2, 2)]
+    assert [s.current_block for s in structs] == [blocks[0], blocks[1], None]
 
 
 def test_lookup_constant_hops():
     rt, counters, structs, blocks = chain(3)
-    rt.install(structs[2], blocks[2])
+    rt.install(blocks[2])
     before = counters.snapshot()
     assert rt.lookup(0, 0, structs[2]) == 30
     assert rt.lookup(2, 0, structs[2]) == 10
@@ -129,7 +133,7 @@ def test_counters_monotone():
     rt, counters, structs, blocks = chain(2)
     seen = counters.snapshot()
     for _ in range(3):
-        log = rt.install(structs[1], blocks[1])
+        log = rt.install(blocks[1])
         rt.lookup(0, 0, structs[1])
         rt.restore(log)
         now = counters.snapshot()
