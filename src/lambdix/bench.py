@@ -31,7 +31,7 @@ SUITE_NAMES = tuple(_SOURCES)
 
 TSV_COLUMNS = ("program", "strategy", "median_ms", "switch_tests",
                "switch_assignments", "thunks_created", "thunks_forced",
-               "blocks_allocated", "digest", "pct_diff")
+               "blocks_allocated", "thunks_elided", "digest", "pct_diff")
 
 
 def program_source(name, strategy):
@@ -99,7 +99,7 @@ def _row(res):
     return (res.program, res.strategy, f"{res.median_ms:.2f}",
             str(c["switch_tests"]), str(c["switch_assignments"]),
             str(c["thunks_created"]), str(c["thunks_forced"]),
-            str(c["blocks_allocated"]), res.digest,
+            str(c["blocks_allocated"]), str(c["thunks_elided"]), res.digest,
             "" if res.pct_diff is None else f"{res.pct_diff:+.1f}")
 
 

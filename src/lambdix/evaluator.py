@@ -6,7 +6,8 @@ state, and the analysis registry, and evaluates under exactly one strategy:
   value - arguments, cons components, let bindings and top-level definitions
           are computed eagerly;
   need  - all of those are suspended as memoized thunks, forced at most once,
-          with strict primitives still strict.
+          with strict primitives still strict; a literal or local argument
+          is passed on as it is (see the `delay` methods).
 
 Each analyzed node class has one `ev(interp, struct)` method, defined at
 the end of this module; `struct` is the level whose environment the node
@@ -110,46 +111,69 @@ class Interpreter:
     # -- forcing ---------------------------------------------------------------
 
     def _force(self, th):
-        while True:
-            state = th.state
-            if state == TH_NEW:
-                depth = self.depth + 1
-                if depth > self.depth_limit:
-                    raise LimitExceeded("depth")
-                self.depth = depth
-                th.state = TH_BUSY
-                block = th.block
-                rt = self.rt
-                try:
-                    log = rt.install(block)
+        # A thunk whose expression yields another thunk (car and cdr return
+        # components unforced) waits on `path`, still busy, until the chain
+        # reaches a value; then every thunk on it memoizes that value, so a
+        # memo is never a thunk and a chain is walked once. A chain that
+        # leads back to one of its own thunks is a cycle.
+        path = None
+        try:
+            while True:
+                state = th.state
+                if state == TH_NEW:
+                    depth = self.depth + 1
+                    if depth > self.depth_limit:
+                        raise LimitExceeded("depth")
+                    self.depth = depth
+                    th.state = TH_BUSY
+                    block = th.block
+                    rt = self.rt
                     try:
-                        v = th.expr.ev(self, block.owner)
+                        log = rt.install(block)
+                        try:
+                            v = th.expr.ev(self, block.owner)
+                        finally:
+                            rt.restore(log)
+                    except BaseException:
+                        # un-blackhole so a later retry reports the same
+                        # error instead of a bogus cycle
+                        th.state = TH_NEW
+                        raise
                     finally:
-                        rt.restore(log)
-                except BaseException:
-                    # un-blackhole so a later retry reports the same error
-                    # instead of a bogus cycle
-                    th.state = TH_NEW
-                    raise
-                finally:
-                    self.depth -= 1
-                # counted on completed evaluations only, so forced never
-                # exceeds created even across retries after errors
-                self.counters.thunks_forced += 1
-                th.memo = v
-                th.state = TH_DONE
-                # the memo is final: release the defining block, and with it
-                # every sibling thunk that block holds
-                th.expr = th.block = None
-            elif state == TH_DONE:
-                v = th.memo
-            else:
-                raise EvalError("cyclic definition: a value depends on itself",
-                                "cyclic")
-            if type(v) is Thunk:
-                th = v
-                continue
-            return v
+                        self.depth -= 1
+                    if type(v) is Thunk:
+                        if path is None:
+                            path = [th]
+                        else:
+                            path.append(th)
+                        th = v
+                        continue
+                    # counted on memoization only, so forced never exceeds
+                    # created even across retries after errors
+                    self.counters.thunks_forced += 1
+                    th.memo = v
+                    th.state = TH_DONE
+                    # the memo is final: release the defining block, and
+                    # with it every sibling thunk that block holds
+                    th.expr = th.block = None
+                elif state == TH_DONE:
+                    v = th.memo
+                else:
+                    raise EvalError("cyclic definition: a value depends on "
+                                    "itself", "cyclic")
+                break
+        except BaseException:
+            if path is not None:
+                for t in path:
+                    t.state = TH_NEW
+            raise
+        if path is not None:
+            self.counters.thunks_forced += len(path)
+            for t in path:
+                t.memo = v
+                t.state = TH_DONE
+                t.expr = t.block = None
+        return v
 
     def force1(self, v):
         """Force to weak head normal form; identity on plain values."""
@@ -228,9 +252,9 @@ def _ev_app(self, interp, struct):
             raise EvalError(f"{head.name}: expected {head.arity} "
                             f"argument(s), got {n}", "arity")
         if head.lazy and interp.lazy:
-            interp.counters.thunks_created += 2
             cb = struct.current_block
-            return head.fn(interp, Thunk(args[0], cb), Thunk(args[1], cb))
+            return head.fn(interp, args[0].delay(interp, cb),
+                           args[1].delay(interp, cb))
         a = args[0].ev(interp, struct)
         if type(a) is Thunk:
             a = interp._force(a)
@@ -249,29 +273,31 @@ def _ev_app(self, interp, struct):
     interp.steps += 1
     if interp.steps > interp.step_limit:
         raise LimitExceeded("step")
-    interp.counters.thunks_created += n
     # arities 1-3 are spelled out: a list comprehension costs a function
     # object and a frame on every call
     if interp.lazy:
         cb = struct.current_block
         if n == 1:
-            vals = [Thunk(args[0], cb)]
+            vals = [args[0].delay(interp, cb)]
         elif n == 2:
-            vals = [Thunk(args[0], cb), Thunk(args[1], cb)]
+            vals = [args[0].delay(interp, cb), args[1].delay(interp, cb)]
         elif n == 3:
-            vals = [Thunk(args[0], cb), Thunk(args[1], cb),
-                    Thunk(args[2], cb)]
+            vals = [args[0].delay(interp, cb), args[1].delay(interp, cb),
+                    args[2].delay(interp, cb)]
         else:
-            vals = [Thunk(a, cb) for a in args]
-    elif n == 1:
-        vals = [args[0].ev(interp, struct)]
-    elif n == 2:
-        vals = [args[0].ev(interp, struct), args[1].ev(interp, struct)]
-    elif n == 3:
-        vals = [args[0].ev(interp, struct), args[1].ev(interp, struct),
-                args[2].ev(interp, struct)]
+            vals = [a.delay(interp, cb) for a in args]
     else:
-        vals = [a.ev(interp, struct) for a in args]
+        # a strict run counts every position a lazy run delays
+        interp.counters.thunks_created += n
+        if n == 1:
+            vals = [args[0].ev(interp, struct)]
+        elif n == 2:
+            vals = [args[0].ev(interp, struct), args[1].ev(interp, struct)]
+        elif n == 3:
+            vals = [args[0].ev(interp, struct), args[1].ev(interp, struct),
+                    args[2].ev(interp, struct)]
+        else:
+            vals = [a.ev(interp, struct) for a in args]
     callee = head.struct
     rt = interp.rt
     log = rt.install(rt.new_block(callee, vals, head.block))
@@ -320,6 +346,47 @@ for _node, _ev in ((Lit, _ev_lit), (LocalRef, _ev_local), (TopRef, _ev_top),
                    (If, _ev_if), (LambdaRef, _ev_lambda), (QuoteForm, _ev_quote),
                    (App, _ev_app), (LetForm, _ev_let), (ExclaForm, _ev_excla)):
     _node.ev = _ev
+
+
+# ---------------------------------------------------------------------------
+# argument passing under need: each node's delay(interp, cb) is what a
+# closure parameter or a cons component receives when the node is an
+# argument evaluated in the environment whose block is `cb`
+
+def _delay_thunk(self, interp, cb):
+    interp.counters.thunks_created += 1
+    return Thunk(self, cb)
+
+
+def _delay_lit(self, interp, cb):
+    # a literal is already a value: suspending it would only add a forcing
+    interp.counters.thunks_elided += 1
+    return self.value
+
+
+def _delay_local(self, interp, cb):
+    # the slot already holds a value or a thunk, and no later write can
+    # change it; passing it on shares its memo. An empty slot (a sibling
+    # let binding not yet filled) or an uninstalled environment is left to
+    # a thunk, which reports it only if it is forced.
+    block = self.target.current_block
+    if block is not None:
+        slot = block.slots[self.offset]
+        if slot is not UNSET:
+            c = interp.counters
+            c.lookups += 1
+            c.thunks_elided += 1
+            return slot
+    interp.counters.thunks_created += 1
+    return Thunk(self, cb)
+
+
+# a top-level reference stays suspended: it is late-bound, and its name may
+# be defined only after the suspension is made
+for _node in (TopRef, If, LambdaRef, QuoteForm, App, LetForm, ExclaForm):
+    _node.delay = _delay_thunk
+Lit.delay = _delay_lit
+LocalRef.delay = _delay_local
 
 
 Outcome = namedtuple("Outcome", "kind payload output")

@@ -36,7 +36,7 @@ class Counters:
     """Always-on cost tallies; all monotonically nondecreasing."""
 
     FIELDS = ("switch_tests", "switch_assignments", "blocks_allocated",
-              "lookups", "thunks_created", "thunks_forced")
+              "lookups", "thunks_created", "thunks_forced", "thunks_elided")
 
     __slots__ = FIELDS
 

@@ -147,15 +147,20 @@ def _render(v, force, max_items, max_depth, depth):
 
 def structural_eq(a, b, force):
     """Deep equality used by the = primitive; forces both spines. Closures
-    and primitives compare by identity."""
-    a = force(a)
-    b = force(b)
-    ta, tb = type(a), type(b)
-    if ta is not tb:
-        return False
-    if ta is Pair:
-        return (structural_eq(a.head, b.head, force)
-                and structural_eq(a.tail, b.tail, force))
+    and primitives compare by identity. Spines are walked in a loop, so only
+    nesting through heads uses Python stack."""
+    while True:
+        a = force(a)
+        b = force(b)
+        ta = type(a)
+        if ta is not type(b):
+            return False
+        if ta is not Pair:
+            break
+        if not structural_eq(a.head, b.head, force):
+            return False
+        a = a.tail
+        b = b.tail
     if ta is EmptyList:
         return True
     if ta is Sym:

@@ -38,7 +38,8 @@ def test_table_formats():
         BenchResult("Fib", "value", 10.0,
                     {"switch_tests": 1, "switch_assignments": 1,
                      "blocks_allocated": 1, "lookups": 1,
-                     "thunks_created": 1, "thunks_forced": 0},
+                     "thunks_created": 1, "thunks_forced": 0,
+                     "thunks_elided": 0},
                     "abc123", "6765\n", pct_diff=-12.0),
     ]
     tsv = to_tsv(results)
@@ -83,16 +84,31 @@ def test_pct_diff_matches_relative_formula():
 
 # the cost model's figures for the fast rows, as switch_tests,
 # switch_assignments, thunks_created, thunks_forced, blocks_allocated; an
-# evaluator change must not move them
+# evaluator change must not move them.
+#
+# Under need, a literal or local argument is passed unsuspended, so only the
+# other argument positions make thunks. Every install of a depth-1 block
+# costs one test and one assignment; the top block's costs none.
 PINNED_COUNTERS = {
     ("Fib", "value"): (21891, 21891, 21891, 0, 21892),
-    ("Fib", "need"): (43781, 43781, 21891, 21891, 21892),
+    # 21891 calls; each but (fib 20) suspends (- n k), and every such thunk
+    # is forced once: 21891 + 21890 switches, 21890 thunks
+    ("Fib", "need"): (43781, 43781, 21890, 21890, 21892),
     ("Fib2", "value"): (21891, 21891, 65673, 0, 21892),
-    ("Fib2", "need"): (43781, 43781, 65673, 21891, 21892),
+    # as Fib: a and b are locals and (fib2 20 0 0) has only literals
+    ("Fib2", "need"): (43781, 43781, 21890, 21890, 21892),
     ("Tak", "value"): (63609, 63609, 190827, 0, 63610),
-    ("Tak", "need"): (254433, 254433, 190827, 190827, 63610),
-    ("LComp", "need"): (223, 199, 230, 156, 78),
-    ("LSum", "need"): (935, 899, 743, 719, 226),
+    # 15902 recursive steps of 4 calls each suspend 3 + 1 + 1 + 1 positions
+    # (y, z, x are locals): 6 * 15902 = 95412 thunks, all forced once;
+    # 63609 calls + 95412 forcings = 159021 switches
+    ("Tak", "need"): (159021, 159021, 95412, 95412, 63610),
+    # 32 of the 230 positions are literals or locals: 32 fewer thunks, 30
+    # fewer forcings, 26 fewer switches (4 of those forcings ran in the
+    # top block, which costs no switch)
+    ("LComp", "need"): (197, 173, 198, 126, 78),
+    # 179 of the 743 positions are literals or locals: 179 fewer thunks and
+    # forcings, 176 fewer switches (3 of those forcings were top-level)
+    ("LSum", "need"): (759, 723, 564, 540, 226),
 }
 
 
@@ -103,3 +119,17 @@ def test_counters_pinned(program, strategy):
                "thunks_forced", "blocks_allocated")
     assert tuple(counters[c] for c in columns) == \
         PINNED_COUNTERS[(program, strategy)]
+
+
+# (positions a value run counts, of which literal or local arguments)
+POSITIONS = {"Fib": (21891, 1), "Fib2": (65673, 43783), "Tak": (190827, 95415)}
+
+
+@pytest.mark.parametrize("program", sorted(POSITIONS))
+def test_need_creates_or_elides_every_position_value_counts(program):
+    _, value, _ = run_program(program_source(program, "value"), "value")
+    _, need, _ = run_program(program_source(program, "need"), "need")
+    positions, elided = POSITIONS[program]
+    assert (value["thunks_created"], value["thunks_elided"]) == (positions, 0)
+    assert need["thunks_elided"] == elided
+    assert need["thunks_created"] + need["thunks_elided"] == positions

@@ -5,6 +5,7 @@ import pytest
 from conftest import make_interp, run
 from lambdix.errors import EvalError
 from lambdix.evaluator import run_with_limit
+from lambdix.values import TH_DONE, Thunk
 
 F_EXAMPLE = "(de (f x y) (if (< x 0) 1 (f (- x 1) (f x y))))"
 
@@ -158,9 +159,11 @@ def test_whnf_car_does_not_force_components():
     rendered = interp.eval_source_rendered("(car (cons 1 (loop)))")
     assert rendered == ["1"]
     d = interp.counters.delta(before)
-    # cons suspends two components; only the demanded head is ever forced
-    assert d["thunks_created"] == 2
-    assert d["thunks_forced"] == 1
+    # cons suspends (loop) and passes the literal head unsuspended; the
+    # suspended tail is never forced, so loop is never entered
+    assert (d["thunks_created"], d["thunks_elided"]) == (1, 1)
+    assert d["thunks_forced"] == 0
+    assert interp.steps == 0
 
 
 def test_cdr_returns_component_unforced():
@@ -169,9 +172,48 @@ def test_cdr_returns_component_unforced():
     before = interp.counters.snapshot()
     interp.eval_source("(nullist (cdr p))")
     d = interp.counters.delta(before)
-    # forcing stops at the spine: the pair itself, then the tail for the
-    # nullist check; the head thunk stays untouched
-    assert d["thunks_forced"] == 2
+    # forcing stops at the spine: the pair itself; both components are
+    # literals, passed unsuspended, so the tail needs no forcing
+    assert (d["thunks_forced"], d["thunks_elided"]) == (1, 2)
+
+
+@pytest.mark.parametrize("op", ["car", "cdr"])
+def test_forced_chain_memoizes_its_value_on_every_link(op):
+    # each definition's component is (op previous), which yields the
+    # previous definition's component unforced: a chain of 999 thunks
+    interp, _ = make_interp()
+    k = 1000
+    interp.eval_source("(de d0 (cons 7 7)) " + " ".join(
+        f"(de d{i} (cons (car d{i - 1}) (cdr d{i - 1})))" for i in range(1, k)))
+    pairs = [interp.eval_source(f"d{i}")[0] for i in range(k)]
+    field = "head" if op == "car" else "tail"
+    links = [getattr(p, field) for p in pairs[1:]]
+    before = interp.counters.snapshot()
+    assert interp.eval_source_rendered(f"({op} d{k - 1})") == ["7"]
+    assert interp.counters.delta(before)["thunks_forced"] == k - 1
+    # one walk down the chain leaves every link holding the value itself,
+    # so a later read of any link is a single step
+    assert all(type(t) is Thunk and t.state == TH_DONE and t.memo == 7
+               for t in links)
+    before = interp.counters.snapshot()
+    for i in range(1, k):
+        assert interp.eval_source_rendered(f"({op} d{i})") == ["7"]
+    d = interp.counters.delta(before)
+    assert (d["thunks_forced"], d["lookups"]) == (0, 2 * (k - 1))
+
+
+@pytest.mark.parametrize("defs", [
+    "(de p (cons (car p) 1))",
+    "(de p (cons (car q) 1)) (de q (cons (car p) 2))",
+])
+def test_chain_back_to_itself_is_cyclic(defs):
+    # the head's value is a thunk whose value is the head again
+    interp, _ = make_interp()
+    interp.eval_source(defs)
+    for _ in range(2):
+        with pytest.raises(EvalError) as exc:
+            interp.eval_source_rendered("(car p)")
+        assert exc.value.category == "cyclic"
 
 
 def test_memoization_forces_once():

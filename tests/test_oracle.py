@@ -88,3 +88,68 @@ def test_generated_programs_parse():
     for seed in range(50):
         forms = read_program(generate_program(seed))
         assert forms
+
+
+# Programs where passing a literal or a local argument on unsuspended could
+# go wrong: the argument outlives its frame, is a function, feeds a stream,
+# is named by excla text, refers to itself, is late-bound, or would raise.
+SHARING_HAZARDS = {
+    "escaping-parameter": (
+        "(de (mk x) (lambda (y) (+ x y)))"
+        " (de (wrap v) (mk v))"
+        " (de f (wrap (+ 1 2)))"
+        " (de (other a b) (f (+ a b)))"
+        " (de (nest n) (let ((de k (* n 2))) (lambda (z) (mk k))))"
+        " (print (other 10 20)) (print (f 0))"
+        " (print (((nest (+ 1 1)) 0) 5))", "33\n3\n9\n"),
+    "function-argument": (
+        "(de (twice f x) (f (f x)))"
+        " (de (compose f g) (lambda (x) (f (g x))))"
+        " (de (inc n) (+ n 1))"
+        " (de (app f x) (f x)) (de (pass f x) (app f x))"
+        " (print (twice inc 5))"
+        " (print ((compose inc (lambda (y) (* y 3))) 4))"
+        " (print (pass (lambda (y) (twice inc y)) 1))", "7\n13\n3\n"),
+    "stream-through-take": (
+        "(de (from n) (cons n (from (+ n 1))))"
+        " (de (rep x) (cons x (rep x)))"
+        " (de (smap f l) (cons (f (car l)) (smap f (cdr l))))"
+        " (de (take n l) (if (< n 1) () (cons (car l) (take (- n 1) (cdr l)))))"
+        " (print (take 5 (from 3)))"
+        " (print (take 4 (smap (lambda (v) (* v v)) (from 1))))"
+        " (print (take 3 (rep (+ 2 2))))", "(3 4 5 6 7)\n(1 4 9 16)\n(4 4 4)\n"),
+    "excla-names-a-local": (
+        "(de (h v) (+ v 1))"
+        " (de (g x) (! '(h x)))"
+        " (de (k y) (let ((de z (+ y 1))) (! (cons 'h (cons 'z ())))))"
+        " (print (g (* 3 4))) (print (k 5))", "13\n7\n"),
+    "let-binding-reads-itself": (
+        "(de (f y) (+ y 1)) (print (let ((x (f x))) x))", "cyclic"),
+    "let-binding-stores-itself": (
+        "(de (f y) (cons 1 y)) (print (car (cdr (let ((x (f x))) x))))",
+        "1\n"),
+    "top-level-name-defined-later": (
+        "(de (hold a) (lambda (u) a))"
+        " (de g (hold later))"
+        " (print (atom g))"
+        " (de later 42)"
+        " (print (g 0))", "true\n42\n"),
+    "unused-argument-would-raise": (
+        "(de (const a b) a)"
+        " (de (f x) (const 4 x))"
+        " (print (const 1 (car ())))"
+        " (print (const 2 (/ 1 0)))"
+        " (print (const 3 nosuch))"
+        " (print (f (car ())))", "1\n2\n3\n4\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARING_HAZARDS))
+def test_differential_sharing_hazards(name):
+    text, expected = SHARING_HAZARDS[name]
+    result = differential_run(text, "need")
+    assert result.equal, (result.main, result.oracle)
+    if result.main[0] == "error":
+        assert result.main[1][0] == expected
+    else:
+        assert (result.main[0], result.main[2]) == ("value", expected)
