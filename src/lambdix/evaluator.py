@@ -366,9 +366,10 @@ def _delay_lit(self, interp, cb):
 
 def _delay_local(self, interp, cb):
     # the slot already holds a value or a thunk, and no later write can
-    # change it; passing it on shares its memo. An empty slot (a sibling
-    # let binding not yet filled) or an uninstalled environment is left to
-    # a thunk, which reports it only if it is forced.
+    # change it; passing it on shares its memo. Under need a let fills its
+    # slots with thunks before its scope runs, so an empty slot or an
+    # uninstalled environment would be an internal fault: it is left to a
+    # thunk, whose forcing reports it as the read itself would.
     block = self.target.current_block
     if block is not None:
         slot = block.slots[self.offset]
@@ -377,8 +378,7 @@ def _delay_local(self, interp, cb):
             c.lookups += 1
             c.thunks_elided += 1
             return slot
-    interp.counters.thunks_created += 1
-    return Thunk(self, cb)
+    return _delay_thunk(self, interp, cb)
 
 
 # a top-level reference stays suspended: it is late-bound, and its name may

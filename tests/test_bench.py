@@ -45,6 +45,7 @@ def test_table_formats():
     tsv = to_tsv(results)
     header, row = tsv.strip().split("\n")
     assert header.split("\t")[0] == "program"
+    assert header.split("\t")[7:9] == ["blocks_allocated", "thunks_elided"]
     assert row.split("\t")[:3] == ["Fib", "value", "10.00"]
     assert row.split("\t")[-1] == "-12.0"
     data = json.loads(to_json(results))

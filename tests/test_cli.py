@@ -73,6 +73,7 @@ def test_run_stats_flag(tmp_path):
     assert proc.stdout == "3\n"
     assert "switch_tests" in proc.stderr
     assert "blocks_allocated" in proc.stderr
+    assert "thunks_elided" in proc.stderr
 
 
 def test_repl_session():
