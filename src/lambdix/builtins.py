@@ -1,47 +1,72 @@
 """Primitive function suite: strict 64-bit integer arithmetic and
 comparison, list operations with a strategy-dependent cons, predicates, and
 the forcing printer. Each primitive is called as fn(interp, arg, ...), one
-positional argument per parameter."""
+positional argument per parameter.
+
+Each strict primitive is one kernel frame: argument types (first, then
+second), a zero divisor and overflow are checked inline, in that order."""
+
+import operator
 
 from .errors import EvalError
 from .reader import INT_MAX, INT_MIN
-from .values import EmptyList, Pair, Primitive, render, structural_eq
+from .values import (EmptyList, Pair, Primitive, Thunk, render,
+                     structural_eq)
 
 
-def _num(v, op):
-    if type(v) is not int:
-        raise EvalError(f"{op}: expected a number", "type")
-    return v
+def _not_a_pair(op, v):
+    if type(v) is EmptyList:
+        return EvalError(f"{op}: empty list", "type")
+    return EvalError(f"{op}: expected a pair", "type")
 
 
-def _fit(r):
-    if not (INT_MIN <= r <= INT_MAX):
+def _arith(name, op):
+    def kernel(interp, a, b):
+        if type(a) is not int or type(b) is not int:
+            raise EvalError(f"{name}: expected a number", "type")
+        r = op(a, b)
+        if INT_MIN <= r <= INT_MAX:
+            return r
         raise EvalError("arithmetic overflow", "arith")
-    return r
+    return Primitive(name, 2, kernel)
 
 
-def _trunc_div(a, b, op):
+def _compare(name, op):
+    def kernel(interp, a, b):
+        if type(a) is not int or type(b) is not int:
+            raise EvalError(f"{name}: expected a number", "type")
+        return op(a, b)
+    return Primitive(name, 2, kernel)
+
+
+def _div(interp, a, b):
+    if type(a) is not int or type(b) is not int:
+        raise EvalError("/: expected a number", "type")
     if b == 0:
-        raise EvalError(f"{op}: division by zero", "arith")
+        raise EvalError("/: division by zero", "arith")
+    # truncated division: the quotient rounds toward zero
     q = abs(a) // abs(b)
     if (a < 0) != (b < 0):
-        q = -q
+        return -q
+    if q > INT_MAX:
+        raise EvalError("arithmetic overflow", "arith")
     return q
 
 
-def _arith(name, fn):
-    def impl(interp, a, b):
-        return _fit(fn(_num(a, name), _num(b, name)))
-    return Primitive(name, 2, impl)
-
-
-def _compare(name, fn):
-    def impl(interp, a, b):
-        return fn(_num(a, name), _num(b, name))
-    return Primitive(name, 2, impl)
+def _mod(interp, a, b):
+    if type(a) is not int or type(b) is not int:
+        raise EvalError("mod: expected a number", "type")
+    if b == 0:
+        raise EvalError("mod: division by zero", "arith")
+    # remainder of truncated division: the sign follows the dividend, and
+    # it is smaller than the divisor, so it cannot overflow
+    r = abs(a) % abs(b)
+    return -r if a < 0 else r
 
 
 def _eq(interp, a, b):
+    if type(a) is int and type(b) is int:
+        return a == b
     return structural_eq(a, b, interp.force1)
 
 
@@ -49,25 +74,27 @@ def _cons(interp, head, tail):
     return Pair(head, tail)
 
 
-def _pair_arg(v, op):
-    if type(v) is Pair:
-        return v
-    if type(v) is EmptyList:
-        raise EvalError(f"{op}: empty list", "type")
-    raise EvalError(f"{op}: expected a pair", "type")
-
-
 def _car(interp, v):
-    return _pair_arg(v, "car").head
+    if type(v) is Pair:
+        return v.head
+    raise _not_a_pair("car", v)
 
 
 def _cdr(interp, v):
-    return _pair_arg(v, "cdr").tail
+    if type(v) is Pair:
+        return v.tail
+    raise _not_a_pair("cdr", v)
 
 
 def _cadr(interp, v):
-    tail = interp.force1(_pair_arg(v, "cadr").tail)
-    return _pair_arg(tail, "cadr").head
+    if type(v) is not Pair:
+        raise _not_a_pair("cadr", v)
+    tail = v.tail
+    if type(tail) is Thunk:
+        tail = interp._force(tail)
+    if type(tail) is Pair:
+        return tail.head
+    raise _not_a_pair("cadr", tail)
 
 
 def _nullist(interp, v):
@@ -86,15 +113,15 @@ def _print(interp, v):
 
 def make_primitives():
     prims = [
-        _arith("+", lambda a, b: a + b),
-        _arith("-", lambda a, b: a - b),
-        _arith("*", lambda a, b: a * b),
-        Primitive("/", 2, lambda i, a, b: _fit(_trunc_div(_num(a, "/"), _num(b, "/"), "/"))),
+        _arith("+", operator.add),
+        _arith("-", operator.sub),
+        _arith("*", operator.mul),
+        Primitive("/", 2, _div),
         Primitive("mod", 2, _mod),
-        _compare("<", lambda a, b: a < b),
-        _compare("<=", lambda a, b: a <= b),
-        _compare(">", lambda a, b: a > b),
-        _compare(">=", lambda a, b: a >= b),
+        _compare("<", operator.lt),
+        _compare("<=", operator.le),
+        _compare(">", operator.gt),
+        _compare(">=", operator.ge),
         Primitive("=", 2, _eq),
         Primitive("cons", 2, _cons, lazy=True),
         Primitive("car", 1, _car),
@@ -105,10 +132,3 @@ def make_primitives():
         Primitive("print", 1, _print),
     ]
     return {p.name: p for p in prims}
-
-
-def _mod(interp, a, b):
-    a, b = _num(a, "mod"), _num(b, "mod")
-    # remainder of truncated division: sign follows the dividend
-    q = _trunc_div(a, b, "mod")
-    return _fit(a - b * q)

@@ -240,7 +240,17 @@ def _ev_quote(self, interp, struct):
 
 
 def _ev_app(self, interp, struct):
-    head = self.head.ev(interp, struct)
+    head = self.head
+    if type(head) is TopRef:
+        # a global head (every primitive call) is read here as _ev_top
+        # would, without a frame of its own; still read at every call, so a
+        # later definition of the name takes effect
+        head = interp.rt.top_table.get(head.name, UNSET)
+        if head is UNSET:
+            raise EvalError(f"{self.head.name} not defined", "undefined")
+        interp.counters.lookups += 1
+    else:
+        head = head.ev(interp, struct)
     if type(head) is Thunk:
         head = interp._force(head)
     args = self.args

@@ -362,33 +362,39 @@ class Oracle:
     # -- suspensions ----------------------------------------------------------
 
     def force(self, th):
-        while True:
-            state = th.state
-            if state == TH_DONE:
-                v = th.memo
-            elif state == TH_BUSY:
-                raise EvalError("cyclic definition: a value depends on itself",
-                                "cyclic")
-            else:
-                th.state = TH_BUSY
-                self.depth += 1
-                if self.depth > self.depth_limit:
-                    self.depth -= 1
-                    th.state = TH_NEW
-                    raise LimitExceeded("depth")
-                try:
-                    v = self.eval(th.expr, th.block)
-                except BaseException:
-                    th.state = TH_NEW
-                    raise
-                finally:
-                    self.depth -= 1
-                th.memo = v
-                th.state = TH_DONE
-            if type(v) is Thunk:
+        # a thunk whose expression yields another thunk stays busy until the
+        # chain reaches a value, which every thunk on it then memoizes; a
+        # busy thunk met on the way is a cycle
+        chain = []
+        try:
+            while True:
+                state = th.state
+                if state == TH_DONE:
+                    v = th.memo
+                elif state == TH_BUSY:
+                    raise EvalError("cyclic definition: a value depends on "
+                                    "itself", "cyclic")
+                else:
+                    th.state = TH_BUSY
+                    chain.append(th)
+                    self.depth += 1
+                    try:
+                        if self.depth > self.depth_limit:
+                            raise LimitExceeded("depth")
+                        v = self.eval(th.expr, th.block)
+                    finally:
+                        self.depth -= 1
+                if type(v) is not Thunk:
+                    break
                 th = v
-                continue
-            return v
+        except BaseException:
+            for t in chain:
+                t.state = TH_NEW
+            raise
+        for t in chain:
+            t.memo = v
+            t.state = TH_DONE
+        return v
 
     def whnf(self, v):
         if type(v) is Thunk:

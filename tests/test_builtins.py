@@ -2,8 +2,10 @@ import pytest
 
 from conftest import make_interp, run
 from lambdix.errors import EvalError
+from lambdix.oracle import differential_run
 
 INT_MAX = 2**63 - 1
+INT_MIN = -2**63
 
 
 def last(text, strategy="need", **kw):
@@ -209,3 +211,93 @@ def test_strict_primitive_diverging_argument_diverges():
     text = "(de (loop) (loop)) (+ 1 (loop))"
     for strategy in ("value", "need"):
         assert run_with_limit(text, strategy, 10_000).kind == "limit"
+
+
+# -- exact error outcomes of the strict primitives ------------------------------
+# Each case pins message and category, and with them the order of the checks:
+# first argument, then second, then a zero divisor, then overflow.
+
+_PRIMITIVE_ERRORS = []
+for _op in ("+", "-", "*", "/", "mod", "<", "<=", ">", ">="):
+    _num_msg = f"{_op}: expected a number"
+    _PRIMITIVE_ERRORS += [
+        (f"({_op} 'a 1)", "type", _num_msg),
+        (f"({_op} (< 1 2) 1)", "type", _num_msg),
+        (f'({_op} 1 "s")', "type", _num_msg),
+        (f"({_op} 1 ())", "type", _num_msg),
+        (f"({_op} 'a 0)", "type", _num_msg),
+        (f"({_op} 1)", "arity", f"{_op}: expected 2 argument(s), got 1"),
+    ]
+for _op in ("/", "mod"):
+    _PRIMITIVE_ERRORS += [
+        (f"({_op} 1 0)", "arith", f"{_op}: division by zero"),
+        (f"({_op} 1 'a)", "type", f"{_op}: expected a number"),
+        (f"({_op} {INT_MIN} 0)", "arith", f"{_op}: division by zero"),
+    ]
+_PRIMITIVE_ERRORS += [
+    (f"(+ {INT_MAX} 1)", "arith", "arithmetic overflow"),
+    (f"(+ {INT_MIN} -1)", "arith", "arithmetic overflow"),
+    (f"(- {INT_MIN} 1)", "arith", "arithmetic overflow"),
+    (f"(- 0 {INT_MIN})", "arith", "arithmetic overflow"),
+    (f"(* {INT_MAX} 2)", "arith", "arithmetic overflow"),
+    (f"(* {INT_MIN} -1)", "arith", "arithmetic overflow"),
+    (f"(/ {INT_MIN} -1)", "arith", "arithmetic overflow"),
+    ("(car ())", "type", "car: empty list"),
+    ("(car 1)", "type", "car: expected a pair"),
+    ("(car (< 1 2))", "type", "car: expected a pair"),
+    ("(cdr ())", "type", "cdr: empty list"),
+    ('(cdr "s")', "type", "cdr: expected a pair"),
+    ("(cadr ())", "type", "cadr: empty list"),
+    ("(cadr 'a)", "type", "cadr: expected a pair"),
+    ("(cadr '(1))", "type", "cadr: empty list"),
+    ("(cadr (cons 1 2))", "type", "cadr: expected a pair"),
+    ("(car 1 2)", "arity", "car: expected 1 argument(s), got 2"),
+]
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+@pytest.mark.parametrize("text,category,message", _PRIMITIVE_ERRORS)
+def test_primitive_error_outcome(text, category, message, strategy):
+    # the main interpreter's side of a differential run is run_with_limit's
+    result = differential_run(text, strategy)
+    assert result.main[:2] == ("error", (category, message))
+    assert result.equal
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+@pytest.mark.parametrize("text,expected", [
+    (f"(+ {INT_MAX} 0)", str(INT_MAX)),
+    (f"(- {INT_MIN} 0)", str(INT_MIN)),
+    (f"(* {INT_MIN} 1)", str(INT_MIN)),
+    (f"(/ {INT_MIN} 1)", str(INT_MIN)),
+    (f"(mod {INT_MIN} -1)", "0"),
+    ("(/ -7 -2)", "3"),
+    ("(mod -7 -2)", "-1"),
+    ("(= 1 (< 1 2))", "false"),
+    ("(= 0 (< 2 1))", "false"),
+    ("(= (< 1 2) (< 0 1))", "true"),
+    ('(= "a" "a")', "true"),
+    ('(= "a" "b")', "false"),
+    ("(= 1 '1)", "true"),
+    ("(= 1 2)", "false"),
+    ("(= 'a 'a)", "true"),
+    ("(= 'a 'b)", "false"),
+    ("(= 'a \"a\")", "false"),
+    ("(= 1 \"1\")", "false"),
+    ("(= () ())", "true"),
+    ("(= 1 ())", "false"),
+])
+def test_primitive_values_at_the_edges(text, expected, strategy):
+    result = differential_run(text, strategy)
+    assert result.main[:2] == ("value", (expected,))
+    assert result.equal
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+def test_primitive_names_are_late_bound(strategy):
+    # a later definition of a primitive's name takes effect at call sites
+    # analyzed before it
+    result = differential_run("(de (f x) (+ x 1)) (print (f 1))"
+                              " (de (+ a b) (- a b)) (print (f 1))", strategy)
+    assert (result.main[0], result.main[2]) == ("value", "2\n0\n")
+    assert result.equal

@@ -2,11 +2,12 @@ import io
 
 import pytest
 
+from lambdix.builtins import make_primitives
 from lambdix.corpus import CORPUS, check_outcome
 from lambdix.deep import call_with_deep_stack
 from lambdix.errors import LambdixError, LimitExceeded
 from lambdix.evaluator import Outcome
-from lambdix.oracle import (Oracle, ProgramGen, differential_run,
+from lambdix.oracle import (Oracle, ProgramGen, _prims, differential_run,
                             generate_program, render_program)
 
 
@@ -68,6 +69,14 @@ def test_differential_fixed_seeds(strategy):
         assert result.equal, (
             f"seed {5000 + seed} under {strategy}:\n{text}\n"
             f"main={result.main!r}\noracle={result.oracle!r}")
+
+
+def test_primitive_tables_agree():
+    # the oracle keeps its own primitive table on purpose; the two must
+    # still offer the same names with the same arities and laziness
+    def spec(table):
+        return {name: (p.name, p.arity, p.lazy) for name, p in table.items()}
+    assert spec(make_primitives()) == spec(_prims())
 
 
 def test_generator_is_deterministic():
@@ -134,6 +143,8 @@ SHARING_HAZARDS = {
         " (print (atom g))"
         " (de later 42)"
         " (print (g 0))", "true\n42\n"),
+    "chain-back-to-itself": (
+        "(de p (cons (car p) 1)) (print (car p))", "cyclic"),
     "unused-argument-would-raise": (
         "(de (const a b) a)"
         " (de (f x) (const 4 x))"
