@@ -1,11 +1,12 @@
 """Read-time partial compilation.
 
 Every name is resolved once, at analysis time, to either a lexical address
-(hops up the chain of enclosing lambda structures, plus a slot offset) or a
-late-bound top-level reference. Lambda expressions and recursive lets become
-LambdaStruct objects carrying a pointer to their lexical parent structure and
-a mutable current-block slot, which is all the evaluator needs for
-constant-time variable access.
+(the enclosing lambda structure that owns the slot, found by walking the
+chain of structures itself, plus a slot offset) or a late-bound top-level
+reference. Lambda expressions and recursive lets become LambdaStruct objects
+carrying a pointer to their lexical parent structure and a mutable
+current-block slot, which is all the evaluator needs for constant-time
+variable access.
 
 Original names are kept on every reference for diagnostics and reflection.
 The same compiled tree feeds both evaluation strategies.
@@ -46,35 +47,19 @@ class LambdaStruct:
         return f"<struct {self.name}#{self.uid}>"
 
 
-class Frame:
-    """Analysis-time scope frame; one per open LambdaStruct."""
-
-    __slots__ = ("struct", "params", "locals", "parent")
-
-    def __init__(self, struct, params, locals_, parent):
-        self.struct = struct
-        self.params = tuple(params)
-        self.locals = tuple(locals_)
-        self.parent = parent
-
-
-def resolve(frame, name):
-    """Innermost-first search; parameters take priority over local
-    definitions within one frame. Returns (hops, offset, kind, struct) or
-    None, where struct is the level `hops` up that owns the slot."""
-    hops = 0
-    while frame is not None:
-        try:
-            return hops, frame.params.index(name), "param", frame.struct
-        except ValueError:
-            pass
-        try:
-            offset = frame.locals.index(name)
-            return hops, len(frame.params) + offset, "local", frame.struct
-        except ValueError:
-            pass
-        frame = frame.parent
-        hops += 1
+def resolve(struct, name):
+    """Innermost-first search up the lambda-structure chain; parameters take
+    priority over local definitions within one level. Returns (owner,
+    offset), where owner is the struct that holds the slot, or None for a
+    top-level name."""
+    while struct is not None:
+        params = struct.params
+        if name in params:
+            return struct, params.index(name)
+        local_names = struct.local_names
+        if name in local_names:
+            return struct, len(params) + local_names.index(name)
+        struct = struct.parent
     return None
 
 
@@ -89,14 +74,12 @@ class Lit:
 
 
 class LocalRef:
-    __slots__ = ("hops", "offset", "name", "kind", "target")
+    __slots__ = ("offset", "name", "target")
 
-    def __init__(self, hops, offset, name, kind, target):
-        self.hops = hops
+    def __init__(self, offset, name, target):
         self.offset = offset
         self.name = name
-        self.kind = kind
-        # the struct `hops` levels up: a read is target.current_block's slot
+        # the struct that owns the slot: a read is target.current_block's slot
         self.target = target
 
 
@@ -140,11 +123,10 @@ class QuoteForm:
 
 
 class ExclaForm:
-    __slots__ = ("arg", "frame")
+    __slots__ = ("arg",)
 
-    def __init__(self, arg, frame):
+    def __init__(self, arg):
         self.arg = arg
-        self.frame = frame  # lexical scope of the excla site
 
 
 class LetForm:
@@ -215,19 +197,20 @@ def is_de_form(sx):
 
 
 class Analyzer:
-    def __init__(self, top_struct, registry):
-        self.top_struct = top_struct
+    def __init__(self, registry):
+        # every struct, the top pseudo-struct first; a struct's uid is its
+        # index here
         self.registry = registry
-        self._next_uid = top_struct.uid + 1
 
     def _new_struct(self, name, params, local_names, parent):
-        struct = LambdaStruct(self._next_uid, name, params, local_names, parent)
-        self._next_uid += 1
+        struct = LambdaStruct(len(self.registry), name, params, local_names,
+                              parent)
         self.registry.append(struct)
         return struct
 
-    def analyze(self, sx, frame):
-        """Compile one expression against a scope frame (None = top level)."""
+    def analyze(self, sx, struct):
+        """Compile one expression in the scope of `struct`, the innermost
+        enclosing lambda structure (the top pseudo-struct at top level)."""
         t = type(sx)
         if t is SNum:
             return Lit(sx.value)
@@ -236,41 +219,41 @@ class Analyzer:
         if t is SEmbed:
             return Lit(sx.value)
         if t is SSym:
-            addr = resolve(frame, sx.name)
+            addr = resolve(struct, sx.name)
             if addr is None:
                 # top level is late-bound: missing names fail at use time
                 return TopRef(sx.name)
-            hops, offset, kind, target = addr
-            return LocalRef(hops, offset, sx.name, kind, target)
+            target, offset = addr
+            return LocalRef(offset, sx.name, target)
         if t is SList:
             items = sx.items
             if not items:
                 return Lit(EMPTY)
             head = items[0]
             if (type(head) is SSym and head.name in SPECIAL_FORMS
-                    and resolve(frame, head.name) is None):
-                return self._special(head.name, sx, frame)
-            compiled_head = self.analyze(head, frame)
-            return App(compiled_head, [self.analyze(a, frame) for a in items[1:]])
+                    and resolve(struct, head.name) is None):
+                return self._special(head.name, sx, struct)
+            compiled_head = self.analyze(head, struct)
+            return App(compiled_head, [self.analyze(a, struct) for a in items[1:]])
         raise AnalysisError(f"cannot analyze {sx!r}")
 
-    def _special(self, name, sx, frame):
+    def _special(self, name, sx, struct):
         items = sx.items
         if name == "lambda":
             if len(items) != 3:
                 raise AnalysisError(f"{_pos(sx)}lambda: parameter list and one body expression expected")
             params = _param_names(items[1], "lambda")
-            return LambdaRef(self.make_lambda_struct("lambda", params, items[2], frame))
+            return LambdaRef(self.make_lambda_struct("lambda", params, items[2], struct))
         if name == "if":
             if len(items) != 4:
                 raise AnalysisError(f"{_pos(sx)}if: exactly three arguments expected")
-            return If(self.analyze(items[1], frame),
-                      self.analyze(items[2], frame),
-                      self.analyze(items[3], frame))
+            return If(self.analyze(items[1], struct),
+                      self.analyze(items[2], struct),
+                      self.analyze(items[3], struct))
         if name == "let":
             if len(items) != 3:
                 raise AnalysisError(f"{_pos(sx)}let: binding list and one body expression expected")
-            return self.analyze_let(items[1], items[2], frame)
+            return self.analyze_let(items[1], items[2], struct)
         if name == "quote":
             if len(items) != 2:
                 raise AnalysisError(f"{_pos(sx)}quote: exactly one argument expected")
@@ -278,21 +261,19 @@ class Analyzer:
         if name == "excla":
             if len(items) != 2:
                 raise AnalysisError(f"{_pos(sx)}excla: exactly one argument expected")
-            return ExclaForm(self.analyze(items[1], frame), frame)
+            return ExclaForm(self.analyze(items[1], struct))
         # de/define is not an expression: definitions come first, at the top
         # level or as let bindings
         raise AnalysisError(f"{_pos(sx)}de is only allowed at top level or as a let binding")
 
-    def make_lambda_struct(self, name, params, body_sx, frame):
+    def make_lambda_struct(self, name, params, body_sx, parent):
         """Build the internal structure for one lambda level and compile its
         body in the extended scope."""
-        parent = frame.struct if frame is not None else self.top_struct
         struct = self._new_struct(name, params, (), parent)
-        inner = Frame(struct, params, (), frame)
-        struct.body = self.analyze(body_sx, inner)
+        struct.body = self.analyze(body_sx, struct)
         return struct
 
-    def analyze_let(self, bindings_sx, body_sx, frame):
+    def analyze_let(self, bindings_sx, body_sx, parent):
         """Recursive let: every binding name is visible in every binding
         expression and in the body. The level is an anonymous struct whose
         slots are the local definitions."""
@@ -317,14 +298,12 @@ class Analyzer:
         dup = _first_duplicate(names)
         if dup is not None:
             raise AnalysisError(f"{_pos(bindings_sx)}let: duplicate local name {dup}")
-        parent = frame.struct if frame is not None else self.top_struct
         struct = self._new_struct("let", (), names, parent)
-        inner = Frame(struct, (), names, frame)
         bindings = []
         for p in parsed:
             if p[1] == "value":
-                bindings.append(self.analyze(p[2], inner))
+                bindings.append(self.analyze(p[2], struct))
             else:
-                bindings.append(LambdaRef(self.make_lambda_struct(p[0], p[2], p[3], inner)))
-        struct.body = self.analyze(body_sx, inner)
+                bindings.append(LambdaRef(self.make_lambda_struct(p[0], p[2], p[3], struct)))
+        struct.body = self.analyze(body_sx, struct)
         return LetForm(struct, bindings)

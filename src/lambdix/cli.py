@@ -92,7 +92,8 @@ def _cmd_repl(args):
 
 def _cmd_run(args):
     try:
-        text = open(args.file, encoding="utf-8").read()
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as e:
         print(f"lambdix: {e}", file=sys.stderr)
         return EXIT_EVAL_ERROR
@@ -135,7 +136,8 @@ def _cmd_bench(args):
 
 def _cmd_selftest(args):
     failures = 0
-    for name, strategy, ok, detail in run_corpus():
+    report = run_corpus()
+    for name, strategy, ok, detail in report:
         tag = "ok" if ok else "MISMATCH"
         print(f"{tag}\tcorpus/{name}\t{strategy}" + (f"\t{detail}" if detail else ""))
         failures += 0 if ok else 1
@@ -152,7 +154,7 @@ def _cmd_selftest(args):
                 print(f"  program: {text!r}")
                 print(f"  main:    {result.main!r}")
                 print(f"  oracle:  {result.oracle!r}")
-    total = len(run_corpus()) + 2 * args.count
+    total = len(report) + 2 * args.count
     print(f"{total - failures}/{total} checks passed")
     return EXIT_OK if failures == 0 else EXIT_SELFTEST
 

@@ -1,7 +1,7 @@
 """The block-model evaluator.
 
-One Interpreter instance owns a top-level table, the runtime environment
-state, and the analysis registry, and evaluates under exactly one strategy:
+One Interpreter instance owns a top-level table and the runtime environment
+state, and evaluates under exactly one strategy:
 
   value - arguments, cons components, let bindings and top-level definitions
           are computed eagerly;
@@ -40,8 +40,7 @@ STRATEGIES = ("value", "need")
 
 class Interpreter:
     def __init__(self, strategy="need", step_limit=None, depth_limit=100_000,
-                 print_items=100, print_nesting=20, out=None,
-                 debug_checks=False):
+                 print_items=100, print_nesting=20, out=None):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.strategy = strategy
@@ -58,8 +57,8 @@ class Interpreter:
         top = LambdaStruct(0, "top", (), (), None)
         self.top_struct = top
         self.structs.append(top)
-        self.rt = Runtime(top, self.counters, self.structs, debug_checks)
-        self.analyzer = Analyzer(top, self.structs)
+        self.rt = Runtime(top, self.counters)
+        self.analyzer = Analyzer(self.structs)
         self.rt.top_table.update(make_primitives())
 
     # -- public API (deep-stack entry points) --------------------------------
@@ -88,18 +87,19 @@ class Interpreter:
     def _eval_top_form(self, sx):
         if is_de_form(sx):
             return self._eval_top_de(sx)
-        compiled = self.analyzer.analyze(sx, None)
+        compiled = self.analyzer.analyze(sx, self.top_struct)
         return compiled.ev(self, self.top_struct)
 
     def _eval_top_de(self, sx):
         de = parse_de(sx)
         if de[0] == "func":
             _, name, params, body = de
-            struct = self.analyzer.make_lambda_struct(name, params, body, None)
+            struct = self.analyzer.make_lambda_struct(name, params, body,
+                                                      self.top_struct)
             self.rt.top_table[name] = Closure(struct, self.rt.top_block)
             return Sym(name)
         _, name, expr_sx = de
-        compiled = self.analyzer.analyze(expr_sx, None)
+        compiled = self.analyzer.analyze(expr_sx, self.top_struct)
         self.counters.thunks_created += 1
         if self.lazy:
             slot = Thunk(compiled, self.rt.top_block)
@@ -349,7 +349,8 @@ def _ev_let(self, interp, struct):
 def _ev_excla(self, interp, struct):
     v = self.arg.ev(interp, struct)
     src = datum_to_source(v, interp.force1)
-    return interp.analyzer.analyze(src, self.frame).ev(interp, struct)
+    # `struct` is the level of the excla site, so the text sees its scope
+    return interp.analyzer.analyze(src, struct).ev(interp, struct)
 
 
 for _node, _ev in ((Lit, _ev_lit), (LocalRef, _ev_local), (TopRef, _ev_top),

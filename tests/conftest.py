@@ -14,3 +14,48 @@ def run(text, strategy="need", **kwargs):
     interp, out = make_interp(strategy, **kwargs)
     rendered = interp.eval_source_rendered(text)
     return rendered, out.getvalue(), interp
+
+
+def check_switches(rt, structs):
+    """Assert chain coherence after every install and every restore on `rt`
+    by wrapping those two methods on this one instance. `structs` is the
+    live list of every structure the checks cover."""
+    install, restore = rt.install, rt.restore
+
+    def checked_install(block):
+        log = install(block)
+        _assert_installed(rt, block)
+        _assert_coherent(rt, structs)
+        return log
+
+    def checked_restore(log):
+        restore(log)
+        _assert_coherent(rt, structs)
+
+    rt.install = checked_install
+    rt.restore = checked_restore
+    return rt
+
+
+def _assert_installed(rt, block):
+    s, b = block.owner, block
+    while s is not rt.top_struct:
+        assert s.current_block is b, \
+            f"install left {s!r} pointing away from {b!r}"
+        s = s.parent
+        b = b.parent
+    assert b is rt.top_block
+
+
+def _assert_coherent(rt, structs):
+    # whenever a structure's current block is set, it belongs to that
+    # structure and its parent's current block is the matching ancestor
+    top = rt.top_struct
+    for s in structs:
+        b = s.current_block
+        if s is top or b is None:
+            continue
+        assert b.owner is s
+        if s.parent is not top:
+            assert s.parent.current_block is b.parent, \
+                f"stale ancestor link above {s!r}"

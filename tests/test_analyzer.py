@@ -21,7 +21,8 @@ def test_innermost_binding_is_hops_zero():
     lam = structs_by_name(interp)["lambda"][0]
     body = lam.body
     assert type(body) is LocalRef
-    assert (body.hops, body.offset, body.name, body.kind) == (0, 0, "x", "param")
+    assert (body.target, body.offset, body.name) == (lam, 0, "x")
+    assert body.offset < len(lam.params)  # a parameter slot
 
 
 def test_enclosing_parameter_is_one_hop():
@@ -32,7 +33,7 @@ def test_enclosing_parameter_is_one_hop():
     outer = by_name["BuildConstFunc"][0]
     assert inner.parent is outer
     assert outer.parent is interp.top_struct
-    assert (inner.body.hops, inner.body.offset) == (1, 0)
+    assert (inner.body.target, inner.body.offset) == (outer, 0)
 
 
 def test_top_level_struct_parents():
@@ -52,7 +53,7 @@ def test_top_level_struct_parents():
 def test_free_name_analyzes_as_top_ref():
     interp, _ = make_interp()
     sx = read_program("undefinedname")[0]
-    compiled = interp.analyzer.analyze(sx, None)
+    compiled = interp.analyzer.analyze(sx, interp.top_struct)
     assert type(compiled) is TopRef
     # the error is deferred to evaluation
     with pytest.raises(EvalError) as exc:
@@ -136,8 +137,8 @@ def test_analysis_is_strategy_independent():
     a, _ = make_interp("value")
     b, _ = make_interp("need")
     sx = read_program("(lambda (x) (+ x 1))")[0]
-    ca = a.analyzer.analyze(sx, None)
-    cb = b.analyzer.analyze(sx, None)
+    ca = a.analyzer.analyze(sx, a.top_struct)
+    cb = b.analyzer.analyze(sx, b.top_struct)
     assert type(ca) is type(cb)
     assert ca.struct.body.__class__ is cb.struct.body.__class__
 

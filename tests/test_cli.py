@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from lambdix import cli as cli_module
+from lambdix.corpus import run_corpus
 from lambdix.evaluator import Interpreter
 from lambdix.values import Primitive
 
@@ -112,6 +113,31 @@ def test_selftest_small_run():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "MISMATCH" not in proc.stdout
     assert "checks passed" in proc.stdout
+
+
+def test_selftest_runs_the_corpus_once(monkeypatch, capsys):
+    calls = []
+
+    def counting_run_corpus(*args, **kwargs):
+        calls.append(1)
+        return run_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "run_corpus", counting_run_corpus)
+    assert cli_module.main(["selftest", "--count", "1"]) == 0
+    assert len(calls) == 1
+    assert "70/70 checks passed" in capsys.readouterr().out
+
+
+def test_run_closes_its_input_file(tmp_path):
+    path = tmp_path / "one.lx"
+    path.write_text("(print 1)\n")
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W",
+                           "error::ResourceWarning", "-m", "lambdix", "run",
+                           str(path)],
+                          capture_output=True, text=True, timeout=240)
+    assert proc.returncode == 0
+    assert proc.stdout == "1\n"
+    assert proc.stderr == ""
 
 
 def test_bench_rejects_unknown_program():

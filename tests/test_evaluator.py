@@ -5,6 +5,7 @@ import pytest
 from conftest import make_interp, run
 from lambdix.errors import EvalError
 from lambdix.evaluator import run_with_limit
+from lambdix.oracle import differential_run
 from lambdix.values import TH_DONE, Thunk
 
 F_EXAMPLE = "(de (f x y) (if (< x 0) 1 (f (- x 1) (f x y))))"
@@ -98,7 +99,8 @@ def test_evaluation_runs_on_the_calling_thread():
     "ancestor has been re-pointed by a recursive call"))
 def test_let_closure_reentering_its_own_function():
     # prints 1 under value and in the oracle; need reports a cyclic
-    # definition and debug_checks a stale ancestor link above the let
+    # definition, and the coherence checks of tests/conftest.py
+    # (check_switches) a stale ancestor link above the let
     text = ("(de (down n) (if (< n 1) 0 (let ((m (- n 1))"
             " (de (g k) (+ 1 (down k)))) (g m)))) (print (down 1))")
     _, output, _ = run(text, "need")
@@ -308,9 +310,24 @@ def test_excla_embeds_applied_values():
     assert rendered[-2:] == ["9", "20"]
 
 
-def test_excla_sees_lexical_scope_of_its_site():
-    rendered, _, _ = run("(de (h n) (! '(+ n 1))) (h 41)")
-    assert rendered[-1] == "42"
+@pytest.mark.parametrize("strategy", ["value", "need"])
+@pytest.mark.parametrize("text, printed", [
+    ("(de (h n) (! '(+ n 1))) (print (h 41))", "42"),
+    # the text opens a level of its own and reads a name two levels up
+    ("(de (f a) (let ((b 2)) (! '((lambda (c) (+ a (+ b c))) 3))))"
+     " (print (f 1))", "6"),
+    ("(de (f a) ((lambda (b) (! '(let ((c 3)) (+ a (+ b c))))) 2))"
+     " (print (f 1))", "6"),
+    # the innermost binding of a shadowed name wins
+    ("(de (f x) (let ((x 5)) (! 'x))) (print (f 1))", "5"),
+    # a closure made by the text keeps the site's environment
+    ("(de (mk a) (! '(lambda (y) (+ a y)))) (print ((mk 2) 3))", "5"),
+])
+def test_excla_sees_lexical_scope_of_its_site(text, printed, strategy):
+    rendered, output, _ = run(text, strategy)
+    assert rendered[-1] == printed
+    assert output == printed + "\n"
+    assert differential_run(text, strategy).equal
 
 
 def test_excla_rejects_improper_text():

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import make_interp
+from conftest import check_switches, make_interp
 from lambdix.analyzer import LambdaStruct
 from lambdix.errors import EvalError
 from lambdix.oracle import generate_program
@@ -13,7 +13,7 @@ def chain(depth=3):
     top = LambdaStruct(0, "top", (), (), None)
     registry = [top]
     counters = Counters()
-    rt = Runtime(top, counters, registry, debug_checks=True)
+    rt = check_switches(Runtime(top, counters), registry)
     structs, blocks = [], []
     parent_s, parent_b = top, rt.top_block
     for i in range(1, depth + 1):
@@ -40,7 +40,6 @@ def test_zero_parameter_block_still_allocated():
     rt, counters, _, _ = chain(0)
     before = counters.blocks_allocated
     s = LambdaStruct(9, "z", (), (), rt.top_struct)
-    rt.registry.append(s)
     b = rt.new_block(s, [], rt.top_block)
     assert b.slots == []
     assert counters.blocks_allocated == before + 1
@@ -223,8 +222,8 @@ def test_debug_coherence_checks_pass_under_fuzz():
     for seed in range(15):
         text = generate_program(8000 + seed)
         for strategy in ("value", "need"):
-            interp, _ = make_interp(strategy, step_limit=20_000,
-                                    debug_checks=True)
+            interp, _ = make_interp(strategy, step_limit=20_000)
+            check_switches(interp.rt, interp.structs)
             try:
                 interp.eval_source(text)
             except LambdixError:
