@@ -8,6 +8,9 @@ carrying a pointer to their lexical parent structure and a mutable
 current-block slot, which is all the evaluator needs for constant-time
 variable access.
 
+Each function-level structure also records its demand prefix (see
+demand_prefix), which call-by-need uses to pass those arguments evaluated.
+
 Original names are kept on every reference for diagnostics and reflection.
 The same compiled tree feeds both evaluation strategies.
 """
@@ -30,7 +33,7 @@ class LambdaStruct:
     """
 
     __slots__ = ("uid", "name", "params", "local_names", "body", "parent",
-                 "current_block", "depth")
+                 "current_block", "depth", "demand")
 
     def __init__(self, uid, name, params, local_names, parent):
         self.uid = uid
@@ -42,6 +45,8 @@ class LambdaStruct:
         self.current_block = None
         # chain length up to (excluding) the top pseudo-struct
         self.depth = 0 if parent is None else parent.depth + 1
+        # parameter offsets the body forces first, in order (demand_prefix)
+        self.demand = ()
 
     def __repr__(self):
         return f"<struct {self.name}#{self.uid}>"
@@ -139,6 +144,44 @@ class LetForm:
 
 # ---------------------------------------------------------------------------
 
+def demand_prefix(struct, strict):
+    """The offsets of `struct`'s parameters that its body forces, in the
+    order it forces them, before anything else can happen: before any
+    effect, any operation that can fail, any branch, any closure call and
+    any read of an outer or top-level name. `strict` maps each strict
+    primitive's name to its arity; a global head with such a name is
+    assumed to be that primitive."""
+    demand = []
+    _walk_demand(struct.body, struct, strict, demand)
+    return tuple(demand)
+
+
+def _walk_demand(node, struct, strict, demand):
+    # appends to `demand` what evaluating `node` forces first; True when
+    # evaluation carries on past `node` with nothing but parameter forcings
+    # having happened. Not a closure: making one per definition took as
+    # long as the walk itself.
+    t = type(node)
+    if t is LocalRef:
+        if node.target is not struct:
+            return False
+        if node.offset not in demand:
+            demand.append(node.offset)
+        return True
+    if t is Lit or t is LambdaRef or t is QuoteForm:
+        return True
+    if t is If:
+        _walk_demand(node.test, struct, strict, demand)
+    elif (t is App and type(node.head) is TopRef
+          and strict.get(node.head.name) == len(node.args)):
+        # the arguments are evaluated and forced left to right; the
+        # primitive itself may then fail or print
+        for a in node.args:
+            if not _walk_demand(a, struct, strict, demand):
+                break
+    return False
+
+
 def _pos(sx):
     if getattr(sx, "pos", None):
         line, col = sx.pos
@@ -197,10 +240,12 @@ def is_de_form(sx):
 
 
 class Analyzer:
-    def __init__(self, registry):
+    def __init__(self, registry, strict):
         # every struct, the top pseudo-struct first; a struct's uid is its
         # index here
         self.registry = registry
+        # strict primitive name -> arity, for demand_prefix
+        self.strict = strict
 
     def _new_struct(self, name, params, local_names, parent):
         struct = LambdaStruct(len(self.registry), name, params, local_names,
@@ -271,6 +316,7 @@ class Analyzer:
         body in the extended scope."""
         struct = self._new_struct(name, params, (), parent)
         struct.body = self.analyze(body_sx, struct)
+        struct.demand = demand_prefix(struct, self.strict)
         return struct
 
     def analyze_let(self, bindings_sx, body_sx, parent):

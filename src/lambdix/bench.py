@@ -9,7 +9,9 @@ positive when the lazy strategy wins.
 import hashlib
 import io
 import json
+import os
 import statistics
+import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -48,6 +50,8 @@ class BenchResult:
     digest: str
     output: str
     pct_diff: float | None = field(default=None)
+    min_ms: float | None = field(default=None)
+    max_ms: float | None = field(default=None)
 
 
 def _digest(output):
@@ -55,8 +59,15 @@ def _digest(output):
 
 
 def run_program(text, strategy, reps=1, step_limit=None, depth_limit=100_000):
-    """Time `reps` fresh runs of one program; counters come from the last
-    run (they are deterministic across runs)."""
+    """Time `reps` fresh runs of one program; returns the median time in ms,
+    the counters and the output."""
+    times, counters, output = _time_runs(text, strategy, reps, step_limit,
+                                         depth_limit)
+    return statistics.median(times), counters, output
+
+
+def _time_runs(text, strategy, reps, step_limit, depth_limit):
+    # counters come from the last run (they are deterministic across runs)
     times = []
     counters = {}
     output = ""
@@ -69,7 +80,7 @@ def run_program(text, strategy, reps=1, step_limit=None, depth_limit=100_000):
         times.append((time.perf_counter() - t0) * 1000.0)
         counters = interp.counters.snapshot()
         output = out.getvalue()
-    return statistics.median(times), counters, output
+    return times, counters, output
 
 
 def run_suite(names=SUITE_NAMES, strategies=("value", "need"), reps=5,
@@ -79,10 +90,11 @@ def run_suite(names=SUITE_NAMES, strategies=("value", "need"), reps=5,
         by_strategy = {}
         for strategy in strategies:
             text = program_source(name, strategy)
-            ms, counters, output = run_program(text, strategy, reps,
-                                               step_limit, depth_limit)
-            res = BenchResult(name, strategy, ms, counters, _digest(output),
-                              output)
+            times, counters, output = _time_runs(text, strategy, reps,
+                                                 step_limit, depth_limit)
+            res = BenchResult(name, strategy, statistics.median(times),
+                              counters, _digest(output), output,
+                              min_ms=min(times), max_ms=max(times))
             by_strategy[strategy] = res
             results.append(res)
         if "value" in by_strategy and "need" in by_strategy:
@@ -109,12 +121,31 @@ def to_tsv(results):
     return "\n".join(lines) + "\n"
 
 
+def _git_rev():
+    """The commit of the checkout this module lives in, or None."""
+    # imported here, not at the top: every start of the command line and of
+    # the benchmark worker imports this module
+    import subprocess
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"],
+                              cwd=os.path.dirname(os.path.abspath(__file__)),
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 def to_json(results):
+    """The rows with their time spread, plus what is needed to compare
+    them with another run: the Python version and the git rev."""
     rows = []
     for r in results:
         row = {"program": r.program, "strategy": r.strategy,
-               "median_ms": r.median_ms, "digest": r.digest,
+               "median_ms": r.median_ms, "min_ms": r.min_ms,
+               "max_ms": r.max_ms, "digest": r.digest,
                "pct_diff": r.pct_diff}
         row.update(r.counters)
         rows.append(row)
-    return json.dumps(rows, indent=2) + "\n"
+    doc = {"python": "%d.%d.%d" % sys.version_info[:3],
+           "git_rev": _git_rev(), "rows": rows}
+    return json.dumps(doc, indent=2) + "\n"

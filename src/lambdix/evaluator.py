@@ -9,6 +9,18 @@ state, and evaluates under exactly one strategy:
           with strict primitives still strict; a literal or local argument
           is passed on as it is (see the `delay` methods).
 
+Under need a closure call also passes its callee's demand prefix evaluated
+(analyzer.demand_prefix): the parameters the body forces first, in the
+order it forces them, before any effect, failing operation, branch,
+closure call or outer read. The call checks its arity, evaluates those
+arguments in the caller's environment in that order, suspends the rest and
+only then runs the body, so effects and errors keep their order. What
+moves is the depth: those arguments now run before the call's depth check
+and shallower than a forcing inside the body would, so a step or depth
+limit can be reached at a different point. A top-level definition of a
+strict primitive's name turns prefixes off for the interpreter, since they
+assume that name still names the primitive.
+
 Each analyzed node class has one `ev(interp, struct)` method, defined at
 the end of this module; `struct` is the level whose environment the node
 runs in. There is no compile pass, so a one-shot REPL form costs no more
@@ -58,8 +70,13 @@ class Interpreter:
         self.top_struct = top
         self.structs.append(top)
         self.rt = Runtime(top, self.counters)
-        self.analyzer = Analyzer(self.structs)
-        self.rt.top_table.update(make_primitives())
+        prims = make_primitives()
+        self.rt.top_table.update(prims)
+        self.analyzer = Analyzer(self.structs, {
+            name: p.arity for name, p in prims.items() if not p.lazy})
+        # demand prefixes assume that a strict primitive's name still names
+        # it; a top-level definition of such a name turns them off
+        self.demanding = True
 
     # -- public API (deep-stack entry points) --------------------------------
 
@@ -92,6 +109,8 @@ class Interpreter:
 
     def _eval_top_de(self, sx):
         de = parse_de(sx)
+        if type(self.rt.top_table.get(de[1])) is Primitive:
+            self.demanding = False
         if de[0] == "func":
             _, name, params, body = de
             struct = self.analyzer.make_lambda_struct(name, params, body,
@@ -283,11 +302,33 @@ def _ev_app(self, interp, struct):
     interp.steps += 1
     if interp.steps > interp.step_limit:
         raise LimitExceeded("step")
+    callee = head.struct
     # arities 1-3 are spelled out: a list comprehension costs a function
     # object and a frame on every call
     if interp.lazy:
         cb = struct.current_block
-        if n == 1:
+        demand = callee.demand
+        if demand and n == len(callee.params) and interp.demanding:
+            # the body would force these arguments before anything else,
+            # in this order: evaluate them here instead of suspending them,
+            # and suspend only the rest
+            interp.counters.thunks_elided += len(demand)
+            if n == 1:
+                v = args[0].ev(interp, struct)
+                if type(v) is Thunk:
+                    v = interp._force(v)
+                vals = [v]
+            else:
+                vals = [None] * n
+                for i in demand:
+                    v = args[i].ev(interp, struct)
+                    if type(v) is Thunk:
+                        v = interp._force(v)
+                    vals[i] = v
+                for i in range(n):
+                    if i not in demand:
+                        vals[i] = args[i].delay(interp, cb)
+        elif n == 1:
             vals = [args[0].delay(interp, cb)]
         elif n == 2:
             vals = [args[0].delay(interp, cb), args[1].delay(interp, cb)]
@@ -308,7 +349,6 @@ def _ev_app(self, interp, struct):
                     args[2].ev(interp, struct)]
         else:
             vals = [a.ev(interp, struct) for a in args]
-    callee = head.struct
     rt = interp.rt
     log = rt.install(rt.new_block(callee, vals, head.block))
     depth = interp.depth + 1

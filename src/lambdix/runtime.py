@@ -9,7 +9,7 @@ right, all its ancestors are too. That assumption is known to fail: a
 recursive call can re-point an ancestor while a descendant level is still
 active, and a closure or thunk born in that level then reads the ancestor's
 slots from the wrong block (the strict xfail
-test_let_closure_reentering_its_own_function). Restoration replays the
+test_closure_reentering_a_recursion). Restoration replays the
 recorded old pointers in reverse, so the cost of a switch is bounded by the
 lexical depth of the callee, never by the dynamic call depth or the argument
 count.

@@ -158,3 +158,70 @@ def test_alpha_renaming_invariance(seed):
         assert a.output == unname(b.output)
         if a.kind == "value":
             assert a.payload == tuple(unname(p) for p in b.payload)
+
+
+def demands(interp):
+    """name -> demand prefix as parameter names, for each function struct"""
+    return {s.name: tuple(s.params[i] for i in s.demand)
+            for s in interp.structs if s.params}
+
+
+def test_demand_prefix_of_the_suite_functions():
+    from lambdix.bench import program_source
+    interp, _ = make_interp()
+    for name in ("Fib", "Tak", "Sieve"):
+        # the definitions only: under need they evaluate nothing
+        lines = program_source(name, "need").splitlines()
+        interp.eval_source("\n".join(
+            line for line in lines if not line.startswith("(print")))
+    got = demands(interp)
+    assert got["fib"] == ("n",)
+    assert got["tak"] == ("y", "x")  # the order (< y x) forces them in
+    assert got["upto"] == ("b", "a")
+    for name in ("strike", "sieve", "length", "last"):
+        assert got[name] == ("l",)
+
+
+@pytest.mark.parametrize("body,demand", [
+    # literals, lambdas and quotes continue; a repeated read adds nothing
+    ("(+ 1 (- (car x) y))", ("x",)),
+    ("(< '(1) (+ y x))", ("y", "x")),
+    # a primitive argument that is itself an application ends the walk
+    ("(+ (- x 1) (- y x))", ("x",)),
+    ("(= (lambda (u) u) (+ x y))", ("x", "y")),
+    ("x", ("x",)),
+    # an if adds its test's prefix and stops
+    ("(if (< y 0) x y)", ("y",)),
+    ("(if y (car x) x)", ("y",)),
+    # print's argument is forced before it prints; nothing after is
+    ("(+ (print y) x)", ("y",)),
+    # a lazy primitive, a closure call, a let, excla, an outer or
+    # top-level read and a wrong arity stop the walk
+    ("(cons x y)", ()),
+    ("(+ (g x) y)", ()),
+    ("(+ (let ((v 1)) v) x)", ()),
+    ("(! x)", ()),
+    ("(+ k x)", ()),
+    ("(car x y)", ()),
+])
+def test_demand_prefix_walk(body, demand):
+    interp, _ = make_interp()
+    interp.eval_source(
+        f"(de (g x) x) (de (f k) (let ((de (h x y) {body})) h))")
+    assert demands(interp)["h"] == demand
+
+
+def test_let_bound_and_excla_functions_have_prefixes():
+    interp, _ = make_interp()
+    interp.eval_source("(let ((de (h a b) (- b a))) (h 1 2))"
+                       " (! '((lambda (p q) (if (< q p) p q)) 1 2))")
+    got = demands(interp)
+    assert (got["h"], got["lambda"]) == (("b", "a"), ("q", "p"))
+
+
+def test_defining_a_primitive_name_turns_prefixes_off():
+    interp, _ = make_interp()
+    interp.eval_source("(de (f x) (+ x 1)) (de plus +) (f 1)")
+    assert interp.demanding
+    interp.eval_source("(de (+ a b) (- a b))")
+    assert not interp.demanding

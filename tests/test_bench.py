@@ -1,4 +1,5 @@
 import json
+import platform
 
 import pytest
 
@@ -40,7 +41,8 @@ def test_table_formats():
                      "blocks_allocated": 1, "lookups": 1,
                      "thunks_created": 1, "thunks_forced": 0,
                      "thunks_elided": 0},
-                    "abc123", "6765\n", pct_diff=-12.0),
+                    "abc123", "6765\n", pct_diff=-12.0, min_ms=9.5,
+                    max_ms=11.0),
     ]
     tsv = to_tsv(results)
     header, row = tsv.strip().split("\n")
@@ -49,8 +51,21 @@ def test_table_formats():
     assert row.split("\t")[:3] == ["Fib", "value", "10.00"]
     assert row.split("\t")[-1] == "-12.0"
     data = json.loads(to_json(results))
-    assert data[0]["program"] == "Fib"
-    assert data[0]["switch_tests"] == 1
+    assert data["python"] == platform.python_version()
+    row = data["rows"][0]
+    assert row["program"] == "Fib"
+    assert (row["min_ms"], row["median_ms"], row["max_ms"]) == (9.5, 10.0, 11.0)
+    assert row["switch_tests"] == 1
+
+
+def test_json_records_the_git_rev_or_null(monkeypatch):
+    results = run_suite(names=["Fib"], strategies=("need",), reps=3)
+    r = results[0]
+    assert r.min_ms <= r.median_ms <= r.max_ms
+    rev = json.loads(to_json(results))["git_rev"]
+    assert rev is None or len(rev) == 40
+    monkeypatch.setenv("PATH", "")  # no git to ask
+    assert json.loads(to_json(results))["git_rev"] is None
 
 
 def test_lazy_prefix_cost_independent_of_list_length():
@@ -83,33 +98,56 @@ def test_pct_diff_matches_relative_formula():
     assert v.digest == n.digest
 
 
-# the cost model's figures for the fast rows, as switch_tests,
-# switch_assignments, thunks_created, thunks_forced, blocks_allocated; an
-# evaluator change must not move them.
+# the cost model's figures, as switch_tests, switch_assignments,
+# thunks_created, thunks_forced, blocks_allocated; an evaluator change must
+# not move them.
 #
-# Under need, a literal or local argument is passed unsuspended, so only the
-# other argument positions make thunks. Every install of a depth-1 block
-# costs one test and one assignment; the top block's costs none.
+# Under need, a call passes its callee's demand prefix evaluated (the
+# parameters the body forces first, in order) and a literal or local
+# argument unsuspended, so only the other argument positions make thunks.
+# Every install of a depth-1 block costs one test and one assignment, or
+# one test alone when the block is already current; the top block's costs
+# none.
 PINNED_COUNTERS = {
     ("Fib", "value"): (21891, 21891, 21891, 0, 21892),
-    # 21891 calls; each but (fib 20) suspends (- n k), and every such thunk
-    # is forced once: 21891 + 21890 switches, 21890 thunks
-    ("Fib", "need"): (43781, 43781, 21890, 21890, 21892),
+    # fib demands n, so each of the 21891 calls passes n evaluated: no
+    # thunk, and a switch only per call
+    ("Fib", "need"): (21891, 21891, 0, 0, 21892),
     ("Fib2", "value"): (21891, 21891, 65673, 0, 21892),
-    # as Fib: a and b are locals and (fib2 20 0 0) has only literals
-    ("Fib2", "need"): (43781, 43781, 21890, 21890, 21892),
+    # as Fib: fib2 demands n, and a and b are locals
+    ("Fib2", "need"): (21891, 21891, 0, 0, 21892),
     ("Tak", "value"): (63609, 63609, 190827, 0, 63610),
-    # 15902 recursive steps of 4 calls each suspend 3 + 1 + 1 + 1 positions
-    # (y, z, x are locals): 6 * 15902 = 95412 thunks, all forced once;
-    # 63609 calls + 95412 forcings = 159021 switches
-    ("Tak", "need"): (159021, 159021, 95412, 95412, 63610),
-    # 32 of the 230 positions are literals or locals: 32 fewer thunks, 30
-    # fewer forcings, 26 fewer switches (4 of those forcings ran in the
-    # top block, which costs no switch)
-    ("LComp", "need"): (197, 173, 198, 126, 78),
-    # 179 of the 743 positions are literals or locals: 179 fewer thunks and
-    # forcings, 176 fewer switches (3 of those forcings were top-level)
-    ("LSum", "need"): (759, 723, 564, 540, 226),
+    # tak demands y then x, as (< y x) forces them; of each recursive
+    # step's 4 calls only the outer one's z, (tak (- z 1) x y), is
+    # suspended (each inner call's undemanded argument is a local): 15902
+    # thunks, all forced once; 63609 calls + 15902 forcings = 79511
+    # switches
+    ("Tak", "need"): (79511, 79511, 15902, 15902, 63610),
+    # 75 positions more than under plain cheap eagerness are demanded
+    # (fringe, btree, append and eqfringe demand their first parameter):
+    # 75 fewer thunks and forcings. 48 of those forcings cost a test and an
+    # assignment; 24 (fringe's (fringe (car t)), forced by append while
+    # fringe's block was still current) one test alone; 3 ran in the top
+    # block. 72 fewer tests, 48 fewer assignments
+    ("LComp", "need"): (125, 125, 123, 51, 78),
+    # 148 positions more are demanded (strike its l, sum2 its k; sieve and
+    # from demand nothing, as their bodies start with a lazy cons): 148
+    # fewer thunks and forcings. 130 of those forcings cost a test and an
+    # assignment; 18 (sieve's (cdr l), forced by strike while sieve's block
+    # was current) one test alone. 148 fewer tests, 130 fewer assignments
+    ("LSum", "need"): (611, 593, 416, 392, 226),
+    # 89140 calls: 2741 of upto, 85197 of strike, 401 of sieve, 401 of
+    # length, 400 of last; one switch each
+    ("Sieve", "value"): (89140, 89140, 348273, 0, 89141),
+    # the same 89140 calls; upto demands b then a, strike, sieve, length
+    # and last demand l. Against plain cheap eagerness (346730, 345931,
+    # 257994, 257594, 89141) 89139 positions more are demanded: upto's
+    # 2740 (+ a 1), strike's 84797 (cdr l), sieve's 400 (strike ...) and
+    # 400 (cdr l), length's 400 and last's 399 (cdr l), and 3 top-level
+    # ones, whose forcings cost no switch. 400 of the saved forcings (of
+    # sieve's (cdr l), by strike while sieve's block was current) cost one
+    # test alone: 89136 fewer tests, 88736 fewer assignments
+    ("Sieve", "need"): (257594, 257195, 168855, 168455, 89141),
 }
 
 
@@ -122,8 +160,10 @@ def test_counters_pinned(program, strategy):
         PINNED_COUNTERS[(program, strategy)]
 
 
-# (positions a value run counts, of which literal or local arguments)
-POSITIONS = {"Fib": (21891, 1), "Fib2": (65673, 43783), "Tak": (190827, 95415)}
+# (positions a value run counts, of which a need run passes unsuspended:
+# demanded, literal or local arguments)
+POSITIONS = {"Fib": (21891, 21891), "Fib2": (65673, 65673),
+             "Tak": (190827, 174925), "Sieve": (348273, 179418)}
 
 
 @pytest.mark.parametrize("program", sorted(POSITIONS))

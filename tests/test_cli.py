@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -152,7 +153,9 @@ def test_bench_fib_tsv_and_json(tmp_path):
     lines = proc.stdout.strip().split("\n")
     assert lines[0].startswith("program\tstrategy\tmedian_ms")
     assert len(lines) == 3  # header + value + need
-    assert json_path.exists()
+    rows = json.loads(json_path.read_text())["rows"]
+    assert [(r["program"], r["strategy"]) for r in rows] == \
+        [("Fib", "value"), ("Fib", "need")]
 
 
 def test_usage_error_exit_code():

@@ -94,17 +94,46 @@ def test_evaluation_runs_on_the_calling_thread():
     assert threads == {threading.get_ident()}
 
 
+@pytest.mark.parametrize("strategy", ["value", "need"])
+def test_let_closure_reentering_its_own_function(strategy):
+    # under need, down demands n, so (down k) forces m's thunk before the
+    # call re-points down's struct, as a value run evaluates m up front
+    text = ("(de (down n) (if (< n 1) 0 (let ((m (- n 1))"
+            " (de (g k) (+ 1 (down k)))) (g m)))) (print (down 1))")
+    result = differential_run(text, strategy)
+    assert (result.main[0], result.main[2]) == ("value", "1\n")
+    assert result.equal
+
+
+# A function passed into a recursion and resumed inside it reads the
+# re-pointed ancestor's slots from the wrong block: the oracle prints the
+# value given, the interpreter prints 0 or runs into the step limit.
+REENTERED_CLOSURES = {
+    "let-closure": (
+        "(de (down n f) (if (< n 1) (f 0)"
+        " (let ((de (g k) (+ n k))) (down (- n 1) g))))"
+        " (print (down 1 (lambda (x) x)))", "1\n"),
+    "let-closure-calling-f": (
+        "(de (down n f) (if (< n 1) (f 0)"
+        " (let ((de (g k) (+ n (f k)))) (down (- n 1) g))))"
+        " (print (down 3 (lambda (x) x)))", "6\n"),
+    "lambda-closure": (
+        "(de (down n f) (if (< n 1) (f 0)"
+        " ((lambda (m) (down m (lambda (k) (+ n (f k))))) (- n 1))))"
+        " (print (down 3 (lambda (x) x)))", "6\n"),
+}
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "Runtime.install stops early at a link that is already correct while an "
     "ancestor has been re-pointed by a recursive call"))
-def test_let_closure_reentering_its_own_function():
-    # prints 1 under value and in the oracle; need reports a cyclic
-    # definition, and the coherence checks of tests/conftest.py
-    # (check_switches) a stale ancestor link above the let
-    text = ("(de (down n) (if (< n 1) 0 (let ((m (- n 1))"
-            " (de (g k) (+ 1 (down k)))) (g m)))) (print (down 1))")
-    _, output, _ = run(text, "need")
-    assert output == "1\n"
+@pytest.mark.parametrize("strategy", ["value", "need"])
+@pytest.mark.parametrize("name", sorted(REENTERED_CLOSURES))
+def test_closure_reentering_a_recursion(name, strategy):
+    text, expected = REENTERED_CLOSURES[name]
+    result = differential_run(text, strategy, step_limit=100_000)
+    assert (result.main[0], result.main[2]) == ("value", expected)
+    assert result.equal
 
 
 def test_closure_captures_defining_block():

@@ -99,10 +99,19 @@ def test_generated_programs_parse():
         assert forms
 
 
-# Programs where passing a literal or a local argument on unsuspended could
-# go wrong: the argument outlives its frame, is a function, feeds a stream,
-# is named by excla text, refers to itself, is late-bound, or would raise.
+# Programs where passing a literal, a local or a demanded argument on
+# unsuspended could go wrong: the argument outlives its frame, is a
+# function, feeds a stream, is named by excla text, refers to itself, is
+# late-bound, would raise, or has an effect whose place must not move.
 SHARING_HAZARDS = {
+    "effect-in-argument": (
+        "(de (f x y) (+ y x))"
+        " (de (g a b) (if (< a 0) b a))"
+        " (de (h u v) (+ (print u) v))"
+        " (print (f (print 1) (print 2)))"
+        " (print (g (print 7) (print 8)))"
+        " (print (h (print 4) (print 5)))",
+        "2\n1\n3\n7\n7\n4\n4\n5\n9\n"),
     "escaping-parameter": (
         "(de (mk x) (lambda (y) (+ x y)))"
         " (de (wrap v) (mk v))"
@@ -164,3 +173,47 @@ def test_differential_sharing_hazards(name):
         assert result.main[1][0] == expected
     else:
         assert (result.main[0], result.main[2]) == ("value", expected)
+
+
+# Effect order of demanded arguments: under need, a call evaluates the
+# parameters its callee forces first, in the order the body forces them,
+# after checking the arity and before the body runs. Each entry gives, per
+# strategy, (outcome kind, error category or limit kind, printed output).
+TAK = ("(de (tak x y z) (if (< y x) (tak (tak (- x 1) y z) (tak (- y 1) z x)"
+       " (tak (- z 1) x y)) z)) ")
+EFFECT_ORDER = {
+    "forced-order-not-argument-order": (
+        TAK + "(print (tak (print 1) (print 2) 3))",
+        {"value": ("value", None, "1\n2\n3\n"),
+         "need": ("value", None, "2\n1\n3\n")}),
+    "printing-argument-then-failing-one": (
+        "(de (f x y) (+ y x)) (print (f (car 1) (print 2)))",
+        {"value": ("error", "type", ""), "need": ("error", "type", "2\n")}),
+    "arity-error-before-argument-effects": (
+        "(de (f x) (+ x 1)) (print (f (print 1) 2))",
+        {"value": ("error", "arity", "1\n"), "need": ("error", "arity", "")}),
+    "primitive-name-redefined-after-a-call": (
+        "(de (f x) (< x 1)) (print (f 0))"
+        " (de (< a b) (< a b)) (print (f (car 1)))",
+        {"value": ("error", "type", "true\n"),
+         "need": ("limit", "step", "true\n")}),
+    "shared-local-thunk-forced-once": (
+        "(de (f x y) (+ x y)) (print (let ((s (print 5))) (f s s)))",
+        {"value": ("value", None, "5\n10\n"),
+         "need": ("value", None, "5\n10\n")}),
+    "cyclic-demanded-argument": (
+        "(de (f x) (+ x 1)) (print (let ((s (f s))) s))",
+        {"value": ("error", "undefined", ""),
+         "need": ("error", "cyclic", "")}),
+}
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+@pytest.mark.parametrize("name", sorted(EFFECT_ORDER))
+def test_differential_effect_order(name, strategy):
+    text, expected = EFFECT_ORDER[name]
+    result = differential_run(text, strategy)
+    kind, payload, output = result.main
+    detail = {"value": None, "error": payload[0], "limit": payload}[kind]
+    assert (kind, detail, output) == expected[strategy]
+    assert result.equal, (result.main, result.oracle)
