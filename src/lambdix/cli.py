@@ -10,6 +10,7 @@ import sys
 
 from . import bench
 from .corpus import run_corpus
+from .deep import call_on_reserved_stack
 from .errors import LambdixError, LimitExceeded, ReadError
 from .evaluator import Interpreter
 from .oracle import differential_run, generate_program
@@ -58,6 +59,15 @@ def _dump_stats(interp):
 
 def _cmd_repl(args):
     interp = _make_interp(args)
+    # one reserved stack chunk for the session; each form runs unreserved
+    # inside it (see deep.py)
+    call_on_reserved_stack(_read_eval_loop, interp)
+    if args.stats:
+        _dump_stats(interp)
+    return EXIT_OK
+
+
+def _read_eval_loop(interp):
     buffer = ""
     while True:
         prompt = "+ " if buffer else "$ "
@@ -85,9 +95,6 @@ def _cmd_repl(args):
                 # every install is undone by a finally on the way out
                 print("** interrupted **")
                 break
-    if args.stats:
-        _dump_stats(interp)
-    return EXIT_OK
 
 
 def _cmd_run(args):

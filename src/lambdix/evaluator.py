@@ -38,7 +38,7 @@ from .analyzer import (Analyzer, App, ExclaForm, If, LambdaRef, LambdaStruct,
                        LetForm, Lit, LocalRef, QuoteForm, TopRef, is_de_form,
                        parse_de)
 from .builtins import make_primitives
-from .deep import call_with_deep_stack
+from .deep import call_on_reserved_stack, call_with_deep_stack
 from .errors import EvalError, LambdixError, LimitExceeded
 from .reader import read_program
 from .runtime import UNSET, Counters, Runtime
@@ -79,15 +79,19 @@ class Interpreter:
         self.demanding = True
 
     # -- public API (deep-stack entry points) --------------------------------
+    # A whole program runs on one reserved stack chunk, a single form does
+    # not: the reservation costs about as much as a small form (deep.py).
 
     def eval_source(self, text):
         """Evaluate every top-level form; returns their values in order."""
         return call_with_deep_stack(
+            call_on_reserved_stack,
             lambda: [self._eval_top_form(sx) for sx in read_program(text)])
 
     def eval_source_rendered(self, text):
         """Evaluate every top-level form; returns rendered results."""
         return call_with_deep_stack(
+            call_on_reserved_stack,
             lambda: [self.render_value(self._eval_top_form(sx))
                      for sx in read_program(text)])
 

@@ -18,7 +18,7 @@ import random
 import sys
 from collections import namedtuple
 
-from .deep import call_with_deep_stack
+from .deep import call_on_reserved_stack, call_with_deep_stack
 from .errors import AnalysisError, EvalError, LambdixError, LimitExceeded
 from .evaluator import UNLIMITED, run_with_limit
 from .reader import INT_MAX, INT_MIN, SEmbed, SList, SNum, SStr, SSym, read_program
@@ -413,7 +413,8 @@ def _oracle_outcome(text, strategy, step_limit, depth_limit):
     oracle = Oracle(strategy=strategy, step_limit=step_limit,
                     depth_limit=depth_limit, out=out)
     try:
-        rendered = call_with_deep_stack(oracle.eval_source_rendered, text)
+        rendered = call_with_deep_stack(call_on_reserved_stack,
+                                        oracle.eval_source_rendered, text)
         return ("value", tuple(rendered), out.getvalue())
     except LimitExceeded:
         return ("limit", None, out.getvalue())

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -216,3 +217,26 @@ def test_repl_interrupt_returns_to_prompt(strategy, monkeypatch, capsys):
     assert len(after) == len(before)
     assert all(a is b for (_, a), (_, b) in zip(before, after))
     assert made[0].depth == 0
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+def test_repl_session_runs_on_one_reserved_stack_chunk(strategy, monkeypatch,
+                                                        capsys):
+    # the forms are evaluated one at a time, unreserved, but inside the
+    # session's reserved chunk, so (down 30) maps no chunk per descent
+    # (about 850 faults per (loop 100 0) without the reservation)
+    lines = ["(de (down n) (if (< n 1) 0 (+ 1 (down (- n 1)))))",
+             "(de (loop k acc) (if (< k 1) acc (loop (- k 1) (+ acc (down 30)))))",
+             "(loop 100 0)", "(loop 100 0)"]
+    faults = []
+
+    def fake_input(prompt):
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        if not lines:
+            raise EOFError
+        return lines.pop(0)
+
+    monkeypatch.setattr("builtins.input", fake_input)
+    assert cli_module.main(["repl", "--strategy", strategy]) == 0
+    assert capsys.readouterr().out.count("= 3000") == 2
+    assert faults[4] - faults[2] < 300, faults

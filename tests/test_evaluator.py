@@ -1,9 +1,10 @@
+import resource
 import threading
 
 import pytest
 
 from conftest import make_interp, run
-from lambdix.errors import EvalError
+from lambdix.errors import EvalError, LimitExceeded
 from lambdix.evaluator import run_with_limit
 from lambdix.oracle import differential_run
 from lambdix.values import TH_DONE, Thunk
@@ -92,6 +93,46 @@ def test_evaluation_runs_on_the_calling_thread():
         lambda s, t, a: threads.add(threading.get_ident())
     interp.eval_source("(de (f x) (+ x 1)) (f 1)")
     assert threads == {threading.get_ident()}
+
+
+def _at_python_depth(depth, fn):
+    return fn() if depth == 0 else _at_python_depth(depth - 1, fn)
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+def test_oscillating_recursion_maps_no_stack_chunk_per_crossing(strategy):
+    # (down 30) spans about one CPython data-stack chunk; outside a
+    # reserved chunk each of its 100 descents crosses a chunk's end and
+    # faults in a fresh chunk (about 850 faults a run, from any of these
+    # starting depths), inside one the run faults a few dozen times
+    text = ("(de (down n) (if (< n 1) 0 (+ 1 (down (- n 1)))))"
+            " (de (loop k acc) (if (< k 1) acc (loop (- k 1) (+ acc (down 30)))))"
+            " (loop 100 0)")
+    faults = []
+    for depth in range(0, 64, 4):
+        interp, _ = make_interp(strategy)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        values = _at_python_depth(depth, lambda: interp.eval_source(text))
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+        assert values[-1] == 3000
+    assert max(faults) < 300, faults
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+def test_default_depth_limit_past_the_reserved_chunk(strategy):
+    # 100,000 nested calls take several times the reserved chunk; the
+    # frames past it go to ordinary chunks and the limit reports as before
+    interp, out = make_interp(strategy)
+    with pytest.raises(LimitExceeded) as info:
+        interp.eval_source("(de (r n) (+ 1 (r (+ n 1)))) (print 7) (r 0)")
+    assert info.value.kind == "depth"
+    assert out.getvalue() == "7\n"
+    assert all(s.current_block is None
+               for s in interp.structs if s is not interp.top_struct)
+    assert interp.eval_source_rendered(
+        "(de (twice f x) (f (f x))) (twice (lambda (y) (* y 3)) 7)"
+    )[-1] == "63"
 
 
 @pytest.mark.parametrize("strategy", ["value", "need"])

@@ -4,7 +4,7 @@ import pytest
 
 from lambdix.builtins import make_primitives
 from lambdix.corpus import CORPUS, check_outcome
-from lambdix.deep import call_with_deep_stack
+from lambdix.deep import call_on_reserved_stack, call_with_deep_stack
 from lambdix.errors import LambdixError, LimitExceeded
 from lambdix.evaluator import Outcome
 from lambdix.oracle import (Oracle, ProgramGen, _prims, differential_run,
@@ -16,7 +16,8 @@ def oracle_outcome(text, strategy, step_limit=1_000_000, depth_limit=20_000):
     oracle = Oracle(strategy=strategy, step_limit=step_limit,
                     depth_limit=depth_limit, out=out)
     try:
-        rendered = call_with_deep_stack(oracle.eval_source_rendered, text)
+        rendered = call_with_deep_stack(call_on_reserved_stack,
+                                        oracle.eval_source_rendered, text)
         return Outcome("value", tuple(rendered), out.getvalue())
     except LimitExceeded as e:
         return Outcome("limit", e.kind, out.getvalue())
