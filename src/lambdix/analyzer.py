@@ -11,6 +11,13 @@ variable access.
 Each function-level structure also records its demand prefix (see
 demand_prefix), which call-by-need uses to pass those arguments evaluated.
 
+An application whose head is a top-level name that names a primitive, with
+as many arguments as that primitive takes, becomes a PrimApp1 or PrimApp2
+instead of an App. The choice is made once, from the name alone: the
+evaluator checks at every call that the name still holds a primitive of
+that arity and otherwise evaluates the node as the App it also is, so a
+later definition of the name still takes effect.
+
 Original names are kept on every reference for diagnostics and reflection.
 The same compiled tree feeds both evaluation strategies.
 """
@@ -112,6 +119,33 @@ class App:
         self.args = tuple(args)
 
 
+class PrimApp1(App):
+    """An App of a top-level name that named a one-argument primitive when
+    it was analyzed; `name` and `a` spare the evaluator the head and tuple
+    reads."""
+
+    __slots__ = ("name", "a")
+
+    def __init__(self, head, args):
+        App.__init__(self, head, args)
+        self.name = head.name
+        self.a = self.args[0]
+
+
+class PrimApp2(App):
+    """As PrimApp1, for a two-argument primitive."""
+
+    __slots__ = ("name", "a", "b")
+
+    def __init__(self, head, args):
+        App.__init__(self, head, args)
+        self.name = head.name
+        self.a, self.b = self.args
+
+
+_PRIM_APPS = {1: PrimApp1, 2: PrimApp2}
+
+
 class LambdaRef:
     __slots__ = ("struct",)
 
@@ -172,7 +206,7 @@ def _walk_demand(node, struct, strict, demand):
         return True
     if t is If:
         _walk_demand(node.test, struct, strict, demand)
-    elif (t is App and type(node.head) is TopRef
+    elif (isinstance(node, App) and type(node.head) is TopRef
           and strict.get(node.head.name) == len(node.args)):
         # the arguments are evaluated and forced left to right; the
         # primitive itself may then fail or print
@@ -240,12 +274,15 @@ def is_de_form(sx):
 
 
 class Analyzer:
-    def __init__(self, registry, strict):
+    def __init__(self, registry, primitives):
         # every struct, the top pseudo-struct first; a struct's uid is its
         # index here
         self.registry = registry
+        # primitive name -> arity, for the primitive-shaped applications
+        self.arity = {name: p.arity for name, p in primitives.items()}
         # strict primitive name -> arity, for demand_prefix
-        self.strict = strict
+        self.strict = {name: p.arity for name, p in primitives.items()
+                       if not p.lazy}
 
     def _new_struct(self, name, params, local_names, parent):
         struct = LambdaStruct(len(self.registry), name, params, local_names,
@@ -279,7 +316,11 @@ class Analyzer:
                     and resolve(struct, head.name) is None):
                 return self._special(head.name, sx, struct)
             compiled_head = self.analyze(head, struct)
-            return App(compiled_head, [self.analyze(a, struct) for a in items[1:]])
+            args = [self.analyze(a, struct) for a in items[1:]]
+            if (type(compiled_head) is TopRef
+                    and self.arity.get(compiled_head.name) == len(args)):
+                return _PRIM_APPS[len(args)](compiled_head, args)
+            return App(compiled_head, args)
         raise AnalysisError(f"cannot analyze {sx!r}")
 
     def _special(self, name, sx, struct):

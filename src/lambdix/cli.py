@@ -104,6 +104,10 @@ def _cmd_run(args):
     except OSError as e:
         print(f"lambdix: {e}", file=sys.stderr)
         return EXIT_EVAL_ERROR
+    except UnicodeDecodeError as e:
+        print(f"lambdix: {args.file}: not UTF-8 text (byte {e.start})",
+              file=sys.stderr)
+        return EXIT_EVAL_ERROR
     interp = _make_interp(args)
     try:
         interp.eval_source(text)

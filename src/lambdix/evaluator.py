@@ -26,6 +26,13 @@ the end of this module; `struct` is the level whose environment the node
 runs in. There is no compile pass, so a one-shot REPL form costs no more
 than its analysis.
 
+A call of a primitive's name with that primitive's arity is a
+primitive-shaped node (analyzer.PrimApp1, PrimApp2) with its own short
+`ev`. It reads the top-level table at every call and runs the primitive
+only while the name still holds a primitive of that arity; otherwise it
+evaluates as the general application (`_ev_app`) it also is, so late
+binding, error messages and counts stay those of any application.
+
 A "step" is one application of a closure; step and depth limits turn
 divergence into a reported outcome rather than a hang.
 """
@@ -35,8 +42,8 @@ import sys
 from collections import namedtuple
 
 from .analyzer import (Analyzer, App, ExclaForm, If, LambdaRef, LambdaStruct,
-                       LetForm, Lit, LocalRef, QuoteForm, TopRef, is_de_form,
-                       parse_de)
+                       LetForm, Lit, LocalRef, PrimApp1, PrimApp2, QuoteForm,
+                       TopRef, is_de_form, parse_de)
 from .builtins import make_primitives
 from .deep import call_on_reserved_stack, call_with_deep_stack
 from .errors import EvalError, LambdixError, LimitExceeded
@@ -72,8 +79,7 @@ class Interpreter:
         self.rt = Runtime(top, self.counters)
         prims = make_primitives()
         self.rt.top_table.update(prims)
-        self.analyzer = Analyzer(self.structs, {
-            name: p.arity for name, p in prims.items() if not p.lazy})
+        self.analyzer = Analyzer(self.structs, prims)
         # demand prefixes assume that a strict primitive's name still names
         # it; a top-level definition of such a name turns them off
         self.demanding = True
@@ -265,9 +271,10 @@ def _ev_quote(self, interp, struct):
 def _ev_app(self, interp, struct):
     head = self.head
     if type(head) is TopRef:
-        # a global head (every primitive call) is read here as _ev_top
-        # would, without a frame of its own; still read at every call, so a
-        # later definition of the name takes effect
+        # a global head (a top-level function, or a primitive call of the
+        # wrong arity or past a failed PrimApp guard) is read here as
+        # _ev_top would, without a frame of its own; still read at every
+        # call, so a later definition of the name takes effect
         head = interp.rt.top_table.get(head.name, UNSET)
         if head is UNSET:
             raise EvalError(f"{self.head.name} not defined", "undefined")
@@ -367,6 +374,44 @@ def _ev_app(self, interp, struct):
         rt.restore(log)
 
 
+# Past the guard, each does what _ev_app does for a primitive head of its
+# arity, in the same order and with the same counts. A name redefined, or
+# holding a thunk under need, fails the guard, and the node evaluates as the
+# App it is, which reads the head again and reports as any application.
+
+def _ev_prim1(self, interp, struct):
+    head = interp.rt.top_table.get(self.name)
+    if type(head) is not Primitive or head.arity != 1:
+        return _ev_app(self, interp, struct)
+    interp.counters.lookups += 1
+    a = self.a.ev(interp, struct)
+    if type(a) is Thunk:
+        a = interp._force(a)
+    return head.fn(interp, a)
+
+
+def _ev_prim2(self, interp, struct):
+    head = interp.rt.top_table.get(self.name)
+    if type(head) is not Primitive or head.arity != 2:
+        return _ev_app(self, interp, struct)
+    interp.counters.lookups += 1
+    if head.lazy and interp.lazy:
+        cb = struct.current_block
+        return head.fn(interp, self.a.delay(interp, cb),
+                       self.b.delay(interp, cb))
+    a = self.a.ev(interp, struct)
+    if type(a) is Thunk:
+        a = interp._force(a)
+    b = self.b.ev(interp, struct)
+    if type(b) is Thunk:
+        b = interp._force(b)
+    if head.lazy:
+        # as in _ev_app: a strict run counts the positions a lazy run
+        # would suspend
+        interp.counters.thunks_created += 2
+    return head.fn(interp, a, b)
+
+
 def _ev_let(self, interp, struct):
     L = self.struct
     rt = interp.rt
@@ -399,7 +444,8 @@ def _ev_excla(self, interp, struct):
 
 for _node, _ev in ((Lit, _ev_lit), (LocalRef, _ev_local), (TopRef, _ev_top),
                    (If, _ev_if), (LambdaRef, _ev_lambda), (QuoteForm, _ev_quote),
-                   (App, _ev_app), (LetForm, _ev_let), (ExclaForm, _ev_excla)):
+                   (App, _ev_app), (PrimApp1, _ev_prim1), (PrimApp2, _ev_prim2),
+                   (LetForm, _ev_let), (ExclaForm, _ev_excla)):
     _node.ev = _ev
 
 

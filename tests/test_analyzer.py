@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import make_interp, run
-from lambdix.analyzer import LocalRef, TopRef
+from lambdix.analyzer import App, LocalRef, PrimApp1, PrimApp2, TopRef
 from lambdix.errors import AnalysisError, EvalError
 from lambdix.oracle import generate_program
 from lambdix.reader import read_program
@@ -209,6 +209,37 @@ def test_demand_prefix_walk(body, demand):
     interp.eval_source(
         f"(de (g x) x) (de (f k) (let ((de (h x y) {body})) h))")
     assert demands(interp)["h"] == demand
+
+
+@pytest.mark.parametrize("body,node", [
+    # a top-level name of a primitive with its arity, lazy cons included
+    ("(car x)", PrimApp1),
+    ("(print (+ x y))", PrimApp1),
+    ("(+ x y)", PrimApp2),
+    ("(cons x y)", PrimApp2),
+    # a wrong arity, a local or non-primitive head stays an App
+    ("(car x y)", App),
+    ("(+ x)", App),
+    ("(cons x)", App),
+    ("(car2 x)", App),
+    ("(x y)", App),
+    ("((lambda (u) u) x)", App),
+])
+def test_primitive_shaped_applications(body, node):
+    interp, _ = make_interp()
+    interp.eval_source(f"(de (h x y) {body})")
+    got = structs_by_name(interp)["h"][0].body
+    assert type(got) is node
+    if node is not App:
+        assert type(got.head) is TopRef and got.name == got.head.name
+        assert (got.a,) + ((got.b,) if node is PrimApp2 else ()) == got.args
+
+
+def test_a_local_named_after_a_primitive_heads_an_app():
+    interp, _ = make_interp()
+    interp.eval_source("(de (h car x) (car x))")
+    got = structs_by_name(interp)["h"][0].body
+    assert type(got) is App and type(got.head) is LocalRef
 
 
 def test_let_bound_and_excla_functions_have_prefixes():

@@ -98,9 +98,11 @@ def test_pct_diff_matches_relative_formula():
     assert v.digest == n.digest
 
 
-# the cost model's figures, as switch_tests, switch_assignments,
-# thunks_created, thunks_forced, blocks_allocated; an evaluator change must
-# not move them.
+# the cost model's figures, all seven counters as switch_tests,
+# switch_assignments, thunks_created, thunks_forced, blocks_allocated,
+# lookups, thunks_elided; an evaluator change must not move them. A
+# lookup is one read of a name: a local or top-level reference, or the
+# head of a global application, primitive or not.
 #
 # Under need, a call passes its callee's demand prefix evaluated (the
 # parameters the body forces first, in order) and a literal or local
@@ -109,36 +111,39 @@ def test_pct_diff_matches_relative_formula():
 # one test alone when the block is already current; the top block's costs
 # none.
 PINNED_COUNTERS = {
-    ("Fib", "value"): (21891, 21891, 21891, 0, 21892),
+    ("Fib", "value"): (21891, 21891, 21891, 0, 21892, 131345, 0),
     # fib demands n, so each of the 21891 calls passes n evaluated: no
     # thunk, and a switch only per call
-    ("Fib", "need"): (21891, 21891, 0, 0, 21892),
-    ("Fib2", "value"): (21891, 21891, 65673, 0, 21892),
+    ("Fib", "need"): (21891, 21891, 0, 0, 21892, 131345, 21891),
+    ("Fib2", "value"): (21891, 21891, 65673, 0, 21892, 175125, 0),
     # as Fib: fib2 demands n, and a and b are locals
-    ("Fib2", "need"): (21891, 21891, 0, 0, 21892),
-    ("Tak", "value"): (63609, 63609, 190827, 0, 63610),
+    ("Fib2", "need"): (21891, 21891, 0, 0, 21892, 175125, 65673),
+    ("Tak", "value"): (63609, 63609, 190827, 0, 63610, 492968, 0),
     # tak demands y then x, as (< y x) forces them; of each recursive
     # step's 4 calls only the outer one's z, (tak (- z 1) x y), is
     # suspended (each inner call's undemanded argument is a local): 15902
     # thunks, all forced once; 63609 calls + 15902 forcings = 79511
     # switches
-    ("Tak", "need"): (79511, 79511, 15902, 15902, 63610),
+    ("Tak", "need"): (79511, 79511, 15902, 15902, 63610, 492968, 174925),
+    # a strict run forces nothing and passes nothing unsuspended
+    ("LComp", "value"): (106463, 106463, 327638, 0, 106464, 794426, 0),
     # 75 positions more than under plain cheap eagerness are demanded
     # (fringe, btree, append and eqfringe demand their first parameter):
     # 75 fewer thunks and forcings. 48 of those forcings cost a test and an
     # assignment; 24 (fringe's (fringe (car t)), forced by append while
     # fringe's block was still current) one test alone; 3 ran in the top
     # block. 72 fewer tests, 48 fewer assignments
-    ("LComp", "need"): (125, 125, 123, 51, 78),
+    ("LComp", "need"): (125, 125, 123, 51, 78, 464, 107),
+    ("LSum", "value"): (176689, 176689, 694977, 0, 176690, 2420166, 0),
     # 148 positions more are demanded (strike its l, sum2 its k; sieve and
     # from demand nothing, as their bodies start with a lazy cons): 148
     # fewer thunks and forcings. 130 of those forcings cost a test and an
     # assignment; 18 (sieve's (cdr l), forced by strike while sieve's block
     # was current) one test alone. 148 fewer tests, 130 fewer assignments
-    ("LSum", "need"): (611, 593, 416, 392, 226),
+    ("LSum", "need"): (611, 593, 416, 392, 226, 2074, 327),
     # 89140 calls: 2741 of upto, 85197 of strike, 401 of sieve, 401 of
     # length, 400 of last; one switch each
-    ("Sieve", "value"): (89140, 89140, 348273, 0, 89141),
+    ("Sieve", "value"): (89140, 89140, 348273, 0, 89141, 1214812, 0),
     # the same 89140 calls; upto demands b then a, strike, sieve, length
     # and last demand l. Against plain cheap eagerness (346730, 345931,
     # 257994, 257594, 89141) 89139 positions more are demanded: upto's
@@ -147,7 +152,8 @@ PINNED_COUNTERS = {
     # ones, whose forcings cost no switch. 400 of the saved forcings (of
     # sieve's (cdr l), by strike while sieve's block was current) cost one
     # test alone: 89136 fewer tests, 88736 fewer assignments
-    ("Sieve", "need"): (257594, 257195, 168855, 168455, 89141),
+    ("Sieve", "need"): (257594, 257195, 168855, 168455, 89141, 1214012,
+                         179418),
 }
 
 
@@ -155,7 +161,7 @@ PINNED_COUNTERS = {
 def test_counters_pinned(program, strategy):
     _, counters, _ = run_program(program_source(program, strategy), strategy)
     columns = ("switch_tests", "switch_assignments", "thunks_created",
-               "thunks_forced", "blocks_allocated")
+               "thunks_forced", "blocks_allocated", "lookups", "thunks_elided")
     assert tuple(counters[c] for c in columns) == \
         PINNED_COUNTERS[(program, strategy)]
 

@@ -60,6 +60,15 @@ def test_run_missing_file():
     assert proc.stderr
 
 
+def test_run_non_utf8_file_reports_without_traceback(tmp_path):
+    path = tmp_path / "bad.lx"
+    path.write_bytes(b"(print 1)\n\xff\n")
+    proc = cli("run", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""  # nothing runs from a file that cannot be read
+    assert proc.stderr == f"lambdix: {path}: not UTF-8 text (byte 10)\n"
+
+
 def test_run_evaluation_error_exit_code(tmp_path):
     path = tmp_path / "bad.lx"
     path.write_text("(car 5)")

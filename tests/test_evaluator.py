@@ -1,13 +1,15 @@
 import resource
+import sys
 import threading
 
 import pytest
 
 from conftest import make_interp, run
+from lambdix.deep import RECURSION_LIMIT
 from lambdix.errors import EvalError, LimitExceeded
 from lambdix.evaluator import run_with_limit
 from lambdix.oracle import differential_run
-from lambdix.values import TH_DONE, Thunk
+from lambdix.values import TH_DONE, Primitive, Thunk
 
 F_EXAMPLE = "(de (f x y) (if (< x 0) 1 (f (- x 1) (f x y))))"
 
@@ -133,6 +135,60 @@ def test_default_depth_limit_past_the_reserved_chunk(strategy):
     assert interp.eval_source_rendered(
         "(de (twice f x) (f (f x))) (twice (lambda (y) (* y 3)) 7)"
     )[-1] == "63"
+
+
+# Python frames per interpreted call: (probe 0) at the bottom of a 100-
+# and a 200-deep recursion records the Python stack's height, and the
+# difference, over 100, is what each level of the recursion costs. Each
+# level is one depth unit, so the largest figure times the default depth
+# limit must stay under the recursion limit. Entries: definition, call
+# with {} for the depth, strategies, frames per level.
+FRAMES_PER_CALL = {
+    "primitive-around-the-call": (
+        "(de (down n) (if (= n 0) (probe 0) (+ 1 (down (- n 1)))))",
+        "(down {})", ("value", "need"), 3),
+    "tail-call": (
+        "(de (down n) (if (= n 0) (probe 0) (down (- n 1))))",
+        "(down {})", ("value", "need"), 2),
+    "call-inside-a-let": (
+        "(de (down n) (if (= n 0) (probe 0)"
+        " (let ((m (- n 1))) (+ 1 (down m)))))",
+        "(down {})", ("value", "need"), 4),
+    "three-arguments": (
+        "(de (down n a b) (if (= n 0) (probe 0) (+ a (down (- n 1) a b))))",
+        "(down {} 1 1)", ("value", "need"), 3),
+    # under need cons suspends the call, and car returns it unforced
+    "through-car-and-cons": (
+        "(de (down n) (if (= n 0) (probe 0) (car (cons (down (- n 1)) ()))))",
+        "(down {})", ("value",), 4),
+}
+
+
+def _python_stack_height():
+    frame, height = sys._getframe(), 0
+    while frame is not None:
+        frame, height = frame.f_back, height + 1
+    return height
+
+
+@pytest.mark.parametrize("name,strategy", [
+    (name, strategy) for name, entry in sorted(FRAMES_PER_CALL.items())
+    for strategy in entry[2]])
+def test_python_frames_per_interpreted_call(name, strategy):
+    definition, call, _, frames = FRAMES_PER_CALL[name]
+    heights = []
+
+    def probe(interp, v):
+        heights.append(_python_stack_height())
+        return v
+
+    interp, _ = make_interp(strategy)
+    interp.rt.top_table["probe"] = Primitive("probe", 1, probe)
+    interp.eval_source(f"{definition} {call.format(100)} {call.format(200)}")
+    assert len(heights) == 2
+    assert heights[1] - heights[0] == 100 * frames
+    assert max(entry[3] for entry in FRAMES_PER_CALL.values()) \
+        * interp.depth_limit < RECURSION_LIMIT
 
 
 @pytest.mark.parametrize("strategy", ["value", "need"])

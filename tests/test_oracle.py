@@ -218,3 +218,96 @@ def test_differential_effect_order(name, strategy):
     detail = {"value": None, "error": payload[0], "limit": payload}[kind]
     assert (kind, detail, output) == expected[strategy]
     assert result.equal, (result.main, result.oracle)
+
+
+# Late binding and errors at primitive-shaped call sites: each program runs
+# one analyzed call of car, + or cons, redefines the name, and runs the
+# same call again. Each entry gives (outcome kind, the last result or the
+# error's (category, message), printed output), per strategy where the two
+# differ.
+CAR_SITE = "(de (s x) (car x)) (print (s '(1 2))) "
+PLUS_SITE = "(de (s x y) (+ x y)) (print (s 3 4)) "
+CONS_SITE = "(de (s x y) (cons x y)) (print (s 3 4)) "
+NOT_A_FUNCTION = ("type", "cannot apply a value that is not a function")
+ARITY_CAR = ("arity", "car: expected 1 argument(s), got 2")
+ARITY_PLUS = ("arity", "+: expected 2 argument(s), got 1")
+LATE_BINDING = {
+    "car-as-closure": (
+        CAR_SITE + "(de (car x) (cdr x)) (print (s '(1 2)))",
+        ("value", "(2)", "1\n(2)\n")),
+    # a thunk under need, a closure under value
+    "car-as-lambda-value": (
+        CAR_SITE + "(de car (lambda (x) 7)) (print (s '(1 2)))",
+        ("value", "7", "1\n7\n")),
+    "car-as-two-argument-primitive": (
+        CAR_SITE + "(de car +) (print (s '(1 2)))",
+        ("error", ARITY_PLUS, "1\n")),
+    "car-as-number": (
+        CAR_SITE + "(de car 5) (print (s '(1 2)))",
+        ("error", NOT_A_FUNCTION, "1\n")),
+    "car-as-other-one-argument-primitive": (
+        CAR_SITE + "(de car cdr) (print (s '(1 2)))",
+        ("value", "(2)", "1\n(2)\n")),
+    "car-as-itself": (
+        CAR_SITE + "(de car car) (print (s '(1 2)))",
+        {"value": ("value", "1", "1\n1\n"),
+         "need": ("error", ("cyclic", "cyclic definition: a value depends "
+                            "on itself"), "1\n")}),
+    "plus-as-closure": (
+        PLUS_SITE + "(de (+ a b) (- a b)) (print (s 3 4))",
+        ("value", "-1", "7\n-1\n")),
+    "plus-as-lambda-value": (
+        PLUS_SITE + "(de + (lambda (a b) 8)) (print (s 3 4))",
+        ("value", "8", "7\n8\n")),
+    "plus-as-one-argument-primitive": (
+        PLUS_SITE + "(de + car) (print (s 3 4))",
+        ("error", ARITY_CAR, "7\n")),
+    "plus-as-number": (
+        PLUS_SITE + "(de + 5) (print (s 3 4))",
+        ("error", NOT_A_FUNCTION, "7\n")),
+    "cons-as-closure": (
+        CONS_SITE + "(de (cons a b) (- a b)) (print (s 3 4))",
+        ("value", "-1", "(3 . 4)\n-1\n")),
+    "cons-as-lambda-value": (
+        CONS_SITE + "(de cons (lambda (a b) 8)) (print (s 3 4))",
+        ("value", "8", "(3 . 4)\n8\n")),
+    "cons-as-one-argument-primitive": (
+        CONS_SITE + "(de cons car) (print (s 3 4))",
+        ("error", ARITY_CAR, "(3 . 4)\n")),
+    "cons-as-number": (
+        CONS_SITE + "(de cons 5) (print (s 3 4))",
+        ("error", NOT_A_FUNCTION, "(3 . 4)\n")),
+    # a strict primitive at a lazy one's call site: a thunk under need
+    "cons-as-plus": (
+        CONS_SITE + "(de cons +) (print (s 3 4))",
+        ("value", "7", "(3 . 4)\n7\n")),
+    "car-with-two-arguments": (
+        "(print (car '(1) 2))", ("error", ARITY_CAR, "")),
+    "plus-with-one-argument": (
+        "(print (+ 1))", ("error", ARITY_PLUS, "")),
+    "excla-car-as-closure": (
+        "(print (! '(car '(1 2)))) (de (car x) (cdr x))"
+        " (print (! '(car '(1 2))))",
+        ("value", "(2)", "1\n(2)\n")),
+    "excla-plus-as-one-argument-primitive": (
+        "(print (! '(+ 1 2))) (de + car) (print (! '(+ 1 2)))",
+        ("error", ARITY_CAR, "3\n")),
+    "excla-cons-as-plus": (
+        "(print (! '(cons 1 2))) (de cons +) (print (! '(cons 1 2)))",
+        ("value", "3", "(1 . 2)\n3\n")),
+    "excla-plus-with-one-argument": (
+        "(print (! '(+ 1)))", ("error", ARITY_PLUS, "")),
+}
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+@pytest.mark.parametrize("name", sorted(LATE_BINDING))
+def test_differential_late_binding_at_primitive_call_sites(name, strategy):
+    text, expected = LATE_BINDING[name]
+    if type(expected) is dict:
+        expected = expected[strategy]
+    result = differential_run(text, strategy)
+    kind, payload, output = result.main
+    detail = payload if kind == "error" else payload[-1]
+    assert (kind, detail, output) == expected
+    assert result.equal, (result.main, result.oracle)
