@@ -9,7 +9,9 @@ current-block slot, which is all the evaluator needs for constant-time
 variable access.
 
 Each function-level structure also records its demand prefix (see
-demand_prefix), which call-by-need uses to pass those arguments evaluated.
+demand_prefix), which call-by-need uses to pass those arguments evaluated,
+and the offsets of the parameters it does not demand, which a call
+suspends.
 
 An application whose head is a top-level name that names a primitive, with
 as many arguments as that primitive takes, becomes a PrimApp1 or PrimApp2
@@ -40,7 +42,7 @@ class LambdaStruct:
     """
 
     __slots__ = ("uid", "name", "params", "local_names", "body", "parent",
-                 "current_block", "depth", "demand")
+                 "current_block", "depth", "demand", "suspend")
 
     def __init__(self, uid, name, params, local_names, parent):
         self.uid = uid
@@ -52,8 +54,10 @@ class LambdaStruct:
         self.current_block = None
         # chain length up to (excluding) the top pseudo-struct
         self.depth = 0 if parent is None else parent.depth + 1
-        # parameter offsets the body forces first, in order (demand_prefix)
+        # parameter offsets the body forces first, in order (demand_prefix),
+        # and the rest, which a need call still suspends
         self.demand = ()
+        self.suspend = ()
 
     def __repr__(self):
         return f"<struct {self.name}#{self.uid}>"
@@ -357,7 +361,9 @@ class Analyzer:
         body in the extended scope."""
         struct = self._new_struct(name, params, (), parent)
         struct.body = self.analyze(body_sx, struct)
-        struct.demand = demand_prefix(struct, self.strict)
+        struct.demand = demand = demand_prefix(struct, self.strict)
+        struct.suspend = tuple(i for i in range(len(struct.params))
+                               if i not in demand)
         return struct
 
     def analyze_let(self, bindings_sx, body_sx, parent):

@@ -4,13 +4,18 @@ the forcing printer. Each primitive is called as fn(interp, arg, ...), one
 positional argument per parameter.
 
 Each strict primitive is one kernel frame: argument types (first, then
-second), a zero divisor and overflow are checked inline, in that order."""
+second), a zero divisor and overflow are checked inline, in that order.
+
+car, cdr and cadr return a component that is not yet forced as it is, but
+cut a forced one out of its pair: the pair then holds the memo, and the
+used-up thunk can be collected. Local slots are left alone; see the
+evaluator's docstring."""
 
 import operator
 
 from .errors import EvalError
 from .reader import INT_MAX, INT_MIN
-from .values import (EmptyList, Pair, Primitive, Thunk, render,
+from .values import (TH_DONE, EmptyList, Pair, Primitive, Thunk, render,
                      structural_eq)
 
 
@@ -76,13 +81,19 @@ def _cons(interp, head, tail):
 
 def _car(interp, v):
     if type(v) is Pair:
-        return v.head
+        head = v.head
+        if type(head) is Thunk and head.state == TH_DONE:
+            head = v.head = head.memo
+        return head
     raise _not_a_pair("car", v)
 
 
 def _cdr(interp, v):
     if type(v) is Pair:
-        return v.tail
+        tail = v.tail
+        if type(tail) is Thunk and tail.state == TH_DONE:
+            tail = v.tail = tail.memo
+        return tail
     raise _not_a_pair("cdr", v)
 
 
@@ -91,9 +102,12 @@ def _cadr(interp, v):
         raise _not_a_pair("cadr", v)
     tail = v.tail
     if type(tail) is Thunk:
-        tail = interp._force(tail)
+        tail = v.tail = interp._force(tail)
     if type(tail) is Pair:
-        return tail.head
+        head = tail.head
+        if type(head) is Thunk and head.state == TH_DONE:
+            head = tail.head = head.memo
+        return head
     raise _not_a_pair("cadr", tail)
 
 

@@ -1,11 +1,13 @@
 """Command-line front end: REPL, script runner, benchmark harness and the
 differential self-test.
 
-Exit codes: 0 ok, 1 evaluation error, 2 usage error, 3 selftest mismatch,
-4 limit exceeded.
+Exit codes: 0 ok, 1 evaluation error (or a file that cannot be read or
+written), 2 usage error, 3 selftest mismatch, 4 limit exceeded, 130
+interrupted by Ctrl-C (SIGINT) during run, bench or selftest.
 """
 
 import argparse
+import contextlib
 import sys
 
 from . import bench
@@ -21,6 +23,7 @@ EXIT_EVAL_ERROR = 1
 EXIT_USAGE = 2
 EXIT_SELFTEST = 3
 EXIT_LIMIT = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 def _positive_int(text):
@@ -76,6 +79,11 @@ def _read_eval_loop(interp):
         except EOFError:
             print()
             break
+        except KeyboardInterrupt:
+            # Ctrl-C at the prompt drops the partial form
+            print("\n** interrupted **")
+            buffer = ""
+            continue
         buffer += line + "\n"
         try:
             forms = read_program(buffer)
@@ -131,17 +139,26 @@ def _cmd_bench(args):
               file=sys.stderr)
         return EXIT_USAGE
     strategies = ("value", "need") if args.strategy == "both" else (args.strategy,)
+    # opened before the suite runs, so a bad path costs no benchmark run,
+    # and for appending, so a suite that stops early leaves the file as it was
     try:
-        results = bench.run_suite(names, strategies, args.reps,
-                                  args.step_limit, args.depth_limit)
-    except LimitExceeded as e:
-        print(f"lambdix: benchmark configuration diverged ({e.message})",
-              file=sys.stderr)
-        return EXIT_LIMIT
-    sys.stdout.write(bench.to_tsv(results))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(bench.to_json(results))
+        json_file = (open(args.json, "a", encoding="utf-8") if args.json
+                     else contextlib.nullcontext())
+    except OSError as e:
+        print(f"lambdix: {args.json}: {e.strerror}", file=sys.stderr)
+        return EXIT_EVAL_ERROR
+    with json_file:
+        try:
+            results = bench.run_suite(names, strategies, args.reps,
+                                      args.step_limit, args.depth_limit)
+        except LimitExceeded as e:
+            print(f"lambdix: benchmark configuration diverged ({e.message})",
+                  file=sys.stderr)
+            return EXIT_LIMIT
+        sys.stdout.write(bench.to_tsv(results))
+        if args.json:
+            json_file.truncate(0)
+            json_file.write(bench.to_json(results))
     return EXIT_OK
 
 
@@ -212,7 +229,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except KeyboardInterrupt:
+        print("** interrupted **", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

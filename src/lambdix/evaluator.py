@@ -33,6 +33,17 @@ only while the name still holds a primitive of that arity; otherwise it
 evaluates as the general application (`_ev_app`) it also is, so late
 binding, error messages and counts stay those of any application.
 
+Forcing (`_force`) answers a forced thunk from its memo first thing. A new
+thunk whose expression yields a value is run and memoized in straight-line
+code; only an expression that yields another thunk (car and cdr return
+components unforced) walks the memo chain. car, cdr and cadr cut forced
+components out of the pairs they read (builtins.py), so a list does not
+keep its used-up thunks alive. Local slots are not rewritten the same way:
+later reads of a rewritten slot skip `_force`, and on the benchmark's
+suite-need workload the `_force` calls then fall below the forcings
+(184,344 against 184,800, as one call memoizes a whole chain), which
+breaks its tracer's check that every forcing is seen in a `_force` call.
+
 A "step" is one application of a closure; step and depth limits turn
 divergence into a reported outcome rather than a hang.
 """
@@ -140,43 +151,46 @@ class Interpreter:
     # -- forcing ---------------------------------------------------------------
 
     def _force(self, th):
-        # A thunk whose expression yields another thunk (car and cdr return
-        # components unforced) waits on `path`, still busy, until the chain
+        # A forced thunk answers from its memo at once, and a thunk whose
+        # expression yields a value is memoized without a path. A thunk
+        # whose expression yields another thunk (car and cdr return
+        # unforced components) waits on `path`, still busy, until the chain
         # reaches a value; then every thunk on it memoizes that value, so a
         # memo is never a thunk and a chain is walked once. A chain that
         # leads back to one of its own thunks is a cycle.
+        state = th.state
+        if state == TH_DONE:
+            return th.memo
         path = None
         try:
             while True:
-                state = th.state
-                if state == TH_NEW:
-                    depth = self.depth + 1
-                    if depth > self.depth_limit:
-                        raise LimitExceeded("depth")
-                    self.depth = depth
-                    th.state = TH_BUSY
-                    block = th.block
-                    rt = self.rt
+                if state != TH_NEW:
+                    if state == TH_DONE:
+                        v = th.memo
+                        break
+                    raise EvalError("cyclic definition: a value depends on "
+                                    "itself", "cyclic")
+                depth = self.depth + 1
+                if depth > self.depth_limit:
+                    raise LimitExceeded("depth")
+                self.depth = depth
+                th.state = TH_BUSY
+                block = th.block
+                rt = self.rt
+                try:
+                    log = rt.install(block)
                     try:
-                        log = rt.install(block)
-                        try:
-                            v = th.expr.ev(self, block.owner)
-                        finally:
-                            rt.restore(log)
-                    except BaseException:
-                        # un-blackhole so a later retry reports the same
-                        # error instead of a bogus cycle
-                        th.state = TH_NEW
-                        raise
+                        v = th.expr.ev(self, block.owner)
                     finally:
-                        self.depth -= 1
-                    if type(v) is Thunk:
-                        if path is None:
-                            path = [th]
-                        else:
-                            path.append(th)
-                        th = v
-                        continue
+                        rt.restore(log)
+                except BaseException:
+                    # un-blackhole so a later retry reports the same error
+                    # instead of a bogus cycle
+                    th.state = TH_NEW
+                    raise
+                finally:
+                    self.depth -= 1
+                if type(v) is not Thunk:
                     # counted on memoization only, so forced never exceeds
                     # created even across retries after errors
                     self.counters.thunks_forced += 1
@@ -185,23 +199,25 @@ class Interpreter:
                     # the memo is final: release the defining block, and
                     # with it every sibling thunk that block holds
                     th.expr = th.block = None
-                elif state == TH_DONE:
-                    v = th.memo
+                    if path is None:
+                        return v
+                    break
+                if path is None:
+                    path = [th]
                 else:
-                    raise EvalError("cyclic definition: a value depends on "
-                                    "itself", "cyclic")
-                break
+                    path.append(th)
+                th = v
+                state = th.state
         except BaseException:
             if path is not None:
                 for t in path:
                     t.state = TH_NEW
             raise
-        if path is not None:
-            self.counters.thunks_forced += len(path)
-            for t in path:
-                t.memo = v
-                t.state = TH_DONE
-                t.expr = t.block = None
+        self.counters.thunks_forced += len(path)
+        for t in path:
+            t.memo = v
+            t.state = TH_DONE
+            t.expr = t.block = None
         return v
 
     def force1(self, v):
@@ -336,9 +352,8 @@ def _ev_app(self, interp, struct):
                     if type(v) is Thunk:
                         v = interp._force(v)
                     vals[i] = v
-                for i in range(n):
-                    if i not in demand:
-                        vals[i] = args[i].delay(interp, cb)
+                for i in callee.suspend:
+                    vals[i] = args[i].delay(interp, cb)
         elif n == 1:
             vals = [args[0].delay(interp, cb)]
         elif n == 2:

@@ -14,6 +14,13 @@ recorded old pointers in reverse, so the cost of a switch is bounded by the
 lexical depth of the callee, never by the dynamic call depth or the argument
 count.
 
+The switches that need no walk are straight-line code with the walk's
+counts: the top block costs nothing and logs nothing, a block that is
+already current costs one test, and a block whose owner is one level deep
+(every function of the benchmark suite) costs one test and one assignment
+and logs two entries, which restore undoes without a loop. Only deeper
+owners walk the chain.
+
 Variable access reads one slot of one structure's current block; the
 analyzer resolves the owning structure ahead of time. Global access is a
 hash-table fetch. Everything is counted.
@@ -91,24 +98,39 @@ class Runtime:
         switched struct followed by its previous block. Stops early at the
         first already-correct link, assuming every link above it is correct
         too (not always so: see the module docstring), or at the top
-        pseudo-struct."""
+        pseudo-struct. The cases that need no walk are spelled out: the top
+        block, an owner whose current block is already `block`, and an
+        owner one level deep."""
+        struct = block.owner
+        old = struct.current_block
         top = self.top_struct
-        log = []
-        struct = s = block.owner
-        b = block
-        tests = 0
-        while s is not top:
-            old = s.current_block
-            if old is b:
-                tests = 1
-                break
-            log.append(s)
-            log.append(old)
-            s.current_block = b
-            s = s.parent
-            b = b.parent
-        assignments = len(log) >> 1
-        tests += assignments
+        if old is block:
+            # the top pseudo-struct's one block is always current and is
+            # never tested
+            tests = 0 if struct is top else 1
+            assignments = 0
+            log = []
+        elif struct.parent is top:
+            struct.current_block = block
+            tests = assignments = 1
+            log = [struct, old]
+        else:
+            log = []
+            s = struct
+            b = block
+            tests = 0
+            while s is not top:
+                old = s.current_block
+                if old is b:
+                    tests = 1
+                    break
+                log.append(s)
+                log.append(old)
+                s.current_block = b
+                s = s.parent
+                b = b.parent
+            assignments = len(log) >> 1
+            tests += assignments
         c = self.counters
         c.switch_tests += tests
         c.switch_assignments += assignments
@@ -117,11 +139,14 @@ class Runtime:
         return log
 
     def restore(self, log):
-        """Undo one install exactly (strict LIFO discipline); consumes the
-        log."""
-        while log:
-            old = log.pop()
-            log.pop().current_block = old
+        """Undo one install exactly (strict LIFO discipline): put back each
+        logged struct's previous block, last switched first."""
+        n = len(log)
+        if n == 2:
+            log[0].current_block = log[1]
+        elif n:
+            for i in range(n - 2, -1, -2):
+                log[i].current_block = log[i + 1]
 
     def lookup(self, hops, offset, struct):
         """Constant-time variable access: `hops` parent links, one

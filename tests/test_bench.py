@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 import platform
 
@@ -5,6 +7,8 @@ import pytest
 
 from lambdix.bench import (SUITE_NAMES, BenchResult, program_source,
                            run_program, run_suite, to_json, to_tsv)
+from lambdix.evaluator import Interpreter
+from lambdix.values import TH_DONE, Thunk
 
 
 def test_suite_names():
@@ -32,6 +36,24 @@ def test_lsum_variants_share_digest():
     _, _, out_value = run_program(program_source("LSum", "value"), "value")
     _, _, out_need = run_program(program_source("LSum", "need"), "need")
     assert out_value == out_need == "258\n"
+
+
+def _forced_thunks_alive():
+    gc.collect()
+    return sum(1 for o in gc.get_objects()
+               if type(o) is Thunk and o.state == TH_DONE)
+
+
+def test_sieve_need_leaves_most_forced_thunks_collectable():
+    # car, cdr and cadr cut forced components out of the pairs they read,
+    # so a used-up thunk need not outlive its forcing while the program's
+    # lists are still reachable (a pair holding its forced thunks keeps
+    # nearly all of them)
+    before = _forced_thunks_alive()
+    interp = Interpreter(strategy="need", out=io.StringIO())
+    interp.eval_source(program_source("Sieve", "need"))
+    alive = _forced_thunks_alive() - before
+    assert alive <= 0.6 * interp.counters.thunks_forced
 
 
 def test_table_formats():

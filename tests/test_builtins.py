@@ -3,6 +3,7 @@ import pytest
 from conftest import make_interp, run
 from lambdix.errors import EvalError
 from lambdix.oracle import differential_run
+from lambdix.values import TH_NEW, Pair, Thunk
 
 INT_MAX = 2**63 - 1
 INT_MIN = -2**63
@@ -146,6 +147,29 @@ def test_atom_does_not_force_components():
     before = interp.counters.snapshot()
     assert interp.eval_source_rendered("(atom (cons (loop) (loop)))") == ["false"]
     assert interp.counters.delta(before)["thunks_forced"] == 0
+
+
+def test_forced_components_are_cut_out_of_pairs():
+    # a re-read of a forced component writes its memo back into the pair;
+    # a component not yet forced is still returned unforced
+    interp, _ = make_interp()
+    results = interp.eval_source(
+        "(de (two a b) (cons (+ a 1) (cons (* b 2) ())))"
+        "(de l (two 2 3)) (de m (two 4 5)) (de n (two 6 7))"
+        "(+ (car l) (car (cdr l))) (+ (car l) (car (cdr l)))"
+        "(+ 0 (cadr m)) (cadr m) (car n)")
+    assert results[4:8] == [9, 9, 10, 10]
+    top = interp.rt.top_table
+    l, m, n = top["l"].memo, top["m"].memo, top["n"].memo
+    assert type(l.tail) is Pair and type(m.tail) is Pair
+    assert (l.head, l.tail.head, m.tail.head) == (3, 6, 10)
+    assert results[8] is n.head
+    assert type(n.head) is Thunk and n.head.state == TH_NEW
+    # the same counts as when the pairs kept their forced thunks
+    assert interp.counters.snapshot() == {
+        "switch_tests": 8, "switch_assignments": 8, "blocks_allocated": 4,
+        "lookups": 33, "thunks_created": 11, "thunks_forced": 8,
+        "thunks_elided": 8}
 
 
 def test_improper_pair_renders_dotted():

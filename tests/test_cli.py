@@ -1,5 +1,7 @@
 import json
+import os
 import resource
+import signal
 import subprocess
 import sys
 
@@ -168,6 +170,46 @@ def test_bench_fib_tsv_and_json(tmp_path):
         [("Fib", "value"), ("Fib", "need")]
 
 
+def test_bench_json_path_checked_before_the_suite_runs(tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    proc = cli("bench", "Fib", "--reps", "1", "--json", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"lambdix: {path}: No such file or directory\n"
+    # a suite that stops early leaves an existing file as it was; one that
+    # completes replaces it
+    path = tmp_path / "x.json"
+    path.write_text("earlier results\n")
+    proc = cli("bench", "Fib", "--reps", "1", "--step-limit", "1",
+               "--json", str(path))
+    assert proc.returncode == 4
+    assert path.read_text() == "earlier results\n"
+    proc = cli("bench", "Fib", "--reps", "1", "--json", str(path))
+    assert proc.returncode == 0
+    assert [r["program"] for r in json.loads(path.read_text())["rows"]] == \
+        ["Fib", "Fib"]
+
+
+def test_run_interrupted_exits_130_without_traceback(tmp_path):
+    path = tmp_path / "fib.lx"
+    path.write_text("(de (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))\n"
+                    "(print 0)\n(print (fib 30))\n")
+    proc = subprocess.Popen([sys.executable, "-m", "lambdix", "run", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env={**os.environ, "PYTHONUNBUFFERED": "1"})
+    try:
+        # the first line shows that evaluation has begun
+        assert proc.stdout.readline() == "0\n"
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130
+    assert out == ""
+    assert err == "** interrupted **\n"
+
+
 def test_usage_error_exit_code():
     proc = cli("run")  # missing file argument
     assert proc.returncode == 2
@@ -226,6 +268,28 @@ def test_repl_interrupt_returns_to_prompt(strategy, monkeypatch, capsys):
     assert len(after) == len(before)
     assert all(a is b for (_, a), (_, b) in zip(before, after))
     assert made[0].depth == 0
+
+
+def test_repl_interrupt_at_the_prompt_drops_the_partial_form(monkeypatch,
+                                                           capsys):
+    prompts = []
+    lines = iter(["(+ 1", KeyboardInterrupt, "(+ 2 3)"])
+
+    def fake_input(prompt):
+        prompts.append(prompt)
+        line = next(lines, EOFError)
+        if line in (KeyboardInterrupt, EOFError):
+            raise line
+        return line
+
+    monkeypatch.setattr("builtins.input", fake_input)
+    try:
+        status = cli_module.main(["repl"])
+    except KeyboardInterrupt:
+        pytest.fail("Ctrl-C at the prompt escaped the REPL")
+    assert status == 0
+    assert prompts == ["$ ", "+ ", "$ ", "$ "]
+    assert capsys.readouterr().out == "\n** interrupted **\n= 5\n\n"
 
 
 @pytest.mark.parametrize("strategy", ["value", "need"])

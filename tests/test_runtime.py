@@ -101,6 +101,40 @@ def test_restore_replays_in_reverse():
     rt.restore([])  # empty log is a no-op
 
 
+def test_installing_the_top_block_is_free():
+    rt, counters, structs, blocks = chain(1)
+    seen = []
+    rt.install_observer = lambda s, t, a: seen.append((s, t, a))
+    before = counters.snapshot()
+    log = rt.install(rt.top_block)
+    assert log == []
+    d = counters.delta(before)
+    assert (d["switch_tests"], d["switch_assignments"]) == (0, 0)
+    assert seen == [(rt.top_struct, 0, 0)]
+    rt.restore(log)
+    assert rt.top_struct.current_block is rt.top_block
+
+
+def test_three_level_round_trip_restores_every_block():
+    # every install shape in turn: one level deep, a walk that stops early,
+    # a re-install, a walk of one level at depth 3 and the top block; each
+    # restore, in reverse, must bring back the blocks seen before its install
+    rt, counters, structs, blocks = chain(3)
+    alt = rt.new_block(structs[2], [99], blocks[1])
+    shapes = []
+    rt.install_observer = lambda s, t, a: shapes.append((t, a))
+    states, logs = [], []
+    for block in (blocks[0], blocks[2], blocks[2], alt, rt.top_block):
+        states.append([s.current_block for s in structs])
+        logs.append(rt.install(block))
+    assert shapes == [(1, 1), (3, 2), (1, 0), (2, 1), (0, 0)]
+    while logs:
+        rt.restore(logs.pop())
+        now = [s.current_block for s in structs]
+        assert all(a is b for a, b in zip(now, states.pop()))
+    assert all(s.current_block is None for s in structs)
+
+
 def test_install_walks_the_block_owners_chain():
     # the struct is block.owner; owner and block chains climb in lockstep,
     # and the observer still receives the struct
