@@ -166,10 +166,12 @@ class QuoteForm:
 
 
 class ExclaForm:
-    __slots__ = ("arg",)
+    __slots__ = ("arg", "compiled")
 
     def __init__(self, arg):
         self.arg = arg
+        # the analysis of a quoted argument's constant text, made once
+        self.compiled = None
 
 
 class LetForm:

@@ -60,8 +60,8 @@ from .deep import call_on_reserved_stack, call_with_deep_stack
 from .errors import EvalError, LambdixError, LimitExceeded
 from .reader import read_program
 from .runtime import UNSET, Counters, Runtime
-from .values import (TH_BUSY, TH_DONE, TH_NEW, Closure, Primitive, Sym,
-                     Thunk, datum_to_source, quote_datum, render)
+from .values import (TH_BUSY, TH_DONE, TH_NEW, Closure, Pair, Primitive,
+                     Sym, Thunk, datum_to_source, quote_datum, render)
 
 UNLIMITED = 1 << 62
 
@@ -451,10 +451,17 @@ def _ev_let(self, interp, struct):
 
 
 def _ev_excla(self, interp, struct):
-    v = self.arg.ev(interp, struct)
-    src = datum_to_source(v, interp.force1)
-    # `struct` is the level of the excla site, so the text sees its scope
-    return interp.analyzer.analyze(src, struct).ev(interp, struct)
+    node = self.compiled
+    if node is None:
+        v = self.arg.ev(interp, struct)
+        src = datum_to_source(v, interp.force1)
+        # `struct` is the level of the excla site, so the text sees its scope
+        node = interp.analyzer.analyze(src, struct)
+        if type(self.arg) is QuoteForm:
+            # constant text at a site whose scope and primitive arities are
+            # fixed: its analysis is the same every time
+            self.compiled = node
+    return node.ev(interp, struct)
 
 
 for _node, _ev in ((Lit, _ev_lit), (LocalRef, _ev_local), (TopRef, _ev_top),
@@ -497,12 +504,81 @@ def _delay_local(self, interp, cb):
     return _delay_thunk(self, interp, cb)
 
 
+def _computed(node):
+    # an operand that needs no evaluation: a literal's value, or what a
+    # local's slot holds once that is a value (a thunk's memo stays None
+    # until it is forced, and is never a thunk); None otherwise
+    t = type(node)
+    if t is Lit:
+        return node.value
+    if t is LocalRef:
+        block = node.target.current_block
+        if block is not None:
+            v = block.slots[node.offset]
+            if type(v) is Thunk:
+                return v.memo
+            if v is not UNSET:
+                return v
+    return None
+
+
+# primitive name -> the operand type on which it is total (None: any value)
+_CHEAP1 = {"car": Pair, "cdr": Pair, "nullist": None, "atom": None}
+_CHEAP2 = frozenset(("+", "-", "*", "<", "<=", ">", ">=", "="))
+
+
+def _elide_prim(interp, n):
+    # the counts of the forcing this replaces: one elided suspension, the
+    # head lookup and one lookup per local operand
+    c = interp.counters
+    c.thunks_elided += 1
+    c.lookups += 1 + n
+
+
+def _delay_prim1(self, interp, cb):
+    # cheap eagerness: a total primitive on an operand already computed is
+    # applied now (car and cdr still pass a component unforced)
+    name = self.name
+    if name in _CHEAP1:
+        a = _computed(self.a)
+        total_on = _CHEAP1[name]
+        if a is not None and (total_on is None or type(a) is total_on):
+            head = interp.rt.top_table.get(name)
+            if type(head) is Primitive and head.name == name:
+                _elide_prim(interp, type(self.a) is LocalRef)
+                return head.fn(interp, a)
+    return _delay_thunk(self, interp, cb)
+
+
+def _delay_prim2(self, interp, cb):
+    # as _delay_prim1, for arithmetic and comparison on two integers; an
+    # overflow is left to the thunk, whose forcing reports it
+    name = self.name
+    if name in _CHEAP2:
+        a = _computed(self.a)
+        if type(a) is int:
+            b = _computed(self.b)
+            if type(b) is int:
+                head = interp.rt.top_table.get(name)
+                if type(head) is Primitive and head.name == name:
+                    try:
+                        v = head.fn(interp, a, b)
+                    except EvalError:
+                        return _delay_thunk(self, interp, cb)
+                    _elide_prim(interp, (type(self.a) is LocalRef)
+                                + (type(self.b) is LocalRef))
+                    return v
+    return _delay_thunk(self, interp, cb)
+
+
 # a top-level reference stays suspended: it is late-bound, and its name may
 # be defined only after the suspension is made
 for _node in (TopRef, If, LambdaRef, QuoteForm, App, LetForm, ExclaForm):
     _node.delay = _delay_thunk
 Lit.delay = _delay_lit
 LocalRef.delay = _delay_local
+PrimApp1.delay = _delay_prim1
+PrimApp2.delay = _delay_prim2
 
 
 Outcome = namedtuple("Outcome", "kind payload output")

@@ -283,7 +283,7 @@ class Oracle:
                 raise LimitExceeded("step")
             lam = f.struct
             if self.lazy:
-                args = [Thunk(a, env) for a in arg_sxs]
+                args = [self.suspend(a, env) for a in arg_sxs]
             else:
                 args = [self.eval(a, env) for a in arg_sxs]
             if len(args) != len(lam.params):
@@ -305,7 +305,7 @@ class Oracle:
                     f"{f.name}: expected {f.arity} argument(s), got "
                     f"{len(arg_sxs)}", "arity")
             if f.lazy and self.lazy:
-                args = [Thunk(a, env) for a in arg_sxs]
+                args = [self.suspend(a, env) for a in arg_sxs]
             else:
                 args = [self.whnf(self.eval(a, env)) for a in arg_sxs]
             return self._prim(f.name, args)
@@ -360,6 +360,87 @@ class Oracle:
         raise EvalError(f"{op}: expected a pair", "type")
 
     # -- suspensions ----------------------------------------------------------
+
+    def suspend(self, sx, env):
+        """What a closure parameter or a cons component receives under need:
+        a literal is its value, a symbol bound in a local frame is what its
+        slot holds, a total primitive on computed operands is applied, and
+        anything else is a new suspension."""
+        t = type(sx)
+        if t is SNum:
+            return sx.value
+        if t is SStr:
+            return sx.text
+        if t is SEmbed:
+            return sx.value
+        if t is SSym:
+            slot = self._local(sx.name, env)
+            if slot is not None:
+                return slot
+        elif t is SList:
+            if not sx.items:
+                return EMPTY
+            v = self._cheap(sx.items, env)
+            if v is not None:
+                return v
+        return Thunk(sx, env)
+
+    def _local(self, name, env):
+        # the slot a local frame binds `name` to, or None
+        e = env
+        while e is not None:
+            if name in e.vars:
+                return e.vars[name]
+            e = e.parent
+        return None
+
+    def _computed(self, sx, env):
+        # the value of an operand that is a literal, or a symbol bound in a
+        # local frame to a value or to a forced suspension; None otherwise
+        t = type(sx)
+        if t is SNum:
+            return sx.value
+        if t is SStr:
+            return sx.text
+        if t is SEmbed:
+            return sx.value
+        if t is SList and not sx.items:
+            return EMPTY
+        if t is SSym:
+            v = self._local(sx.name, env)
+            if type(v) is Thunk:
+                return v.memo if v.state == TH_DONE else None
+            if v is not _LATER:
+                return v
+        return None
+
+    def _cheap(self, items, env):
+        # cheap eagerness: the value of (name operand...) when `name` still
+        # holds the primitive of that name, every operand is computed and
+        # the primitive is total on them; None otherwise
+        head = items[0]
+        if type(head) is not SSym or self._local(head.name, env) is not None:
+            return None
+        name = head.name
+        f = self.top.get(name)
+        if (type(f) is not Primitive or f.name != name
+                or f.arity != len(items) - 1):
+            return None
+        ops = [self._computed(x, env) for x in items[1:]]
+        if name in ("car", "cdr"):
+            total = type(ops[0]) is Pair
+        elif name in ("nullist", "atom"):
+            total = ops[0] is not None
+        elif name in ("+", "-", "*", "<", "<=", ">", ">=", "="):
+            total = type(ops[0]) is int and type(ops[1]) is int
+        else:
+            return None
+        if total:
+            try:
+                return self._prim(name, ops)
+            except EvalError:
+                pass  # an overflow stays suspended; its forcing reports it
+        return None
 
     def force(self, th):
         # a thunk whose expression yields another thunk stays busy until the
@@ -450,9 +531,9 @@ _GEN_SYMS = ("a", "b", "c", "x", "y")
 class ProgramGen:
     """Seeded generator of closed random programs: a few top-level
     definitions followed by expressions, depth-bounded, integer literals in
-    [-10, 10]. The same seed with different name prefixes yields
-    alpha-equivalent programs (generation is structural; names are supplied
-    at rendering time)."""
+    [-10, 10] (and 2^62 in accumulator loops). The same seed with different
+    name prefixes yields alpha-equivalent programs (generation is
+    structural; names are supplied at rendering time)."""
 
     def __init__(self, seed):
         self.rng = random.Random(seed)
@@ -464,12 +545,15 @@ class ProgramGen:
 
     def program_tree(self):
         rng = self.rng
-        funs = []  # (id, arity, recursive)
+        # (id, arity, offset of the parameter that takes a list or None);
+        # every other first argument is a small count
+        funs = []
         vals = []  # id
         forms = []
         for _ in range(rng.randint(0, 2)):
             fid = self._new_id()
-            if rng.random() < 0.5:
+            roll = rng.random()
+            if roll < 0.3:
                 # terminating countdown
                 p = self._new_id()
                 base = self._expr(2, (p,), funs, vals)
@@ -477,11 +561,21 @@ class ProgramGen:
                               ("if", ("prim", "<", [("var", p), ("int", 1)]),
                                base,
                                ("call", fid, [("prim", "-", [("var", p), ("int", 1)])]))))
-                funs.append((fid, 1))
+                funs.append((fid, 1, None))
+            elif roll < 0.6:
+                # a loop shape, called once at once so that it runs
+                if roll < 0.45:
+                    form, fun = self._accumulator(fid), (fid, 2, None)
+                else:
+                    form = self._walk(fid)
+                    fun = (fid, len(form[2]), len(form[2]) - 2)
+                forms.append(form)
+                forms.append(("expr", self._call(fun, 3, (), funs, vals)))
+                funs.append(fun)
             else:
                 ps = tuple(self._new_id() for _ in range(rng.randint(1, 3)))
                 forms.append(("defun", fid, ps, self._expr(3, ps, funs, vals)))
-                funs.append((fid, len(ps)))
+                funs.append((fid, len(ps), None))
         for _ in range(rng.randint(0, 2)):
             vid = self._new_id()
             forms.append(("defval", vid, self._expr(3, (), funs, vals)))
@@ -517,9 +611,7 @@ class ProgramGen:
                 return ("prim", op, [self._pairish(budget - 1, scope, funs, vals)])
             return ("prim", op, [sub()])
         if roll < 0.66 and funs:
-            fid, arity = rng.choice(funs)
-            return ("call", fid, [("int", rng.randint(0, 8)) if i == 0 else sub(2)
-                                  for i in range(arity)])
+            return self._call(rng.choice(funs), budget, scope, funs, vals)
         if roll < 0.76:
             ps = tuple(self._new_id() for _ in range(rng.randint(1, 2)))
             body = self._expr(budget - 1, scope + ps, funs, vals)
@@ -545,6 +637,55 @@ class ProgramGen:
         return ("exclaq", ("list", [("sym", rng.choice(("+", "-", "*"))),
                                     ("num", rng.randint(-5, 5)),
                                     ("num", rng.randint(-5, 5))]))
+
+    def _call(self, fun, budget, scope, funs, vals):
+        fid, arity, walked = fun
+        return ("call", fid, [
+            self._pairish(budget - 1, scope, funs, vals) if i == walked
+            else ("int", self.rng.randint(0, 8)) if i == 0
+            else self._expr(budget - 2, scope, funs, vals)
+            for i in range(arity)])
+
+    # The two loop shapes pass, at each recursive call, total primitives on
+    # their own parameters: what cheap eagerness applies under need when
+    # the operands are already computed, and suspends when they are not.
+
+    def _accumulator(self, fid):
+        # (de (f n acc) (if (< n 1) acc (f (- n 1) (op acc e)))): n is
+        # demanded; acc holds a value from a literal start on, or a thunk;
+        # e = 2^62 soon overflows, and a comparison makes acc a boolean
+        rng = self.rng
+        n, acc = self._new_id(), self._new_id()
+        op = rng.choice(("+", "-", "*", "<", "<=", ">", ">=", "="))
+        e = rng.choice((("int", rng.randint(-3, 3)), ("int", 1 << 62),
+                        ("var", n), ("var", acc)))
+        return ("defun", fid, (n, acc),
+                ("if", ("prim", "<", [("var", n), ("int", 1)]), ("var", acc),
+                 ("call", fid, [("prim", "-", [("var", n), ("int", 1)]),
+                                ("prim", op, [("var", acc), e])])))
+
+    def _walk(self, fid):
+        # (de (f l a) (if (test l) a (f (cdr l) step))): test is nullist or
+        # atom, so f demands l, and step is car, cdr, nullist or atom of l,
+        # or a cons of (car l) onto a. With a countdown k in front, l is no
+        # longer demanded but forced by the test, so a thunk in its slot is
+        # forced by the time step reads it
+        rng = self.rng
+        lv, a = self._new_id(), self._new_id()
+        l = ("var", lv)
+        step = rng.choice((("prim", "car", [l]), ("prim", "cdr", [l]),
+                           ("prim", "nullist", [l]), ("prim", "atom", [l]),
+                           ("prim", "cons", [("prim", "car", [l]), ("var", a)])))
+        test = ("prim", rng.choice(("nullist", "atom")), [l])
+        rec = [("prim", "cdr", [l]), step]
+        if rng.random() < 0.5:
+            return ("defun", fid, (lv, a), ("if", test, ("var", a),
+                                             ("call", fid, rec)))
+        k = self._new_id()
+        return ("defun", fid, (k, lv, a),
+                ("if", ("prim", "<", [("var", k), ("int", 1)]), ("var", a),
+                 ("if", test, ("var", a),
+                  ("call", fid, [("prim", "-", [("var", k), ("int", 1)])] + rec))))
 
     def _pairish(self, budget, scope, funs, vals):
         if self.rng.random() < 0.5:

@@ -1,8 +1,9 @@
 """Surface syntax: tokenizer and s-expression reader.
 
 Accepts UTF-8 text with `;` line comments, `'` and `!` shorthand marks,
-signed 64-bit integer literals, double-quoted strings, and symbols made of
-any characters outside the delimiter set. Reading never evaluates anything.
+signed 64-bit integer literals (ASCII digits with an optional sign),
+double-quoted strings, and symbols made of any other run of characters
+outside the delimiter set. Reading never evaluates anything.
 """
 
 from .errors import ReadError
@@ -115,8 +116,10 @@ class EndOfInput(Exception):
 
 
 def _classify_word(text):
+    # ASCII digits only: str.isdigit also accepts digits such as "²" that
+    # int() rejects, and "١٢", which int() would read as 12
     body = text[1:] if text[0] in "+-" else text
-    return "num" if body and body.isdigit() else "sym"
+    return "num" if body.isascii() and body.isdigit() else "sym"
 
 
 def tokenize(text):

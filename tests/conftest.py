@@ -3,9 +3,16 @@ import io
 from lambdix import Interpreter
 
 
-def make_interp(strategy="need", **kwargs):
+# Far above the closure calls of any test program (the largest suite run,
+# LSum under value, makes 176,689): a defect that makes a program loop
+# fails its test at this budget instead of leaving the run hanging.
+STEP_LIMIT = 1_000_000
+
+
+def make_interp(strategy="need", step_limit=STEP_LIMIT, **kwargs):
     out = io.StringIO()
-    interp = Interpreter(strategy=strategy, out=out, **kwargs)
+    interp = Interpreter(strategy=strategy, step_limit=step_limit, out=out,
+                         **kwargs)
     return interp, out
 
 

@@ -7,7 +7,7 @@ from the implementation under test.
 
 import time
 
-from conftest import make_interp
+from conftest import STEP_LIMIT, make_interp
 from lambdix.bench import program_source, run_program, run_suite
 from lambdix.corpus import CORPUS, run_corpus
 from lambdix.evaluator import run_with_limit
@@ -206,18 +206,22 @@ def test_criterion_4_restore_invariance_fuzz():
 def test_criterion_5_lazy_wins():
     def check():
         v_ms, v_counters, v_out = run_program(
-            program_source("LSum", "value"), "value", reps=1)
+            program_source("LSum", "value"), "value", reps=1,
+            step_limit=STEP_LIMIT)
         n_ms, n_counters, n_out = run_program(
-            program_source("LSum", "need"), "need", reps=1)
+            program_source("LSum", "need"), "need", reps=1,
+            step_limit=STEP_LIMIT)
         assert v_out == n_out == "258\n"
         assert n_counters["thunks_forced"] <= 0.01 * v_counters["thunks_created"], (
             n_counters["thunks_forced"], v_counters["thunks_created"])
         assert n_ms * 10 <= v_ms, (n_ms, v_ms)
 
         cv_ms, cv_counters, cv_out = run_program(
-            program_source("LComp", "value"), "value", reps=1)
+            program_source("LComp", "value"), "value", reps=1,
+            step_limit=STEP_LIMIT)
         cn_ms, cn_counters, cn_out = run_program(
-            program_source("LComp", "need"), "need", reps=1)
+            program_source("LComp", "need"), "need", reps=1,
+            step_limit=STEP_LIMIT)
         assert cv_out == cn_out == "false\n"
         assert cn_counters["thunks_forced"] <= 0.05 * cv_counters["thunks_created"], (
             cn_counters["thunks_forced"], cv_counters["thunks_created"])
@@ -231,7 +235,8 @@ def test_criterion_5_lazy_wins():
 def test_criterion_6_overhead_bound():
     def check():
         results = run_suite(names=["Fib", "Tak"],
-                            strategies=("value", "need"), reps=5)
+                            strategies=("value", "need"), reps=5,
+                            step_limit=STEP_LIMIT)
         by = {(r.program, r.strategy): r for r in results}
         for name in ("Fib", "Tak"):
             v = by[(name, "value")]
@@ -281,17 +286,20 @@ def test_criterion_7_outputs_against_brute_force():
     def check():
         fib20 = _brute_fib(20)
         assert fib20 == 6765
-        _, _, out = run_program(program_source("Fib", "value"), "value")
+        _, _, out = run_program(program_source("Fib", "value"), "value",
+                                step_limit=STEP_LIMIT)
         assert out == f"{fib20}\n"
 
         tak = _brute_tak(18, 12, 6)
         assert tak == 7
-        _, _, out = run_program(program_source("Tak", "value"), "value")
+        _, _, out = run_program(program_source("Tak", "value"), "value",
+                                step_limit=STEP_LIMIT)
         assert out == f"{tak}\n"
 
         primes = _brute_primes(400)
         assert primes[-1] == 2741
-        _, _, out = run_program(program_source("Sieve", "value"), "value")
+        _, _, out = run_program(program_source("Sieve", "value"), "value",
+                                step_limit=STEP_LIMIT)
         assert out == f"400\n{primes[-1]}\n"
 
     _report(7, "fib(20)=6765, tak(18,12,6)=7, 400th prime=2741, each "

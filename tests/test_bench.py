@@ -5,6 +5,7 @@ import platform
 
 import pytest
 
+from conftest import STEP_LIMIT
 from lambdix.bench import (SUITE_NAMES, BenchResult, program_source,
                            run_program, run_suite, to_json, to_tsv)
 from lambdix.evaluator import Interpreter
@@ -26,15 +27,18 @@ def test_sources_load_and_lsum_varies_by_strategy():
 def test_fib_program_output():
     for strategy in ("value", "need"):
         ms, counters, output = run_program(program_source("Fib", strategy),
-                                           strategy, reps=1)
+                                           strategy, reps=1,
+                                           step_limit=STEP_LIMIT)
         assert output == "6765\n"
         assert ms > 0
         assert counters["blocks_allocated"] > 0
 
 
 def test_lsum_variants_share_digest():
-    _, _, out_value = run_program(program_source("LSum", "value"), "value")
-    _, _, out_need = run_program(program_source("LSum", "need"), "need")
+    _, _, out_value = run_program(program_source("LSum", "value"), "value",
+                                  step_limit=STEP_LIMIT)
+    _, _, out_need = run_program(program_source("LSum", "need"), "need",
+                                 step_limit=STEP_LIMIT)
     assert out_value == out_need == "258\n"
 
 
@@ -50,7 +54,8 @@ def test_sieve_need_leaves_most_forced_thunks_collectable():
     # lists are still reachable (a pair holding its forced thunks keeps
     # nearly all of them)
     before = _forced_thunks_alive()
-    interp = Interpreter(strategy="need", out=io.StringIO())
+    interp = Interpreter(strategy="need", step_limit=STEP_LIMIT,
+                         out=io.StringIO())
     interp.eval_source(program_source("Sieve", "need"))
     alive = _forced_thunks_alive() - before
     assert alive <= 0.6 * interp.counters.thunks_forced
@@ -81,7 +86,8 @@ def test_table_formats():
 
 
 def test_json_records_the_git_rev_or_null(monkeypatch):
-    results = run_suite(names=["Fib"], strategies=("need",), reps=3)
+    results = run_suite(names=["Fib"], strategies=("need",), reps=3,
+                        step_limit=STEP_LIMIT)
     r = results[0]
     assert r.min_ms <= r.median_ms <= r.max_ms
     rev = json.loads(to_json(results))["git_rev"]
@@ -102,7 +108,7 @@ def test_lazy_prefix_cost_independent_of_list_length():
     forced = []
     for text in (long_text, short_text):
         out = io.StringIO()
-        interp = Interpreter(strategy="need", out=out)
+        interp = Interpreter(strategy="need", step_limit=STEP_LIMIT, out=out)
         interp.eval_source(text)
         assert out.getvalue() == "258\n"
         forced.append(interp.counters.thunks_forced)
@@ -111,7 +117,8 @@ def test_lazy_prefix_cost_independent_of_list_length():
 
 def test_pct_diff_matches_relative_formula():
     # (value - need) / max(value, need) * 100: positive when lazy wins
-    results = run_suite(names=["Fib"], strategies=("value", "need"), reps=1)
+    results = run_suite(names=["Fib"], strategies=("value", "need"), reps=1,
+                        step_limit=STEP_LIMIT)
     v = next(r for r in results if r.strategy == "value")
     n = next(r for r in results if r.strategy == "need")
     expected = round((v.median_ms - n.median_ms)
@@ -127,8 +134,11 @@ def test_pct_diff_matches_relative_formula():
 # head of a global application, primitive or not.
 #
 # Under need, a call passes its callee's demand prefix evaluated (the
-# parameters the body forces first, in order) and a literal or local
-# argument unsuspended, so only the other argument positions make thunks.
+# parameters the body forces first, in order), a literal or local argument
+# unsuspended, and a total primitive on operands already computed applied
+# (cheap eagerness: its elision counts the head lookup and one per local
+# operand, as its forcing would), so only the other argument positions make
+# thunks.
 # Every install of a depth-1 block costs one test and one assignment, or
 # one test alone when the block is already current; the top block's costs
 # none.
@@ -149,20 +159,20 @@ PINNED_COUNTERS = {
     ("Tak", "need"): (79511, 79511, 15902, 15902, 63610, 492968, 174925),
     # a strict run forces nothing and passes nothing unsuspended
     ("LComp", "value"): (106463, 106463, 327638, 0, 106464, 794426, 0),
-    # 75 positions more than under plain cheap eagerness are demanded
-    # (fringe, btree, append and eqfringe demand their first parameter):
-    # 75 fewer thunks and forcings. 48 of those forcings cost a test and an
-    # assignment; 24 (fringe's (fringe (car t)), forced by append while
-    # fringe's block was still current) one test alone; 3 ran in the top
-    # block. 72 fewer tests, 48 fewer assignments
-    ("LComp", "need"): (125, 125, 123, 51, 78, 464, 107),
+    # against demand prefixes alone (125, 125, 123, 51, 78, 464, 107):
+    # append's 24 (car a), 12 per tree down to the first leaf, a forced by
+    # (nullist a), are applied at the cons; all 24 were forced, each with a
+    # test and an assignment, and count their 2 lookups at the cons instead
+    ("LComp", "need"): (101, 101, 99, 27, 78, 464, 131),
     ("LSum", "value"): (176689, 176689, 694977, 0, 176690, 2420166, 0),
-    # 148 positions more are demanded (strike its l, sum2 its k; sieve and
-    # from demand nothing, as their bodies start with a lazy cons): 148
-    # fewer thunks and forcings. 130 of those forcings cost a test and an
-    # assignment; 18 (sieve's (cdr l), forced by strike while sieve's block
-    # was current) one test alone. 148 fewer tests, 130 fewer assignments
-    ("LSum", "need"): (611, 593, 416, 392, 226, 2074, 327),
+    # against demand prefixes alone (611, 593, 416, 392, 226, 2074, 327):
+    # 194 applications on computed operands are applied, from's 54 (+ n 1),
+    # strike's 102 (car l), sieve's 18 (car l) passed as strike's p and
+    # sum2's 10 (cdr a) and 10 (cdr b). 192 were forced: 174 forcings cost
+    # a test and an assignment, the 18 of sieve's (forced by strike while
+    # sieve's block was current) one test alone; sum2's last two never
+    # were, and their 2 lookups each are now counted: 4 more lookups
+    ("LSum", "need"): (419, 419, 222, 200, 226, 2078, 521),
     # 89140 calls: 2741 of upto, 85197 of strike, 401 of sieve, 401 of
     # length, 400 of last; one switch each
     ("Sieve", "value"): (89140, 89140, 348273, 0, 89141, 1214812, 0),
@@ -173,15 +183,24 @@ PINNED_COUNTERS = {
     # 400 (cdr l), length's 400 and last's 399 (cdr l), and 3 top-level
     # ones, whose forcings cost no switch. 400 of the saved forcings (of
     # sieve's (cdr l), by strike while sieve's block was current) cost one
-    # test alone: 89136 fewer tests, 88736 fewer assignments
-    ("Sieve", "need"): (257594, 257195, 168855, 168455, 89141, 1214012,
-                         179418),
+    # test alone: 89136 fewer tests, 88736 fewer assignments. That gave
+    # (257594, 257195, 168855, 168455, 89141, 1214012, 179418); cheap
+    # eagerness then applies strike's 82457 (car l) (all forced, a test and
+    # an assignment each) and sieve's 800 (car l), l forced by (nullist l):
+    # of those, 399 passed as strike's p were forced with one test alone,
+    # 1 cons head (by last) with a test and an assignment, and the other
+    # 400 never, so their 2 lookups each are now counted: 83257 more
+    # elided, 82857 fewer forcings, 82458 fewer assignments, 800 more
+    # lookups
+    ("Sieve", "need"): (174737, 174737, 85598, 85598, 89141, 1214812,
+                         262675),
 }
 
 
 @pytest.mark.parametrize("program,strategy", sorted(PINNED_COUNTERS))
 def test_counters_pinned(program, strategy):
-    _, counters, _ = run_program(program_source(program, strategy), strategy)
+    _, counters, _ = run_program(program_source(program, strategy), strategy,
+                                 step_limit=STEP_LIMIT)
     columns = ("switch_tests", "switch_assignments", "thunks_created",
                "thunks_forced", "blocks_allocated", "lookups", "thunks_elided")
     assert tuple(counters[c] for c in columns) == \
@@ -189,15 +208,19 @@ def test_counters_pinned(program, strategy):
 
 
 # (positions a value run counts, of which a need run passes unsuspended:
-# demanded, literal or local arguments)
+# demanded, literal or local arguments and total primitives on computed
+# operands; Sieve's 262675 is 179418 plus the 83257 (car l) of strike and
+# sieve)
 POSITIONS = {"Fib": (21891, 21891), "Fib2": (65673, 65673),
-             "Tak": (190827, 174925), "Sieve": (348273, 179418)}
+             "Tak": (190827, 174925), "Sieve": (348273, 262675)}
 
 
 @pytest.mark.parametrize("program", sorted(POSITIONS))
 def test_need_creates_or_elides_every_position_value_counts(program):
-    _, value, _ = run_program(program_source(program, "value"), "value")
-    _, need, _ = run_program(program_source(program, "need"), "need")
+    _, value, _ = run_program(program_source(program, "value"), "value",
+                              step_limit=STEP_LIMIT)
+    _, need, _ = run_program(program_source(program, "need"), "need",
+                             step_limit=STEP_LIMIT)
     positions, elided = POSITIONS[program]
     assert (value["thunks_created"], value["thunks_elided"]) == (positions, 0)
     assert need["thunks_elided"] == elided

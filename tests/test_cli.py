@@ -98,6 +98,28 @@ def test_repl_session():
     assert "= 7" in proc.stdout
 
 
+def _cli_utf8(*args, stdin=None):
+    env = dict(os.environ, PYTHONUTF8="1")
+    return subprocess.run([sys.executable, "-m", "lambdix", *args],
+                          capture_output=True, encoding="utf-8", input=stdin,
+                          env=env, timeout=240)
+
+
+def test_unicode_digit_is_an_undefined_name(tmp_path):
+    path = tmp_path / "p.lx"
+    path.write_text("(print ²)\n", encoding="utf-8")
+    proc = _cli_utf8("run", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == "** error - ² not defined **\n"
+    assert "Traceback" not in proc.stderr
+    proc = _cli_utf8("repl", stdin="(de x 3)\n(print ²)\n١٢\n(+ x 4)\n")
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "** error - ² not defined **" in proc.stdout
+    assert "** error - ١٢ not defined **" in proc.stdout
+    assert "= 7" in proc.stdout
+
+
 def test_repl_multiline_continuation():
     proc = cli("repl", stdin="(+ 1\n2)\n")
     assert "= 3" in proc.stdout

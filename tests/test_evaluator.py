@@ -373,7 +373,10 @@ def test_error_during_forcing_is_repeatable():
 
 def test_forced_thunk_releases_its_environment():
     interp, _ = make_interp()
-    interp.eval_source("(de l (cons (+ 1 2) ())) (de m (cons (car '()) 1))")
+    # (car '(2)) is not an operand already computed, so the sum stays
+    # suspended
+    interp.eval_source("(de l (cons (+ 1 (car '(2))) ())) "
+                       "(de m (cons (car '()) 1))")
     head = interp.force1(interp.rt.top_table["l"]).head
     assert (head.expr, head.block) != (None, None)
     assert interp.eval_source_rendered("(car l)") == ["3"]
@@ -456,6 +459,26 @@ def test_excla_sees_lexical_scope_of_its_site(text, printed, strategy):
     assert differential_run(text, strategy).equal
 
 
+@pytest.mark.parametrize("strategy", ["value", "need"])
+def test_constant_excla_is_analyzed_once(strategy):
+    # a quoted text is analyzed on the site's first evaluation only, so a
+    # loop makes no new structure per iteration, and counts as the same
+    # text written in place does
+    loop = ("(de (loop n acc) (if (< n 1) acc"
+            " (loop (- n 1) (+ acc {}))))")
+    excla = loop.format("(! '((lambda (x) x) 1))")
+    counts = []
+    for n in (1, 2000):
+        interp, _ = make_interp(strategy)
+        assert interp.eval_source(f"{excla} (loop {n} 0)")[-1] == n
+        counts.append(len(interp.structs))
+        direct, _ = make_interp(strategy)
+        direct.eval_source(loop.format("((lambda (x) x) 1)") + f" (loop {n} 0)")
+        assert interp.counters.snapshot() == direct.counters.snapshot()
+        assert len(interp.structs) == len(direct.structs)
+    assert counts[0] == counts[1] == 3
+
+
 def test_excla_rejects_improper_text():
     interp, _ = make_interp()
     with pytest.raises(Exception) as exc:
@@ -501,3 +524,77 @@ def test_need_terminates_within_proportional_budget(text):
     interp.eval_source(text)
     budget = 4 * interp.steps + 1000
     assert run_with_limit(text, "need", budget).kind == "value"
+
+
+# -- cheap eagerness under need -------------------------------------------------
+
+# Each program with what it prints, or the error category it ends in, under
+# value and under need. A total primitive on operands already computed is
+# applied where a need run would suspend it; anything else stays suspended.
+CHEAP_EAGERNESS = {
+    # acc holds a value at every call, so each (+ acc 1) is computed at the
+    # call instead of adding a link to a 50,000-deep chain of thunks
+    "accumulator": (
+        "(de (loop n acc) (if (< n 1) acc (loop (- n 1) (+ acc 1))))"
+        " (print (loop 50000 0))", "50000\n", "50000\n"),
+    # an overflow is left suspended: unused, it raises nothing under need
+    "overflow-unused": (
+        "(de (f x) 1) (print (f (* 9223372036854775807 2)))",
+        ("error", "arith"), "1\n"),
+    "overflow-used": (
+        "(de (f x) x) (print (f (* 9223372036854775807 2)))",
+        ("error", "arith"), ("error", "arith")),
+    # l is still a thunk, so (car l) is not applied: forcing l would fail
+    "car-of-a-thunk": (
+        "(de (f l) (g (car l))) (de (g x) 7) (print (f (car '())))",
+        ("error", "type"), "7\n"),
+    "car-of-a-thunk-used": (
+        "(de (f l) (g (car l))) (de (g x) (+ x 1))"
+        " (print (f (cons 1 ())))", "2\n", "2\n"),
+    # a redefined name fails the guard: the application stays suspended
+    # and its forcing reads the new definition
+    "car-redefined": (
+        "(de car cdr) (de (f l) (if (atom l) 0 (g (car l)))) (de (g x) x)"
+        " (print (f '(1 2)))", "(2)\n", "(2)\n"),
+    "plus-redefined": (
+        "(de + *) (de (f n) (g (+ n 1))) (de (g x) x) (print (f 5))",
+        "5\n", "5\n"),
+    # rendering c's definition calls mk, which gets (+ 1 2) computed, as a
+    # value run computes it: the later definition of + does not reach it
+    "plus-redefined-after": (
+        "(de (mk a) (lambda () a)) (de c (mk (+ 1 2))) (de + -)"
+        " (print (c))", "3\n", "3\n"),
+}
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+@pytest.mark.parametrize("name", sorted(CHEAP_EAGERNESS))
+def test_cheap_eagerness_agrees_with_the_oracle(name, strategy):
+    text, by_value, by_need = CHEAP_EAGERNESS[name]
+    expected = by_value if strategy == "value" else by_need
+    result = differential_run(text, strategy, step_limit=100_000)
+    if type(expected) is tuple:
+        assert (result.main[0], result.main[1][0]) == expected
+    else:
+        assert (result.main[0], result.main[2]) == ("value", expected)
+    assert result.equal
+
+
+def test_cheap_eagerness_counts_what_the_forcing_would():
+    # g demands l, which (atom l) forces; f's x is then (car l) on a
+    # computed pair: one elided suspension besides l's, counting car's and
+    # l's lookups, with no thunk and no forcing
+    interp, _ = make_interp("need")
+    interp.eval_source("(de (f x) 0) (de (g l) (if (atom l) 0 (f (car l))))")
+    before = interp.counters.snapshot()
+    assert interp.eval_source("(g '(1))") == [0]
+    delta = interp.counters.delta(before)
+    assert (delta["thunks_created"], delta["thunks_forced"],
+            delta["thunks_elided"]) == (0, 0, 2)
+    # the heads g, atom and f, l read by atom, car's head and l read by car
+    assert delta["lookups"] == 6
+    # the operand is still a thunk: the application is suspended
+    before = interp.counters.snapshot()
+    interp.eval_source("(de (h l) (f (car l))) (h '(1))")
+    delta = interp.counters.delta(before)
+    assert (delta["thunks_created"], delta["thunks_elided"]) == (2, 0)

@@ -42,6 +42,15 @@ def test_signed_numbers():
     assert [t.kind for t in toks] == ["num", "num", "sym", "sym"]
 
 
+def test_only_ascii_digits_make_a_number():
+    # "²" is a digit to str.isdigit that int() rejects, and int() reads the
+    # Arabic-Indic "١٢" as 12: both are symbols
+    toks = tokenize("² ١٢ -² +١٢ 12²")
+    assert [t.kind for t in toks] == ["sym"] * 5
+    assert read_program("(print ²)")[0] == SList((SSym("print"), SSym("²")))
+    assert read_program("١٢")[0] == SSym("١٢")
+
+
 def test_int64_range():
     assert read_program("9223372036854775807")[0].value == 2**63 - 1
     assert read_program("-9223372036854775808")[0].value == -(2**63)
