@@ -38,7 +38,7 @@ import it.
 
 import sys
 
-from .errors import LimitExceeded
+from .errors import LambdixError, LimitExceeded
 
 RECURSION_LIMIT = 700_000
 
@@ -49,13 +49,20 @@ RESERVED_SLOTS = 1 << 20
 
 def call_with_deep_stack(fn, *args, **kwargs):
     """Run fn(*args, **kwargs) on the caller's thread with the recursion
-    limit raised; a RecursionError surfaces as LimitExceeded("depth")."""
+    limit raised; a RecursionError surfaces as LimitExceeded("depth").
+
+    A Lambdix error leaves without the frames it was raised through: at
+    the depth limit they are some 300,000, and formatting such a traceback
+    (as a test runner does for a failing test) takes minutes. The error's
+    category and message are what reports it."""
     if sys.getrecursionlimit() < RECURSION_LIMIT:
         sys.setrecursionlimit(RECURSION_LIMIT)
     try:
         return fn(*args, **kwargs)
     except RecursionError:
         raise LimitExceeded("depth") from None
+    except LambdixError as e:
+        raise e.with_traceback(None)
 
 
 def call_on_reserved_stack(fn, *args, **kwargs):

@@ -7,7 +7,8 @@ state, and evaluates under exactly one strategy:
           are computed eagerly;
   need  - all of those are suspended as memoized thunks, forced at most once,
           with strict primitives still strict; a literal or local argument
-          is passed on as it is (see the `delay` methods).
+          is passed on as it is, and a total primitive on operands already
+          computed is applied (see the `delay` methods).
 
 Under need a closure call also passes its callee's demand prefix evaluated
 (analyzer.demand_prefix): the parameters the body forces first, in the
@@ -20,6 +21,21 @@ and shallower than a forcing inside the body would, so a step or depth
 limit can be reached at a different point. A top-level definition of a
 strict primitive's name turns prefixes off for the interpreter, since they
 assume that name still names the primitive.
+
+Cheap eagerness: where a need run would suspend a primitive-shaped
+application (a closure argument or a cons component), its `delay` applies
+it at once when the primitive is total on the operands (car and cdr of a
+pair, nullist and atom of any value, + - * < <= > >= = of two integers),
+each operand is a literal or a local whose slot holds a value or a forced
+thunk's memo, and the name still holds the primitive of that name;
+otherwise, and on overflow, it makes the usual thunk. Such an application
+cannot fail, print or call a closure, and reads only values that exist
+already, so it yields what its forcing would have. What moves is depth:
+no forcing frame, and no chain of suspended sums behind an accumulator.
+The one other difference is late binding: a top-level definition of the
+primitive's name made after the application was computed no longer
+reaches it, as under value. It counts what its forcing would have: one
+elided suspension, the head lookup and one lookup per local operand.
 
 Each analyzed node class has one `ev(interp, struct)` method, defined at
 the end of this module; `struct` is the level whose environment the node

@@ -8,6 +8,14 @@ main interpreter's analyzer or environment machinery shows up as a
 divergence. It shares the reader and the value representation with the main
 interpreter, nothing else.
 
+Under need it applies the same suspension rule, written separately
+(Oracle.suspend): a literal argument is its value, a symbol bound in a
+local frame passes what its slot holds, and a total primitive on operands
+already computed is applied (cheap eagerness); anything else is suspended.
+The rule moves only depth (and what a later redefinition of a primitive's
+name reaches), so with it both interpreters finish an accumulator loop
+that would otherwise build a chain of thunks as deep as the loop.
+
 Also here: a seeded random program generator (closed terms over the builtin
 vocabulary) and the differential runner that compares printed forms and
 error categories between the two interpreters.

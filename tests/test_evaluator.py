@@ -62,6 +62,22 @@ def test_depth_limit_reported_as_limit():
     assert outcome.payload == "depth"
 
 
+@pytest.mark.parametrize("strategy", ["value", "need"])
+def test_errors_leave_without_the_interpreted_frames(strategy):
+    # a traceback through every level of the recursion would take a test
+    # runner minutes to format at the default depth limit
+    import traceback
+    interp, _ = make_interp(strategy, depth_limit=20_000)
+    with pytest.raises(LimitExceeded) as exc:
+        interp.eval_source("(de (r n) (r (+ n 1))) (r 0)")
+    assert len(list(traceback.walk_tb(exc.value.__traceback__))) < 10
+    with pytest.raises(EvalError) as exc:
+        interp.eval_source("(de (d n) (if (< n 1) (car 0) (d (- n 1))))"
+                           " (d 10000)")
+    assert exc.value.category == "type"
+    assert len(list(traceback.walk_tb(exc.value.__traceback__))) < 10
+
+
 # Each shape recurses back into `down` through a primitive's arguments or
 # through excla; all must reach 99,000 deep on the caller's stack.
 DEEP_SHAPES = {
