@@ -375,22 +375,16 @@ class Oracle:
         slot holds, a total primitive on computed operands is applied, and
         anything else is a new suspension."""
         t = type(sx)
-        if t is SNum:
-            return sx.value
-        if t is SStr:
-            return sx.text
-        if t is SEmbed:
-            return sx.value
         if t is SSym:
             slot = self._local(sx.name, env)
             if slot is not None:
                 return slot
-        elif t is SList:
-            if not sx.items:
-                return EMPTY
+        elif t is SList and sx.items:
             v = self._cheap(sx.items, env)
             if v is not None:
                 return v
+        else:
+            return self._computed(sx, env)  # a literal, () included
         return Thunk(sx, env)
 
     def _local(self, name, env):
