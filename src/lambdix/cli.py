@@ -12,7 +12,7 @@ import sys
 
 from . import bench
 from .corpus import run_corpus
-from .deep import call_on_reserved_stack
+from .deep import call_on_reserved_stack, call_with_deep_stack
 from .errors import LambdixError, LimitExceeded, ReadError
 from .evaluator import Interpreter
 from .oracle import differential_run, generate_program
@@ -86,9 +86,11 @@ def _read_eval_loop(interp):
             continue
         buffer += line + "\n"
         try:
-            forms = read_program(buffer)
-        except ReadError as e:
-            if e.incomplete:
+            # read under evaluation's recursion policy: a form too deep for
+            # it is reported as the depth limit
+            forms = call_with_deep_stack(read_program, buffer)
+        except LambdixError as e:
+            if isinstance(e, ReadError) and e.incomplete:
                 continue
             print(f"** error - {e.message} **")
             buffer = ""
@@ -100,7 +102,12 @@ def _read_eval_loop(interp):
             except LambdixError as e:
                 print(f"** error - {e.message} **")
             except KeyboardInterrupt:
-                # every install is undone by a finally on the way out
+                # a finally undoes each install on the way out, unless the
+                # interrupt landed between an install and its try; between
+                # forms no structure but the top has a current block
+                for s in interp.structs:
+                    if s is not interp.top_struct:
+                        s.current_block = None
                 print("** interrupted **")
                 break
 

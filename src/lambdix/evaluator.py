@@ -13,9 +13,11 @@ state, and evaluates under exactly one strategy:
 Under need a closure call also passes its callee's demand prefix evaluated
 (analyzer.demand_prefix): the parameters the body forces first, in the
 order it forces them, before any effect, failing operation, branch,
-closure call or outer read. The call checks its arity, evaluates those
-arguments in the caller's environment in that order, suspends the rest and
-only then runs the body, so effects and errors keep their order. What
+closure call or outer read. A call with the callee's argument count
+evaluates those arguments in the caller's environment in that order,
+suspends the rest (all of them when the prefix is empty) and only then
+runs the body, so effects and errors keep their order; any other call
+suspends every argument, and new_block reports the wrong count. What
 moves is the depth: those arguments now run before the call's depth check
 and shallower than a forcing inside the body would, so a step or depth
 limit can be reached at a different point. A top-level definition of a
@@ -316,71 +318,58 @@ def _ev_app(self, interp, struct):
     if type(head) is Thunk:
         head = interp._force(head)
     args = self.args
-    n = len(args)
     t = type(head)
     if t is Primitive:
-        # every primitive takes one or two arguments; lazy ones take two
-        if n != head.arity:
+        # a primitive reached as a value, or called with the wrong arity;
+        # the one lazy primitive, cons, takes two arguments
+        if len(args) != head.arity:
             raise EvalError(f"{head.name}: expected {head.arity} "
-                            f"argument(s), got {n}", "arity")
+                            f"argument(s), got {len(args)}", "arity")
         if head.lazy and interp.lazy:
             cb = struct.current_block
             return head.fn(interp, args[0].delay(interp, cb),
                            args[1].delay(interp, cb))
-        a = args[0].ev(interp, struct)
-        if type(a) is Thunk:
-            a = interp._force(a)
-        if n == 1:
-            return head.fn(interp, a)
-        b = args[1].ev(interp, struct)
-        if type(b) is Thunk:
-            b = interp._force(b)
+        vals = []
+        for a in args:
+            v = a.ev(interp, struct)
+            if type(v) is Thunk:
+                v = interp._force(v)
+            vals.append(v)
         if head.lazy:
             # a strict run still counts the positions a lazy run would
             # suspend, for like-for-like cost comparisons
             interp.counters.thunks_created += 2
-        return head.fn(interp, a, b)
+        return head.fn(interp, *vals)
     if t is not Closure:
         raise EvalError("cannot apply a value that is not a function", "type")
     interp.steps += 1
     if interp.steps > interp.step_limit:
         raise LimitExceeded("step")
     callee = head.struct
-    # arities 1-3 are spelled out: a list comprehension costs a function
-    # object and a frame on every call
     if interp.lazy:
         cb = struct.current_block
-        demand = callee.demand
-        if demand and n == len(callee.params) and interp.demanding:
-            # the body would force these arguments before anything else,
-            # in this order: evaluate them here instead of suspending them,
-            # and suspend only the rest
+        if interp.demanding and len(args) == len(callee.params):
+            # the body would force the demand prefix before anything else,
+            # in this order: evaluate those arguments here, and suspend the
+            # rest (every parameter when the prefix is empty)
+            demand = callee.demand
             interp.counters.thunks_elided += len(demand)
-            if n == 1:
-                v = args[0].ev(interp, struct)
+            vals = [None] * len(args)
+            for i in demand:
+                v = args[i].ev(interp, struct)
                 if type(v) is Thunk:
                     v = interp._force(v)
-                vals = [v]
-            else:
-                vals = [None] * n
-                for i in demand:
-                    v = args[i].ev(interp, struct)
-                    if type(v) is Thunk:
-                        v = interp._force(v)
-                    vals[i] = v
-                for i in callee.suspend:
-                    vals[i] = args[i].delay(interp, cb)
-        elif n == 1:
-            vals = [args[0].delay(interp, cb)]
-        elif n == 2:
-            vals = [args[0].delay(interp, cb), args[1].delay(interp, cb)]
-        elif n == 3:
-            vals = [args[0].delay(interp, cb), args[1].delay(interp, cb),
-                    args[2].delay(interp, cb)]
+                vals[i] = v
+            for i in callee.suspend:
+                vals[i] = args[i].delay(interp, cb)
         else:
+            # a wrong argument count (new_block reports it) or prefixes off
             vals = [a.delay(interp, cb) for a in args]
     else:
-        # a strict run counts every position a lazy run delays
+        # a strict run counts every position a lazy run delays; arities 1-3
+        # are spelled out, as a list comprehension costs a function object
+        # and a frame on every call
+        n = len(args)
         interp.counters.thunks_created += n
         if n == 1:
             vals = [args[0].ev(interp, struct)]
@@ -603,16 +592,14 @@ Outcome = namedtuple("Outcome", "kind payload output")
 # kind "error": payload = (category, message)
 
 
-def run_with_limit(text, strategy, step_limit, depth_limit=100_000,
-                   print_items=100, print_nesting=20):
+def run_with_limit(text, strategy, step_limit, depth_limit=100_000):
     """Evaluate a whole program under a step budget; divergence comes back
     as a distinct outcome instead of a hang."""
     if step_limit <= 0:
         raise ValueError("step limit must be positive")
     out = io.StringIO()
     interp = Interpreter(strategy=strategy, step_limit=step_limit,
-                         depth_limit=depth_limit, print_items=print_items,
-                         print_nesting=print_nesting, out=out)
+                         depth_limit=depth_limit, out=out)
     try:
         rendered = interp.eval_source_rendered(text)
         return Outcome("value", tuple(rendered), out.getvalue())

@@ -28,7 +28,7 @@ from collections import namedtuple
 
 from .deep import call_on_reserved_stack, call_with_deep_stack
 from .errors import AnalysisError, EvalError, LambdixError, LimitExceeded
-from .evaluator import UNLIMITED, run_with_limit
+from .evaluator import UNLIMITED, Outcome, run_with_limit
 from .reader import INT_MAX, INT_MIN, SEmbed, SList, SNum, SStr, SSym, read_program
 from .values import (TH_BUSY, TH_DONE, TH_NEW, EMPTY, Closure, EmptyList,
                      Pair, Primitive, Sym, Thunk, datum_to_source,
@@ -492,34 +492,35 @@ DiffResult = namedtuple("DiffResult", "main oracle equal")
 
 
 def _oracle_outcome(text, strategy, step_limit, depth_limit):
+    """run_with_limit's driver for the oracle: the same Outcome shape."""
     out = io.StringIO()
     oracle = Oracle(strategy=strategy, step_limit=step_limit,
                     depth_limit=depth_limit, out=out)
     try:
         rendered = call_with_deep_stack(call_on_reserved_stack,
                                         oracle.eval_source_rendered, text)
-        return ("value", tuple(rendered), out.getvalue())
-    except LimitExceeded:
-        return ("limit", None, out.getvalue())
+        return Outcome("value", tuple(rendered), out.getvalue())
+    except LimitExceeded as e:
+        return Outcome("limit", e.kind, out.getvalue())
     except LambdixError as e:
-        return ("error", e.category, out.getvalue())
+        return Outcome("error", (e.category, e.message), out.getvalue())
 
 
 def differential_run(text, strategy, step_limit=10_000, depth_limit=100_000):
     """Run one program through both interpreters; equality compares printed
-    forms and error categories. Limit-exceeded on both sides counts as
-    equal."""
+    output and the rendered results or the error category. Limit-exceeded
+    on both sides counts as equal."""
     m = run_with_limit(text, strategy, step_limit, depth_limit)
     o = _oracle_outcome(text, strategy, step_limit, depth_limit)
-    if m.kind != o[0]:
+    if m.kind != o.kind:
         equal = False
     elif m.kind == "limit":
         equal = True
     elif m.kind == "value":
-        equal = m.payload == o[1] and m.output == o[2]
+        equal = m.payload == o.payload and m.output == o.output
     else:
-        equal = m.payload[0] == o[1] and m.output == o[2]
-    return DiffResult((m.kind, m.payload, m.output), o, equal)
+        equal = m.payload[0] == o.payload[0] and m.output == o.output
+    return DiffResult(m, o, equal)
 
 
 # ---------------------------------------------------------------------------

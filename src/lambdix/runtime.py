@@ -24,6 +24,11 @@ owners walk the chain.
 Variable access reads one slot of one structure's current block; the
 analyzer resolves the owning structure ahead of time. Global access is a
 hash-table fetch. Everything is counted.
+
+An install calls no hook. Every install goes through the `install`
+attribute of one Runtime instance, so an observer wraps that method on the
+instance and reads the switch counters around each call (observe_installs
+in tests/conftest.py).
 """
 
 from .errors import EvalError
@@ -77,8 +82,6 @@ class Runtime:
         counters.blocks_allocated += 1
         top_struct.current_block = self.top_block
         self.top_table = {}
-        # test hook: called with (struct, tests, assignments) after each install
-        self.install_observer = None
 
     def new_block(self, struct, args, defining_block):
         """A block for one entry into `struct`; it takes over the fresh list
@@ -134,8 +137,6 @@ class Runtime:
         c = self.counters
         c.switch_tests += tests
         c.switch_assignments += assignments
-        if self.install_observer is not None:
-            self.install_observer(struct, tests, assignments)
         return log
 
     def restore(self, log):

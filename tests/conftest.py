@@ -23,6 +23,24 @@ def run(text, strategy="need", **kwargs):
     return rendered, out.getvalue(), interp
 
 
+def observe_installs(rt, fn):
+    """Call fn(struct, tests, assignments) after every install on `rt`,
+    with the install's struct and its switch counts, by wrapping that
+    method on this one instance; the counts are the counters' deltas."""
+    install = rt.install
+    c = rt.counters
+
+    def observed_install(block):
+        tests, assignments = c.switch_tests, c.switch_assignments
+        log = install(block)
+        fn(block.owner, c.switch_tests - tests,
+           c.switch_assignments - assignments)
+        return log
+
+    rt.install = observed_install
+    return rt
+
+
 def check_switches(rt, structs):
     """Assert chain coherence after every install and every restore on `rt`
     by wrapping those two methods on this one instance. `structs` is the

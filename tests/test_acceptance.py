@@ -7,7 +7,7 @@ from the implementation under test.
 
 import time
 
-from conftest import STEP_LIMIT, make_interp
+from conftest import STEP_LIMIT, make_interp, observe_installs
 from lambdix.bench import program_source, run_program, run_suite
 from lambdix.corpus import CORPUS, run_corpus
 from lambdix.evaluator import run_with_limit
@@ -87,7 +87,8 @@ def test_criterion_3a_self_recursion_cost():
         interp, _ = make_interp("need")
         interp.eval_source(FIB)
         per_install = []
-        interp.rt.install_observer = lambda s, t, a: per_install.append((t, a))
+        observe_installs(interp.rt,
+                         lambda s, t, a: per_install.append((t, a)))
         interp.eval_source("(fib 15)")
         assert all(t == 1 and a <= 1 for t, a in per_install if t > 0)
 
@@ -119,8 +120,8 @@ def test_criterion_3b_nested_let_hand_trace():
         #   (probe 20): same                                      -> 5t 5a
         interp, _ = make_interp("value")
         per_install = []
-        interp.rt.install_observer = \
-            lambda s, t, a: per_install.append((s, t, a))
+        observe_installs(interp.rt,
+                         lambda s, t, a: per_install.append((s, t, a)))
         interp.eval_source(NESTED_LET)
         total_tests = sum(t for _, t, _ in per_install)
         total_assigns = sum(a for _, _, a in per_install)

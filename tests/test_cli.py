@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from lambdix import cli as cli_module
+from lambdix import deep
 from lambdix.corpus import run_corpus
 from lambdix.evaluator import Interpreter
 from lambdix.values import Primitive
@@ -290,6 +291,85 @@ def test_repl_interrupt_returns_to_prompt(strategy, monkeypatch, capsys):
     assert len(after) == len(before)
     assert all(a is b for (_, a), (_, b) in zip(before, after))
     assert made[0].depth == 0
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+def test_repl_interrupt_between_an_install_and_its_try(strategy, monkeypatch,
+                                                       capsys):
+    # Ctrl-C is simulated right after the real install of a let's block
+    # returns, before the try that would restore it: that install's log is
+    # lost, and only the REPL can clear the link it set
+    made = []
+
+    def make_interp(args, out=None):
+        interp = Interpreter(strategy=args.strategy, out=out)
+        install = interp.rt.install
+        fired = []
+
+        def interrupted_install(block):
+            log = install(block)
+            if block.owner.depth == 2 and not fired:
+                fired.append(block)
+                raise KeyboardInterrupt
+            return log
+
+        interp.rt.install = interrupted_install
+        made.append(interp)
+        return interp
+
+    lines = iter(["(de (f x) (let ((de y (+ x 1))) (* y 10)))",
+                  "(f 1)", "(f 2)"])
+    stale = []
+
+    def fake_input(prompt):
+        interp = made[0]
+        stale.append([s for s in interp.structs
+                      if s is not interp.top_struct
+                      and s.current_block is not None])
+        try:
+            return next(lines)
+        except StopIteration:
+            raise EOFError from None
+
+    monkeypatch.setattr(cli_module, "_make_interp", make_interp)
+    monkeypatch.setattr("builtins.input", fake_input)
+    assert cli_module.main(["repl", "--strategy", strategy]) == 0
+    assert capsys.readouterr().out == "= f\n** interrupted **\n= 30\n\n"
+    assert stale == [[], [], [], []]
+
+
+def test_repl_reads_a_deeply_nested_first_form():
+    # the first form is read before any evaluation has raised the
+    # recursion limit
+    form = "'" + "(" * 3000 + ")" * 3000
+    proc = cli("repl", stdin=form + "\n(+ 1 2)\n")
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "$ = " + "(" * 20 + "..." + ")" * 20 + "\n$ = 3\n" in proc.stdout
+
+
+def test_repl_reports_a_form_too_deep_to_read(monkeypatch, capsys):
+    # a recursion policy of 2,000 frames stands in for one that a form
+    # outgrows; the session goes on
+    lines = iter(["'" + "(" * 3000 + ")" * 3000, "(+ 1 2)"])
+
+    def fake_input(prompt):
+        try:
+            return next(lines)
+        except StopIteration:
+            raise EOFError from None
+
+    monkeypatch.setattr("builtins.input", fake_input)
+    monkeypatch.setattr(deep, "RECURSION_LIMIT", 2000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(2000)
+    try:
+        status = cli_module.main(["repl"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert status == 0
+    assert capsys.readouterr().out == \
+        "** error - depth limit exceeded **\n= 3\n\n"
 
 
 def test_repl_interrupt_at_the_prompt_drops_the_partial_form(monkeypatch,

@@ -1,14 +1,15 @@
+import io
 import resource
 import sys
 import threading
 
 import pytest
 
-from conftest import make_interp, run
+from conftest import make_interp, observe_installs, run
 from lambdix.deep import RECURSION_LIMIT
 from lambdix.errors import EvalError, LimitExceeded
 from lambdix.evaluator import run_with_limit
-from lambdix.oracle import differential_run
+from lambdix.oracle import Oracle, differential_run
 from lambdix.values import TH_DONE, Primitive, Thunk
 
 F_EXAMPLE = "(de (f x y) (if (< x 0) 1 (f (- x 1) (f x y))))"
@@ -107,8 +108,8 @@ def test_recursion_through_lazy_car_99000_deep():
 def test_evaluation_runs_on_the_calling_thread():
     interp, _ = make_interp("need")
     threads = set()
-    interp.rt.install_observer = \
-        lambda s, t, a: threads.add(threading.get_ident())
+    observe_installs(interp.rt,
+                     lambda s, t, a: threads.add(threading.get_ident()))
     interp.eval_source("(de (f x) (+ x 1)) (f 1)")
     assert threads == {threading.get_ident()}
 
@@ -594,6 +595,34 @@ def test_cheap_eagerness_agrees_with_the_oracle(name, strategy):
     else:
         assert (result.main[0], result.main[2]) == ("value", expected)
     assert result.equal
+
+
+# (program, printed by eval_source under need); every other run prints 3
+TOP_LEVEL_FORCING = {
+    "de-then-redefine": ("(de x (+ 1 2)) (de + -) (print x)", "-1\n"),
+    "closure-then-redefine": (
+        "(de (mk a) (lambda () a)) (de c (mk (+ 1 2))) (de + -)"
+        " (print (c))", "-1\n"),
+}
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+@pytest.mark.parametrize("name", sorted(TOP_LEVEL_FORCING))
+def test_top_level_definition_is_forced_when_used_unless_rendered(name,
+                                                                  strategy):
+    # under need a top-level de stays suspended until it is used, here
+    # after + names -, unless rendering each form's value forces it as it
+    # is made (the REPL, eval_source_rendered); differential_run renders,
+    # so it cannot see the unrendered path
+    text, by_need = TOP_LEVEL_FORCING[name]
+    interp, out = make_interp(strategy)
+    interp.eval_source(text)
+    oracle_out = io.StringIO()
+    Oracle(strategy=strategy, out=oracle_out).eval_source(text)
+    assert out.getvalue() == oracle_out.getvalue()
+    _, rendered_out, _ = run(text, strategy)
+    expected = by_need if strategy == "need" else "3\n"
+    assert (out.getvalue(), rendered_out) == (expected, "3\n")
 
 
 def test_cheap_eagerness_counts_what_the_forcing_would():

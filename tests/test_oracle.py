@@ -1,52 +1,39 @@
-import io
-
 import pytest
 
 from lambdix.builtins import make_primitives
 from lambdix.corpus import CORPUS, check_outcome
-from lambdix.deep import call_on_reserved_stack, call_with_deep_stack
-from lambdix.errors import LambdixError, LimitExceeded
 from lambdix.evaluator import Outcome
-from lambdix.oracle import (Oracle, ProgramGen, _prims, differential_run,
-                            generate_program, render_program)
+from lambdix.oracle import (Oracle, ProgramGen, _oracle_outcome, _prims,
+                            differential_run, generate_program,
+                            render_program)
 
 
-def oracle_outcome(text, strategy, step_limit=1_000_000, depth_limit=20_000):
-    out = io.StringIO()
-    oracle = Oracle(strategy=strategy, step_limit=step_limit,
-                    depth_limit=depth_limit, out=out)
-    try:
-        rendered = call_with_deep_stack(call_on_reserved_stack,
-                                        oracle.eval_source_rendered, text)
-        return Outcome("value", tuple(rendered), out.getvalue())
-    except LimitExceeded as e:
-        return Outcome("limit", e.kind, out.getvalue())
-    except LambdixError as e:
-        return Outcome("error", (e.category, e.message), out.getvalue())
+# run_corpus's step and depth limits
+BOUNDS = (1_000_000, 20_000)
 
 
 def test_oracle_passes_golden_corpus():
     failures = []
     for entry in CORPUS:
         for strategy, expectation in entry["expect"].items():
-            outcome = oracle_outcome(entry["text"], strategy)
+            outcome = _oracle_outcome(entry["text"], strategy, *BOUNDS)
             if not check_outcome(outcome, expectation):
                 failures.append((entry["name"], strategy, outcome))
     assert not failures
 
 
 def test_oracle_identity_example():
-    outcome = oracle_outcome(
+    outcome = _oracle_outcome(
         "(de (apply f x) (f x))"
         " (de (Identity x) (apply (lambda (y) x) 2))"
-        " (Identity 45)", "value")
+        " (Identity 45)", "value", *BOUNDS)
     assert outcome.payload[-1] == "45"
 
 
 def test_oracle_upward_funarg():
-    outcome = oracle_outcome(
+    outcome = _oracle_outcome(
         "(de (BuildConstFunc x) (lambda (y) x)) ((BuildConstFunc 0) 2)",
-        "need")
+        "need", *BOUNDS)
     assert outcome.payload[-1] == "0"
 
 
@@ -57,9 +44,12 @@ def test_differential_trivial_program():
 
 def test_differential_reports_outcomes():
     result = differential_run("(+ 1 2)", "value")
-    assert result.main[0] == "value"
-    assert result.oracle[0] == "value"
+    # both sides in run_with_limit's shape
+    assert result.main == result.oracle == Outcome("value", ("3",), "")
     assert result.equal
+    result = differential_run("(car 1)", "need")
+    assert result.main == result.oracle == Outcome(
+        "error", ("type", "car: expected a pair"), "")
 
 
 @pytest.mark.parametrize("strategy", ["value", "need"])
@@ -178,8 +168,11 @@ def test_differential_sharing_hazards(name):
 
 # Effect order of demanded arguments: under need, a call evaluates the
 # parameters its callee forces first, in the order the body forces them,
-# after checking the arity and before the body runs. Each entry gives, per
-# strategy, (outcome kind, error category or limit kind, printed output).
+# after checking the arity and before the body runs; a callee that demands
+# nothing has every argument suspended. A primitive reached as a value
+# evaluates its arguments left to right, except cons under need, which
+# suspends both. Each entry gives, per strategy, (outcome kind, error
+# category or limit kind, printed output).
 TAK = ("(de (tak x y z) (if (< y x) (tak (tak (- x 1) y z) (tak (- y 1) z x)"
        " (tak (- z 1) x y)) z)) ")
 EFFECT_ORDER = {
@@ -206,6 +199,26 @@ EFFECT_ORDER = {
         "(de (f x) (+ x 1)) (print (let ((s (f s))) s))",
         {"value": ("error", "undefined", ""),
          "need": ("error", "cyclic", "")}),
+    "four-arguments-none-demanded": (
+        "(de (f a b c d) (cons d (cons c (cons b a))))"
+        " (print (f (print 1) (print 2) (print 3) (print 4)))",
+        {"value": ("value", None, "1\n2\n3\n4\n(4 3 2 . 1)\n"),
+         "need": ("value", None, "4\n3\n2\n1\n(4 3 2 . 1)\n")}),
+    "one-argument-primitive-as-a-value": (
+        "(de (ap f x) (f x)) (print (ap car (print '(1 2))))",
+        {"value": ("value", None, "(1 2)\n1\n"),
+         "need": ("value", None, "(1 2)\n1\n")}),
+    "two-argument-primitive-as-a-value": (
+        "(de (ap f x y) (f x y)) (print (ap + (print 1) (print 2)))",
+        {"value": ("value", None, "1\n2\n3\n"),
+         "need": ("value", None, "1\n2\n3\n")}),
+    "cons-as-a-value": (
+        "(de (ap f x y) (f x y)) (print (ap cons (print 1) (print 2)))",
+        {"value": ("value", None, "1\n2\n(1 . 2)\n"),
+         "need": ("value", None, "1\n2\n(1 . 2)\n")}),
+    "cons-as-a-value-with-an-unused-failure": (
+        "(de (ap f x y) (f x y)) (print (car (ap cons 1 (car 5))))",
+        {"value": ("error", "type", ""), "need": ("value", None, "1\n")}),
 }
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import check_switches, make_interp
+from conftest import check_switches, make_interp, observe_installs
 from lambdix.analyzer import LambdaStruct
 from lambdix.errors import EvalError
 from lambdix.oracle import generate_program
@@ -104,7 +104,7 @@ def test_restore_replays_in_reverse():
 def test_installing_the_top_block_is_free():
     rt, counters, structs, blocks = chain(1)
     seen = []
-    rt.install_observer = lambda s, t, a: seen.append((s, t, a))
+    observe_installs(rt, lambda s, t, a: seen.append((s, t, a)))
     before = counters.snapshot()
     log = rt.install(rt.top_block)
     assert log == []
@@ -122,7 +122,7 @@ def test_three_level_round_trip_restores_every_block():
     rt, counters, structs, blocks = chain(3)
     alt = rt.new_block(structs[2], [99], blocks[1])
     shapes = []
-    rt.install_observer = lambda s, t, a: shapes.append((t, a))
+    observe_installs(rt, lambda s, t, a: shapes.append((t, a)))
     states, logs = [], []
     for block in (blocks[0], blocks[2], blocks[2], alt, rt.top_block):
         states.append([s.current_block for s in structs])
@@ -140,7 +140,7 @@ def test_install_walks_the_block_owners_chain():
     # and the observer still receives the struct
     rt, counters, structs, blocks = chain(3)
     seen = []
-    rt.install_observer = lambda s, t, a: seen.append((s, t, a))
+    observe_installs(rt, lambda s, t, a: seen.append((s, t, a)))
     rt.install(blocks[1])
     assert seen == [(structs[1], 2, 2)]
     assert [s.current_block for s in structs] == [blocks[0], blocks[1], None]
@@ -205,7 +205,8 @@ def test_instrumented_installs_respect_depth_bound():
     for strategy in ("value", "need"):
         interp, _ = make_interp(strategy)
         records = []
-        interp.rt.install_observer = lambda s, t, a: records.append((s, t, a))
+        observe_installs(interp.rt,
+                         lambda s, t, a: records.append((s, t, a)))
         interp.eval_source(
             "(de (make) (let ((de a 1)) (let ((de b 2)) (lambda (q) (+ a (+ b q))))))"
             " (de probe (make)) (probe 1) (probe 2)")
