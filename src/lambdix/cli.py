@@ -78,6 +78,9 @@ def _read_eval_loop(interp):
             line = input(prompt)
         except EOFError:
             print()
+            if buffer:
+                # the input ended inside a form: report it as `run` does
+                print(f"** error - {incomplete.message} **")
             break
         except KeyboardInterrupt:
             # Ctrl-C at the prompt drops the partial form
@@ -91,6 +94,7 @@ def _read_eval_loop(interp):
             forms = call_with_deep_stack(read_program, buffer)
         except LambdixError as e:
             if isinstance(e, ReadError) and e.incomplete:
+                incomplete = e
                 continue
             print(f"** error - {e.message} **")
             buffer = ""

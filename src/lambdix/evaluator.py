@@ -51,16 +51,21 @@ only while the name still holds a primitive of that arity; otherwise it
 evaluates as the general application (`_ev_app`) it also is, so late
 binding, error messages and counts stay those of any application.
 
-Forcing (`_force`) answers a forced thunk from its memo first thing. A new
-thunk whose expression yields a value is run and memoized in straight-line
-code; only an expression that yields another thunk (car and cdr return
-components unforced) walks the memo chain. car, cdr and cadr cut forced
-components out of the pairs they read (builtins.py), so a list does not
-keep its used-up thunks alive. Local slots are not rewritten the same way:
-later reads of a rewritten slot skip `_force`, and on the benchmark's
-suite-need workload the `_force` calls then fall below the forcings
-(184,344 against 184,800, as one call memoizes a whole chain), which
-breaks its tracer's check that every forcing is seen in a `_force` call.
+Forcing (`_force`) answers a forced thunk from its memo first thing. Any
+other forcing is one loop: it puts each thunk it takes on a path before
+blackholing it, follows an expression that yields another thunk (car and
+cdr return components unforced) to the value the chain ends in, and
+memoizes that value on every thunk of the path. Its one handler undoes it
+from saved state, wherever an error or a Ctrl-C lands: the depth goes back
+to its value on entry, and every thunk on the path still busy is new again
+with no memo. An application undoes its depth and its install in one
+`finally` the same way. car, cdr and cadr cut forced components out of the
+pairs they read (builtins.py), so a list does not keep its used-up thunks
+alive. Local slots are not rewritten the same way: later reads of a
+rewritten slot skip `_force`, and on the benchmark's suite-need workload
+the `_force` calls then fall below the forcings (184,344 against 184,800,
+as one call memoizes a whole chain), which breaks its tracer's check that
+every forcing is seen in a `_force` call.
 
 A "step" is one application of a closure; step and depth limits turn
 divergence into a reported outcome rather than a hang.
@@ -169,74 +174,59 @@ class Interpreter:
     # -- forcing ---------------------------------------------------------------
 
     def _force(self, th):
-        # A forced thunk answers from its memo at once, and a thunk whose
-        # expression yields a value is memoized without a path. A thunk
-        # whose expression yields another thunk (car and cdr return
-        # unforced components) waits on `path`, still busy, until the chain
-        # reaches a value; then every thunk on it memoizes that value, so a
-        # memo is never a thunk and a chain is walked once. A chain that
-        # leads back to one of its own thunks is a cycle.
-        state = th.state
-        if state == TH_DONE:
+        # Each thunk taken stays busy on `path` until the chain reaches a
+        # value; then every thunk on it memoizes that value, so a memo is
+        # never a thunk and a chain is walked once. A busy thunk met on the
+        # way is a cycle.
+        if th.state == TH_DONE:
             return th.memo
-        path = None
+        depth = self.depth
+        rt = self.rt
+        path = []
         try:
             while True:
-                if state != TH_NEW:
-                    if state == TH_DONE:
-                        v = th.memo
-                        break
+                state = th.state
+                if state == TH_DONE:
+                    v = th.memo
+                    break
+                if state == TH_BUSY:
                     raise EvalError("cyclic definition: a value depends on "
                                     "itself", "cyclic")
-                depth = self.depth + 1
-                if depth > self.depth_limit:
+                if depth >= self.depth_limit:
                     raise LimitExceeded("depth")
-                self.depth = depth
+                path.append(th)
                 th.state = TH_BUSY
+                self.depth = depth + 1
                 block = th.block
-                rt = self.rt
+                log = rt.install(block)
                 try:
-                    log = rt.install(block)
-                    try:
-                        v = th.expr.ev(self, block.owner)
-                    finally:
-                        rt.restore(log)
-                except BaseException:
-                    # un-blackhole so a later retry reports the same error
-                    # instead of a bogus cycle
-                    th.state = TH_NEW
-                    raise
+                    v = th.expr.ev(self, block.owner)
                 finally:
-                    self.depth -= 1
+                    rt.restore(log)
+                self.depth = depth
                 if type(v) is not Thunk:
-                    # counted on memoization only, so forced never exceeds
-                    # created even across retries after errors
-                    self.counters.thunks_forced += 1
-                    th.memo = v
-                    th.state = TH_DONE
-                    # the memo is final: release the defining block, and
-                    # with it every sibling thunk that block holds
-                    th.expr = th.block = None
-                    if path is None:
-                        return v
                     break
-                if path is None:
-                    path = [th]
-                else:
-                    path.append(th)
                 th = v
-                state = th.state
+            # counted on memoization only, so forced never exceeds created
+            # even across retries after errors
+            self.counters.thunks_forced += len(path)
+            for t in path:
+                t.memo = v
+                t.state = TH_DONE
+                # the memo is final: release the defining block, and with
+                # it every sibling thunk that block holds
+                t.expr = t.block = None
+            return v
         except BaseException:
-            if path is not None:
-                for t in path:
+            # wherever an error or interrupt landed: a thunk left busy would
+            # report a bogus cycle on a retry, and _computed reads a memo
+            # that is not None as a value
+            self.depth = depth
+            for t in path:
+                if t.state == TH_BUSY:
                     t.state = TH_NEW
+                    t.memo = None
             raise
-        self.counters.thunks_forced += len(path)
-        for t in path:
-            t.memo = v
-            t.state = TH_DONE
-            t.expr = t.block = None
-        return v
 
     def force1(self, v):
         """Force to weak head normal form; identity on plain values."""
@@ -382,15 +372,14 @@ def _ev_app(self, interp, struct):
             vals = [a.ev(interp, struct) for a in args]
     rt = interp.rt
     log = rt.install(rt.new_block(callee, vals, head.block))
-    depth = interp.depth + 1
-    if depth > interp.depth_limit:
-        rt.restore(log)
-        raise LimitExceeded("depth")
-    interp.depth = depth
+    depth = interp.depth
     try:
+        if depth >= interp.depth_limit:
+            raise LimitExceeded("depth")
+        interp.depth = depth + 1
         return callee.body.ev(interp, callee)
     finally:
-        interp.depth -= 1
+        interp.depth = depth
         rt.restore(log)
 
 
@@ -438,12 +427,12 @@ def _ev_let(self, interp, struct):
     block = rt.new_block(L, [], struct.current_block)
     slots = block.slots
     interp.counters.thunks_created += len(self.bindings)
-    if interp.lazy:
-        for i, b in enumerate(self.bindings):
-            slots[i] = Thunk(b, block)
     log = rt.install(block)
     try:
-        if not interp.lazy:
+        if interp.lazy:
+            for i, b in enumerate(self.bindings):
+                slots[i] = Thunk(b, block)
+        else:
             # strict lets evaluate bindings top to bottom; reading a sibling
             # that has no value yet is an error (see LocalRef)
             for i, b in enumerate(self.bindings):
@@ -592,14 +581,16 @@ Outcome = namedtuple("Outcome", "kind payload output")
 # kind "error": payload = (category, message)
 
 
-def run_with_limit(text, strategy, step_limit, depth_limit=100_000):
+def run_with_limit(text, strategy, step_limit, depth_limit=100_000,
+                   engine=Interpreter):
     """Evaluate a whole program under a step budget; divergence comes back
-    as a distinct outcome instead of a hang."""
+    as a distinct outcome instead of a hang. `engine` is the interpreter
+    class (the oracle's differential side passes its own)."""
     if step_limit <= 0:
         raise ValueError("step limit must be positive")
     out = io.StringIO()
-    interp = Interpreter(strategy=strategy, step_limit=step_limit,
-                         depth_limit=depth_limit, out=out)
+    interp = engine(strategy=strategy, step_limit=step_limit,
+                    depth_limit=depth_limit, out=out)
     try:
         rendered = interp.eval_source_rendered(text)
         return Outcome("value", tuple(rendered), out.getvalue())

@@ -21,14 +21,13 @@ vocabulary) and the differential runner that compares printed forms and
 error categories between the two interpreters.
 """
 
-import io
 import random
 import sys
 from collections import namedtuple
 
 from .deep import call_on_reserved_stack, call_with_deep_stack
-from .errors import AnalysisError, EvalError, LambdixError, LimitExceeded
-from .evaluator import UNLIMITED, Outcome, run_with_limit
+from .errors import AnalysisError, EvalError, LimitExceeded
+from .evaluator import UNLIMITED, run_with_limit
 from .reader import INT_MAX, INT_MIN, SEmbed, SList, SNum, SStr, SSym, read_program
 from .values import (TH_BUSY, TH_DONE, TH_NEW, EMPTY, Closure, EmptyList,
                      Pair, Primitive, Sym, Thunk, datum_to_source,
@@ -113,8 +112,10 @@ class Oracle:
         return [self.eval_top(sx) for sx in read_program(text)]
 
     def eval_source_rendered(self, text):
-        return [self.render_value(self.eval_top(sx))
-                for sx in read_program(text)]
+        return call_with_deep_stack(
+            call_on_reserved_stack,
+            lambda: [self.render_value(self.eval_top(sx))
+                     for sx in read_program(text)])
 
     def render_value(self, v):
         return render(v, self.whnf, self.print_items, self.print_nesting)
@@ -166,27 +167,16 @@ class Oracle:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _bound(self, name, env):
-        e = env
-        while e is not None:
-            if name in e.vars:
-                return True
-            e = e.parent
-        return False
-
     def lookup(self, name, env):
-        e = env
-        while e is not None:
-            if name in e.vars:
-                v = e.vars[name]
-                if v is _LATER:
-                    raise EvalError(f"{name} is used before its definition",
-                                    "undefined")
-                return v
-            e = e.parent
-        if name in self.top:
-            return self.top[name]
-        raise EvalError(f"{name} not defined", "undefined")
+        v = self._local(name, env)
+        if v is None:
+            if name in self.top:
+                return self.top[name]
+            raise EvalError(f"{name} not defined", "undefined")
+        if v is _LATER:
+            raise EvalError(f"{name} is used before its definition",
+                            "undefined")
+        return v
 
     def eval(self, sx, env):
         t = type(sx)
@@ -207,7 +197,7 @@ class Oracle:
                 return EMPTY
             head = items[0]
             if (type(head) is SSym and head.name in _SPECIAL
-                    and not self._bound(head.name, env)):
+                    and self._local(head.name, env) is None):
                 return self._special(head.name, sx, env)
             f = self.eval(head, env)
             if type(f) is Thunk:
@@ -388,7 +378,8 @@ class Oracle:
         return Thunk(sx, env)
 
     def _local(self, name, env):
-        # the slot a local frame binds `name` to, or None
+        # the slot a local frame binds `name` to, or None (a slot never
+        # holds None)
         e = env
         while e is not None:
             if name in e.vars:
@@ -491,27 +482,12 @@ class Oracle:
 DiffResult = namedtuple("DiffResult", "main oracle equal")
 
 
-def _oracle_outcome(text, strategy, step_limit, depth_limit):
-    """run_with_limit's driver for the oracle: the same Outcome shape."""
-    out = io.StringIO()
-    oracle = Oracle(strategy=strategy, step_limit=step_limit,
-                    depth_limit=depth_limit, out=out)
-    try:
-        rendered = call_with_deep_stack(call_on_reserved_stack,
-                                        oracle.eval_source_rendered, text)
-        return Outcome("value", tuple(rendered), out.getvalue())
-    except LimitExceeded as e:
-        return Outcome("limit", e.kind, out.getvalue())
-    except LambdixError as e:
-        return Outcome("error", (e.category, e.message), out.getvalue())
-
-
 def differential_run(text, strategy, step_limit=10_000, depth_limit=100_000):
     """Run one program through both interpreters; equality compares printed
     output and the rendered results or the error category. Limit-exceeded
     on both sides counts as equal."""
     m = run_with_limit(text, strategy, step_limit, depth_limit)
-    o = _oracle_outcome(text, strategy, step_limit, depth_limit)
+    o = run_with_limit(text, strategy, step_limit, depth_limit, engine=Oracle)
     if m.kind != o.kind:
         equal = False
     elif m.kind == "limit":

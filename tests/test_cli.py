@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import resource
@@ -124,6 +125,16 @@ def test_unicode_digit_is_an_undefined_name(tmp_path):
 def test_repl_multiline_continuation():
     proc = cli("repl", stdin="(+ 1\n2)\n")
     assert "= 3" in proc.stdout
+
+
+def test_repl_reports_a_form_the_input_ends_inside():
+    proc = cli("repl", stdin="(print 1")
+    assert proc.returncode == 0
+    assert proc.stdout == ("$ + \n** error - 1:1: unbalanced parenthesis: "
+                           "'(' is never closed **\n")
+    proc = cli("repl", stdin="(+ 1 2)\n  ; a comment\n  ")
+    assert proc.returncode == 0
+    assert proc.stdout == "$ = 3\n$ $ $ \n"
 
 
 def test_repl_survives_errors():
@@ -336,6 +347,72 @@ def test_repl_interrupt_between_an_install_and_its_try(strategy, monkeypatch,
     assert cli_module.main(["repl", "--strategy", strategy]) == 0
     assert capsys.readouterr().out == "= f\n** interrupted **\n= 30\n\n"
     assert stale == [[], [], [], []]
+
+
+def _force_session(monkeypatch, capsys, target):
+    # a need session whose second form forces x, a chain of two thunks (car
+    # returns (f 2) unforced); while that form runs, a trace hook records
+    # each line of Interpreter._force that runs, and raises KeyboardInterrupt
+    # the first time the line `target` does. Returns the lines seen, the
+    # output and the interpreter's depth at the end.
+    code = Interpreter._force.__code__
+    seen = []
+    made = []
+
+    def make_interp(args, out=None):
+        made.append(Interpreter(strategy=args.strategy, out=out))
+        return made[0]
+
+    def local(frame, event, arg):
+        if event == "line":
+            if frame.f_lineno == target and target not in seen:
+                seen.append(target)
+                raise KeyboardInterrupt
+            seen.append(frame.f_lineno)
+        return local
+
+    def hook(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    forms = iter(["(de (f n) (+ n 1))", "(de x (car (cons (f 2) ())))", "x"])
+    previous = sys.gettrace()
+
+    def fake_input(prompt):
+        sys.settrace(previous)
+        form = next(forms, None)
+        if form is None:
+            raise EOFError
+        if form.startswith("(de x"):
+            sys.settrace(hook)
+        return form
+
+    monkeypatch.setattr(cli_module, "_make_interp", make_interp)
+    monkeypatch.setattr("builtins.input", fake_input)
+    try:
+        assert cli_module.main(["repl", "--strategy", "need"]) == 0
+    finally:
+        sys.settrace(previous)
+    return seen, capsys.readouterr().out, made[0].depth
+
+
+def test_repl_interrupt_on_any_line_of_force(monkeypatch, capsys):
+    # Ctrl-C is simulated on each line of _force that forcing x runs, one
+    # session per line: the thunks it left busy are new again and the depth
+    # is back, so x is still 3. A real SIGINT is delivered only at function
+    # entries and loop back-edges, so this is stricter. A bare `try:` line
+    # is skipped: CPython gives it no handler, and no SIGINT lands there.
+    seen, out, depth = _force_session(monkeypatch, capsys, None)
+    assert (out, depth) == ("= f\n= 3\n= 3\n\n", 0)
+    source, first = inspect.getsourcelines(Interpreter._force)
+    lines = sorted(n for n in set(seen) if source[n - first].strip() != "try:")
+    assert max(seen.count(n) for n in lines) > 1  # the chain is walked
+    failures = []
+    for line in lines:
+        seen, out, depth = _force_session(monkeypatch, capsys, line)
+        assert line in seen
+        if (out, depth) != ("= f\n** interrupted **\n= 3\n\n", 0):
+            failures.append((source[line - first].strip(), out, depth))
+    assert failures == []
 
 
 def test_repl_reads_a_deeply_nested_first_form():

@@ -2,8 +2,8 @@ import pytest
 
 from lambdix.builtins import make_primitives
 from lambdix.corpus import CORPUS, check_outcome
-from lambdix.evaluator import Outcome
-from lambdix.oracle import (Oracle, ProgramGen, _oracle_outcome, _prims,
+from lambdix.evaluator import Outcome, run_with_limit
+from lambdix.oracle import (Oracle, ProgramGen, _prims,
                             differential_run, generate_program,
                             render_program)
 
@@ -16,24 +16,25 @@ def test_oracle_passes_golden_corpus():
     failures = []
     for entry in CORPUS:
         for strategy, expectation in entry["expect"].items():
-            outcome = _oracle_outcome(entry["text"], strategy, *BOUNDS)
+            outcome = run_with_limit(entry["text"], strategy, *BOUNDS,
+                                     engine=Oracle)
             if not check_outcome(outcome, expectation):
                 failures.append((entry["name"], strategy, outcome))
     assert not failures
 
 
 def test_oracle_identity_example():
-    outcome = _oracle_outcome(
+    outcome = run_with_limit(
         "(de (apply f x) (f x))"
         " (de (Identity x) (apply (lambda (y) x) 2))"
-        " (Identity 45)", "value", *BOUNDS)
+        " (Identity 45)", "value", *BOUNDS, engine=Oracle)
     assert outcome.payload[-1] == "45"
 
 
 def test_oracle_upward_funarg():
-    outcome = _oracle_outcome(
+    outcome = run_with_limit(
         "(de (BuildConstFunc x) (lambda (y) x)) ((BuildConstFunc 0) 2)",
-        "need", *BOUNDS)
+        "need", *BOUNDS, engine=Oracle)
     assert outcome.payload[-1] == "0"
 
 
