@@ -15,10 +15,10 @@ suspends.
 
 An application whose head is a top-level name that names a primitive, with
 as many arguments as that primitive takes, becomes a PrimApp1 or PrimApp2
-instead of an App. The choice is made once, from the name alone: the
-evaluator checks at every call that the name still holds a primitive of
-that arity and otherwise evaluates the node as the App it also is, so a
-later definition of the name still takes effect.
+instead of an App, bound to that primitive. The choice is made once, from
+the name alone: the evaluator checks at every call that the name still
+holds that very primitive and otherwise evaluates the node as the App it
+also is, so a later definition of the name still takes effect.
 
 Original names are kept on every reference for diagnostics and reflection.
 The same compiled tree feeds both evaluation strategies.
@@ -125,25 +125,27 @@ class App:
 
 class PrimApp1(App):
     """An App of a top-level name that named a one-argument primitive when
-    it was analyzed; `name` and `a` spare the evaluator the head and tuple
-    reads."""
+    it was analyzed; `prim` is that primitive, and `name` and `a` spare the
+    evaluator the head and tuple reads."""
 
-    __slots__ = ("name", "a")
+    __slots__ = ("name", "prim", "a")
 
-    def __init__(self, head, args):
+    def __init__(self, head, args, prim):
         App.__init__(self, head, args)
         self.name = head.name
+        self.prim = prim
         self.a = self.args[0]
 
 
 class PrimApp2(App):
     """As PrimApp1, for a two-argument primitive."""
 
-    __slots__ = ("name", "a", "b")
+    __slots__ = ("name", "prim", "a", "b")
 
-    def __init__(self, head, args):
+    def __init__(self, head, args, prim):
         App.__init__(self, head, args)
         self.name = head.name
+        self.prim = prim
         self.a, self.b = self.args
 
 
@@ -284,8 +286,9 @@ class Analyzer:
         # every struct, the top pseudo-struct first; a struct's uid is its
         # index here
         self.registry = registry
-        # primitive name -> arity, for the primitive-shaped applications
-        self.arity = {name: p.arity for name, p in primitives.items()}
+        # primitive name -> the interpreter's primitive, for the
+        # primitive-shaped applications
+        self.primitives = primitives
         # strict primitive name -> arity, for demand_prefix
         self.strict = {name: p.arity for name, p in primitives.items()
                        if not p.lazy}
@@ -323,9 +326,10 @@ class Analyzer:
                 return self._special(head.name, sx, struct)
             compiled_head = self.analyze(head, struct)
             args = [self.analyze(a, struct) for a in items[1:]]
-            if (type(compiled_head) is TopRef
-                    and self.arity.get(compiled_head.name) == len(args)):
-                return _PRIM_APPS[len(args)](compiled_head, args)
+            if type(compiled_head) is TopRef:
+                prim = self.primitives.get(compiled_head.name)
+                if prim is not None and prim.arity == len(args):
+                    return _PRIM_APPS[len(args)](compiled_head, args, prim)
             return App(compiled_head, args)
         raise AnalysisError(f"cannot analyze {sx!r}")
 

@@ -6,14 +6,12 @@ strategies. The relative column is (value - need) / max(value, need) * 100,
 positive when the lazy strategy wins.
 """
 
-import hashlib
 import io
 import json
 import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .evaluator import Interpreter
@@ -41,20 +39,28 @@ def program_source(name, strategy):
     return resources.files("lambdix").joinpath(f"programs/{filename}").read_text()
 
 
-@dataclass
 class BenchResult:
-    program: str
-    strategy: str
-    median_ms: float
-    counters: dict
-    digest: str
-    output: str
-    pct_diff: float | None = field(default=None)
-    min_ms: float | None = field(default=None)
-    max_ms: float | None = field(default=None)
+    """One program under one strategy: the median time and its spread in
+    ms, the counters, the output and its digest, and the relative column
+    once both strategies ran."""
+
+    def __init__(self, program, strategy, median_ms, counters, digest,
+                 output, pct_diff=None, min_ms=None, max_ms=None):
+        self.program = program
+        self.strategy = strategy
+        self.median_ms = median_ms
+        self.counters = counters
+        self.digest = digest
+        self.output = output
+        self.pct_diff = pct_diff
+        self.min_ms = min_ms
+        self.max_ms = max_ms
 
 
 def _digest(output):
+    # imported here, not at the top, as _git_rev's subprocess: every start
+    # of the command line and of the benchmark worker imports this module
+    import hashlib
     return hashlib.sha256(output.encode()).hexdigest()[:12]
 
 

@@ -8,11 +8,13 @@ interrupted by Ctrl-C (SIGINT) during run, bench or selftest.
 
 import argparse
 import contextlib
+import gc
 import sys
+import time
 
 from . import bench
 from .corpus import run_corpus
-from .deep import call_on_reserved_stack, call_with_deep_stack
+from .deep import MAX_DEPTH_LIMIT, call_on_reserved_stack, call_with_deep_stack
 from .errors import LambdixError, LimitExceeded, ReadError
 from .evaluator import Interpreter
 from .oracle import differential_run, generate_program
@@ -33,13 +35,24 @@ def _positive_int(text):
     return value
 
 
+def _depth_limit(text):
+    value = _positive_int(text)
+    if value > MAX_DEPTH_LIMIT:
+        # past it the recursion limit, not the depth limit, would stop the
+        # deepest recursions (deep.FRAMES_PER_LEVEL)
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_DEPTH_LIMIT}")
+    return value
+
+
 def _add_eval_flags(p):
     p.add_argument("--strategy", choices=("value", "need"), default="need",
                    help="argument evaluation strategy (default: need)")
     p.add_argument("--step-limit", type=_positive_int, default=None,
                    metavar="N", help="abort after N closure applications")
-    p.add_argument("--depth-limit", type=_positive_int, default=100_000,
-                   metavar="N", help="abort past N nested calls (default 100000)")
+    p.add_argument("--depth-limit", type=_depth_limit, default=100_000,
+                   metavar="N", help="abort past N nested calls (default "
+                   f"100000, at most {MAX_DEPTH_LIMIT})")
     p.add_argument("--print-depth", type=_positive_int, default=100,
                    metavar="N", help="max list elements printed per spine (default 100)")
     p.add_argument("--print-nesting", type=_positive_int, default=20,
@@ -55,18 +68,53 @@ def _make_interp(args, out=None):
                        print_nesting=args.print_nesting, out=out)
 
 
-def _dump_stats(interp):
+class _GcWatch:
+    """A gc.callbacks hook: collections per generation, the objects they
+    collected and the time they took."""
+
+    def __init__(self):
+        self.collections = [0, 0, 0]
+        self.collected = 0
+        self.ns = 0
+        self._start = 0
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self._start = time.perf_counter_ns()
+        else:
+            self.ns += time.perf_counter_ns() - self._start
+            self.collections[info["generation"]] += 1
+            self.collected += info["collected"]
+
+
+@contextlib.contextmanager
+def _stats_report(args, interp):
+    """Under --stats, watch the cyclic collector for the run and, when the
+    run ends without an interrupt, print the counters and the collector's
+    share on stderr. Without it, register nothing."""
+    if not args.stats:
+        yield
+        return
+    watch = _GcWatch()
+    gc.callbacks.append(watch)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(watch)
     for name, value in interp.counters.snapshot().items():
         print(f"{name}\t{value}", file=sys.stderr)
+    for generation, count in enumerate(watch.collections):
+        print(f"gc_collections_gen{generation}\t{count}", file=sys.stderr)
+    print(f"gc_collected\t{watch.collected}", file=sys.stderr)
+    print(f"gc_ms\t{watch.ns / 1e6:.3f}", file=sys.stderr)
 
 
 def _cmd_repl(args):
     interp = _make_interp(args)
-    # one reserved stack chunk for the session; each form runs unreserved
-    # inside it (see deep.py)
-    call_on_reserved_stack(_read_eval_loop, interp)
-    if args.stats:
-        _dump_stats(interp)
+    with _stats_report(args, interp):
+        # one reserved stack chunk for the session; each form runs
+        # unreserved inside it (see deep.py)
+        call_on_reserved_stack(_read_eval_loop, interp)
     return EXIT_OK
 
 
@@ -128,17 +176,16 @@ def _cmd_run(args):
               file=sys.stderr)
         return EXIT_EVAL_ERROR
     interp = _make_interp(args)
-    try:
-        interp.eval_source(text)
-        status = EXIT_OK
-    except LimitExceeded as e:
-        print(f"** error - {e.message} **", file=sys.stderr)
-        status = EXIT_LIMIT
-    except LambdixError as e:
-        print(f"** error - {e.message} **", file=sys.stderr)
-        status = EXIT_EVAL_ERROR
-    if args.stats:
-        _dump_stats(interp)
+    with _stats_report(args, interp):
+        try:
+            interp.eval_source(text)
+            status = EXIT_OK
+        except LimitExceeded as e:
+            print(f"** error - {e.message} **", file=sys.stderr)
+            status = EXIT_LIMIT
+        except LambdixError as e:
+            print(f"** error - {e.message} **", file=sys.stderr)
+            status = EXIT_EVAL_ERROR
     return status
 
 
@@ -222,7 +269,7 @@ def build_parser():
     p.add_argument("--json", metavar="PATH",
                    help="also write results as JSON to PATH")
     p.add_argument("--step-limit", type=_positive_int, default=None, metavar="N")
-    p.add_argument("--depth-limit", type=_positive_int, default=100_000,
+    p.add_argument("--depth-limit", type=_depth_limit, default=100_000,
                    metavar="N")
     p.set_defaults(fn=_cmd_bench)
 

@@ -29,12 +29,12 @@ application (a closure argument or a cons component), its `delay` applies
 it at once when the primitive is total on the operands (car and cdr of a
 pair, nullist and atom of any value, + - * < <= > >= = of two integers),
 each operand is a literal or a local whose slot holds a value or a forced
-thunk's memo, and the name still holds the primitive of that name;
-otherwise, and on overflow, it makes the usual thunk. Such an application
-cannot fail, print or call a closure, and reads only values that exist
-already, so it yields what its forcing would have. What moves is depth:
-no forcing frame, and no chain of suspended sums behind an accumulator.
-The one other difference is late binding: a top-level definition of the
+thunk's memo, and the name still holds the node's primitive; otherwise,
+and on overflow, it makes the usual thunk. Such an application cannot
+fail, print or call a closure, and reads only values that exist already,
+so it yields what its forcing would have. What moves is depth: no
+forcing frame, and no chain of suspended sums behind an accumulator. The
+one other difference is late binding: a top-level definition of the
 primitive's name made after the application was computed no longer
 reaches it, as under value. It counts what its forcing would have: one
 elided suspension, the head lookup and one lookup per local operand.
@@ -46,10 +46,12 @@ than its analysis.
 
 A call of a primitive's name with that primitive's arity is a
 primitive-shaped node (analyzer.PrimApp1, PrimApp2) with its own short
-`ev`. It reads the top-level table at every call and runs the primitive
-only while the name still holds a primitive of that arity; otherwise it
-evaluates as the general application (`_ev_app`) it also is, so late
-binding, error messages and counts stay those of any application.
+`ev`, bound to this interpreter's primitive of that name. It reads the
+top-level table at every call and runs the primitive only while the name
+still holds that very primitive; otherwise (a closure, a thunk, any other
+primitive) it evaluates as the general application (`_ev_app`) it also
+is, so late binding, error messages and counts stay those of any
+application.
 
 Forcing (`_force`) answers a forced thunk from its memo first thing. Any
 other forcing is one loop: it puts each thunk it takes on a path before
@@ -383,14 +385,15 @@ def _ev_app(self, interp, struct):
         rt.restore(log)
 
 
-# Past the guard, each does what _ev_app does for a primitive head of its
-# arity, in the same order and with the same counts. A name redefined, or
-# holding a thunk under need, fails the guard, and the node evaluates as the
-# App it is, which reads the head again and reports as any application.
+# Past the guard, each does what _ev_app does for its primitive, in the
+# same order and with the same counts. A name redefined (even to another
+# primitive), or holding a thunk under need, fails the guard, and the node
+# evaluates as the App it is, which reads the head again and reports as any
+# application.
 
 def _ev_prim1(self, interp, struct):
-    head = interp.rt.top_table.get(self.name)
-    if type(head) is not Primitive or head.arity != 1:
+    head = self.prim
+    if interp.rt.top_table.get(self.name) is not head:
         return _ev_app(self, interp, struct)
     interp.counters.lookups += 1
     a = self.a.ev(interp, struct)
@@ -400,8 +403,8 @@ def _ev_prim1(self, interp, struct):
 
 
 def _ev_prim2(self, interp, struct):
-    head = interp.rt.top_table.get(self.name)
-    if type(head) is not Primitive or head.arity != 2:
+    head = self.prim
+    if interp.rt.top_table.get(self.name) is not head:
         return _ev_app(self, interp, struct)
     interp.counters.lookups += 1
     if head.lazy and interp.lazy:
@@ -536,11 +539,10 @@ def _delay_prim1(self, interp, cb):
     if name in _CHEAP1:
         a = _computed(self.a)
         total_on = _CHEAP1[name]
-        if a is not None and (total_on is None or type(a) is total_on):
-            head = interp.rt.top_table.get(name)
-            if type(head) is Primitive and head.name == name:
-                _elide_prim(interp, type(self.a) is LocalRef)
-                return head.fn(interp, a)
+        if (a is not None and (total_on is None or type(a) is total_on)
+                and interp.rt.top_table.get(name) is self.prim):
+            _elide_prim(interp, type(self.a) is LocalRef)
+            return self.prim.fn(interp, a)
     return _delay_thunk(self, interp, cb)
 
 
@@ -552,16 +554,14 @@ def _delay_prim2(self, interp, cb):
         a = _computed(self.a)
         if type(a) is int:
             b = _computed(self.b)
-            if type(b) is int:
-                head = interp.rt.top_table.get(name)
-                if type(head) is Primitive and head.name == name:
-                    try:
-                        v = head.fn(interp, a, b)
-                    except EvalError:
-                        return _delay_thunk(self, interp, cb)
-                    _elide_prim(interp, (type(self.a) is LocalRef)
-                                + (type(self.b) is LocalRef))
-                    return v
+            if type(b) is int and interp.rt.top_table.get(name) is self.prim:
+                try:
+                    v = self.prim.fn(interp, a, b)
+                except EvalError:
+                    return _delay_thunk(self, interp, cb)
+                _elide_prim(interp, (type(self.a) is LocalRef)
+                            + (type(self.b) is LocalRef))
+                return v
     return _delay_thunk(self, interp, cb)
 
 

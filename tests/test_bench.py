@@ -1,11 +1,15 @@
 import gc
 import io
 import json
+import os
 import platform
+import subprocess
+import sys
 
 import pytest
 
 from conftest import STEP_LIMIT
+import lambdix
 from lambdix.bench import (SUITE_NAMES, BenchResult, program_source,
                            run_program, run_suite, to_json, to_tsv)
 from lambdix.evaluator import Interpreter
@@ -225,3 +229,18 @@ def test_need_creates_or_elides_every_position_value_counts(program):
     assert (value["thunks_created"], value["thunks_elided"]) == (positions, 0)
     assert need["thunks_elided"] == elided
     assert need["thunks_created"] + need["thunks_elided"] == positions
+
+
+def test_import_loads_only_what_a_run_needs():
+    # the benchmark worker and every command import these two first
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lambdix.__file__)))
+    code = ("import sys; sys.path.insert(0, %r)\n"
+            "import lambdix, lambdix.bench\n"
+            "print(sorted(m for m in ('lambdix.oracle', 'dataclasses')"
+            " if m in sys.modules))\n"
+            "from lambdix import Oracle\n"
+            "print(Oracle.__module__)\n" % src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\nlambdix.oracle\n"

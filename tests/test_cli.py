@@ -1,3 +1,4 @@
+import gc
 import inspect
 import json
 import os
@@ -82,14 +83,46 @@ def test_run_evaluation_error_exit_code(tmp_path):
 
 
 def test_run_stats_flag(tmp_path):
+    # a strict recursion 5,000 deep keeps more objects alive than the young
+    # generation holds, so the collector runs at least once
     path = tmp_path / "p.lx"
-    path.write_text("(print (+ 1 2))")
-    proc = cli("run", str(path), "--stats")
+    path.write_text("(de (f n) (if (= n 0) 0 (+ 1 (f (- n 1)))))"
+                    " (print (+ 1 2)) (f 5000)")
+    proc = cli("run", str(path), "--strategy", "value", "--stats")
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
     assert "switch_tests" in proc.stderr
     assert "blocks_allocated" in proc.stderr
     assert "thunks_elided" in proc.stderr
+    report = dict(line.split("\t") for line in proc.stderr.splitlines())
+    assert list(report)[-5:] == ["gc_collections_gen0", "gc_collections_gen1",
+                                 "gc_collections_gen2", "gc_collected",
+                                 "gc_ms"]
+    assert int(report["gc_collections_gen0"]) >= 1
+    assert int(report["gc_collected"]) >= 0
+    assert float(report["gc_ms"]) > 0
+
+
+@pytest.mark.parametrize("flags", [(), ("--stats",)])
+def test_only_stats_watches_the_collector(flags, tmp_path, monkeypatch,
+                                          capsys):
+    path = tmp_path / "p.lx"
+    path.write_text("(print (+ 1 2))")
+    before = list(gc.callbacks)
+    during = []
+    eval_source = Interpreter.eval_source
+
+    def watched(self, text):
+        during.append(list(gc.callbacks))
+        return eval_source(self, text)
+
+    monkeypatch.setattr(Interpreter, "eval_source", watched)
+    assert cli_module.main(["run", str(path), *flags]) == 0
+    assert len(during) == 1
+    assert during[0][:len(before)] == before
+    assert len(during[0]) == len(before) + len(flags)
+    assert gc.callbacks == before
+    assert ("gc_ms\t" in capsys.readouterr().err) == bool(flags)
 
 
 def test_repl_session():
@@ -250,14 +283,40 @@ def test_usage_error_exit_code():
 
 
 def test_run_recursion_past_python_limit_reports_depth(tmp_path):
+    # five nested sums make seven Python frames a level, more than
+    # deep.FRAMES_PER_LEVEL, so the recursion limit binds before the
+    # largest depth limit the command line accepts
     path = tmp_path / "deep.lx"
-    path.write_text("(de (down n) (if (< n 1) 0 (+ 1 (down (- n 1)))))\n"
-                    "(print (down 400000))\n")
+    path.write_text("(de (down n) (if (< n 1) 0"
+                    " (+ 1 (+ 1 (+ 1 (+ 1 (+ 1 (down (- n 1)))))))))\n"
+                    "(print (down 120000))\n")
     proc = cli("run", str(path), "--strategy", "value",
-               "--depth-limit", "1000000")
+               "--depth-limit", str(deep.MAX_DEPTH_LIMIT))
     assert proc.returncode == 4
     assert "** error - depth limit exceeded **" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "repl", "bench"])
+def test_depth_limit_the_recursion_limit_cannot_honour_is_a_usage_error(
+        command, tmp_path, capsys):
+    largest = deep.MAX_DEPTH_LIMIT
+    assert largest * deep.FRAMES_PER_LEVEL < deep.RECURSION_LIMIT \
+        <= (largest + 1) * deep.FRAMES_PER_LEVEL
+    path = tmp_path / "p.lx"
+    path.write_text("(print 1)")
+    argv = [command] + ([str(path)] if command == "run" else [])
+    with pytest.raises(SystemExit) as exc:
+        cli_module.main(argv + ["--depth-limit", str(largest + 1)])
+    assert exc.value.code == 2
+    assert f"--depth-limit: must be at most {largest}" in \
+        capsys.readouterr().err
+    args = cli_module.build_parser().parse_args(
+        argv + ["--depth-limit", str(largest)])
+    assert args.depth_limit == largest
+    if command == "run":
+        assert cli_module.main(argv + ["--depth-limit", str(largest)]) == 0
+        assert capsys.readouterr().out == "1\n"
 
 
 @pytest.mark.parametrize("strategy", ["value", "need"])

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from conftest import make_interp, observe_installs, run
-from lambdix.deep import RECURSION_LIMIT
+from lambdix.deep import FRAMES_PER_LEVEL, RECURSION_LIMIT
 from lambdix.errors import EvalError, LimitExceeded
 from lambdix.evaluator import run_with_limit
 from lambdix.oracle import Oracle, differential_run
@@ -206,6 +206,12 @@ def test_python_frames_per_interpreted_call(name, strategy):
     assert heights[1] - heights[0] == 100 * frames
     assert max(entry[3] for entry in FRAMES_PER_CALL.values()) \
         * interp.depth_limit < RECURSION_LIMIT
+
+
+def test_frames_per_level_is_the_largest_measured():
+    # the command line's largest depth limit rests on this figure
+    assert FRAMES_PER_LEVEL == max(entry[3]
+                                   for entry in FRAMES_PER_CALL.values())
 
 
 @pytest.mark.parametrize("strategy", ["value", "need"])

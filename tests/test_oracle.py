@@ -279,6 +279,11 @@ LATE_BINDING = {
     "plus-as-number": (
         PLUS_SITE + "(de + 5) (print (s 3 4))",
         ("error", NOT_A_FUNCTION, "7\n")),
+    # the lazy primitive at a strict one's call site: a thunk under need,
+    # under value the node's guard fails and it runs as the App it is
+    "plus-as-cons": (
+        PLUS_SITE + "(de + cons) (print (s 3 4))",
+        ("value", "(3 . 4)", "7\n(3 . 4)\n")),
     "cons-as-closure": (
         CONS_SITE + "(de (cons a b) (- a b)) (print (s 3 4))",
         ("value", "-1", "(3 . 4)\n-1\n")),
@@ -291,7 +296,8 @@ LATE_BINDING = {
     "cons-as-number": (
         CONS_SITE + "(de cons 5) (print (s 3 4))",
         ("error", NOT_A_FUNCTION, "(3 . 4)\n")),
-    # a strict primitive at a lazy one's call site: a thunk under need
+    # a strict primitive at a lazy one's call site: a thunk under need,
+    # under value the node's guard fails and it runs as the App it is
     "cons-as-plus": (
         CONS_SITE + "(de cons +) (print (s 3 4))",
         ("value", "7", "(3 . 4)\n7\n")),
