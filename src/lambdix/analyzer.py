@@ -16,9 +16,10 @@ suspends.
 An application whose head is a top-level name that names a primitive, with
 as many arguments as that primitive takes, becomes a PrimApp1 or PrimApp2
 instead of an App, bound to that primitive. The choice is made once, from
-the name alone: the evaluator checks at every call that the name still
-holds that very primitive and otherwise evaluates the node as the App it
-also is, so a later definition of the name still takes effect.
+the name alone: once a top-level definition has rebound a primitive's
+name, the evaluator checks at every call that the name still holds that
+very primitive and otherwise evaluates the node as the App it also is, so
+a later definition of the name still takes effect.
 
 Original names are kept on every reference for diagnostics and reflection.
 The same compiled tree feeds both evaluation strategies.
@@ -26,6 +27,7 @@ The same compiled tree feeds both evaluation strategies.
 
 from .errors import AnalysisError
 from .reader import SEmbed, SList, SNum, SStr, SSym
+from .runtime import FIRST
 from .values import EMPTY
 
 SPECIAL_FORMS = frozenset(("lambda", "if", "let", "quote", "excla", "de", "define"))
@@ -90,13 +92,15 @@ class Lit:
 
 
 class LocalRef:
-    __slots__ = ("offset", "name", "target")
+    __slots__ = ("offset", "name", "target", "index")
 
     def __init__(self, offset, name, target):
         self.offset = offset
         self.name = name
-        # the struct that owns the slot: a read is target.current_block's slot
+        # the struct that owns the slot: a read is cell `index` of
+        # target.current_block, the vector that holds slot `offset`
         self.target = target
+        self.index = FIRST + offset
 
 
 class TopRef:

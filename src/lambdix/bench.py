@@ -9,7 +9,6 @@ positive when the lazy strategy wins.
 import io
 import json
 import os
-import statistics
 import sys
 import time
 from importlib import resources
@@ -64,12 +63,19 @@ def _digest(output):
     return hashlib.sha256(output.encode()).hexdigest()[:12]
 
 
+def _median(xs):
+    # statistics.median would import fractions and decimal on every start
+    xs = sorted(xs)
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
+
+
 def run_program(text, strategy, reps=1, step_limit=None, depth_limit=100_000):
     """Time `reps` fresh runs of one program; returns the median time in ms,
     the counters and the output."""
     times, counters, output = _time_runs(text, strategy, reps, step_limit,
                                          depth_limit)
-    return statistics.median(times), counters, output
+    return _median(times), counters, output
 
 
 def _time_runs(text, strategy, reps, step_limit, depth_limit):
@@ -98,7 +104,7 @@ def run_suite(names=SUITE_NAMES, strategies=("value", "need"), reps=5,
             text = program_source(name, strategy)
             times, counters, output = _time_runs(text, strategy, reps,
                                                  step_limit, depth_limit)
-            res = BenchResult(name, strategy, statistics.median(times),
+            res = BenchResult(name, strategy, _median(times),
                               counters, _digest(output), output,
                               min_ms=min(times), max_ms=max(times))
             by_strategy[strategy] = res

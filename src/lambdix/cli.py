@@ -13,11 +13,9 @@ import sys
 import time
 
 from . import bench
-from .corpus import run_corpus
 from .deep import MAX_DEPTH_LIMIT, call_on_reserved_stack, call_with_deep_stack
 from .errors import LambdixError, LimitExceeded, ReadError
 from .evaluator import Interpreter
-from .oracle import differential_run, generate_program
 from .reader import read_program
 
 EXIT_OK = 0
@@ -220,7 +218,16 @@ def _cmd_bench(args):
     return EXIT_OK
 
 
+def run_corpus():
+    """The golden corpus under both strategies (lambdix.corpus). The
+    corpus and the oracle are imported by the selftest command alone, so
+    `run` and `repl` start without them."""
+    from .corpus import run_corpus
+    return run_corpus()
+
+
 def _cmd_selftest(args):
+    from .oracle import differential_run, generate_program
     failures = 0
     report = run_corpus()
     for name, strategy, ok, detail in report:

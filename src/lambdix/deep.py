@@ -32,7 +32,7 @@ deepest recursion can therefore peak up to 8 MB higher.
 
 Collector schedule. Generational collection pays off when most young
 objects die young. A strict run's deep recursion breaks that: each level
-keeps a block, its slot list and an install log alive, so CPython's
+keeps a block and an install log alive, so CPython's
 default young generation of 700 objects keeps promoting live data, and
 every tenth collection of the middle generation becomes a full one that
 rescans every live object. `call_on_reserved_stack` therefore raises

@@ -42,16 +42,20 @@ elided suspension, the head lookup and one lookup per local operand.
 Each analyzed node class has one `ev(interp, struct)` method, defined at
 the end of this module; `struct` is the level whose environment the node
 runs in. There is no compile pass, so a one-shot REPL form costs no more
-than its analysis.
+than its analysis. A local read is one cell of the owner's current block
+vector (runtime.py), and a closure call builds its callee's vector,
+header and arguments, in one list.
 
 A call of a primitive's name with that primitive's arity is a
 primitive-shaped node (analyzer.PrimApp1, PrimApp2) with its own short
-`ev`, bound to this interpreter's primitive of that name. It reads the
-top-level table at every call and runs the primitive only while the name
-still holds that very primitive; otherwise (a closure, a thunk, any other
-primitive) it evaluates as the general application (`_ev_app`) it also
-is, so late binding, error messages and counts stay those of any
-application.
+`ev`, bound to this interpreter's primitive of that name. It runs the
+primitive while the name still holds that very primitive, which needs no
+test while `demanding` is on (no top-level definition has rebound a
+primitive's name yet) and one read of the top-level table after; otherwise
+(a closure, a thunk, any other primitive) it evaluates as the general
+application (`_ev_app`) it also is, so late binding, error messages and
+counts stay those of any application. Its literal and local operands are
+read in place, without an `ev` call.
 
 Forcing (`_force`) answers a forced thunk from its memo first thing. Any
 other forcing is one loop: it puts each thunk it takes on a path before
@@ -84,7 +88,7 @@ from .builtins import make_primitives
 from .deep import call_on_reserved_stack, call_with_deep_stack
 from .errors import EvalError, LambdixError, LimitExceeded
 from .reader import read_program
-from .runtime import UNSET, Counters, Runtime
+from .runtime import FIRST, OWNER, PARENT, UNSET, Counters, Runtime
 from .values import (TH_BUSY, TH_DONE, TH_NEW, Closure, Pair, Primitive,
                      Sym, Thunk, datum_to_source, quote_datum, render)
 
@@ -202,7 +206,7 @@ class Interpreter:
                 block = th.block
                 log = rt.install(block)
                 try:
-                    v = th.expr.ev(self, block.owner)
+                    v = th.expr.ev(self, block[OWNER])
                 finally:
                     rt.restore(log)
                 self.depth = depth
@@ -251,7 +255,7 @@ def _ev_local(self, interp, struct):
         raise EvalError(f"internal: environment of {self.target.name} not "
                         "installed", "internal")
     interp.counters.lookups += 1
-    slot = block.slots[self.offset]
+    slot = block[self.index]
     if type(slot) is Thunk:
         return interp._force(slot)
     if slot is UNSET:
@@ -338,42 +342,52 @@ def _ev_app(self, interp, struct):
     if interp.steps > interp.step_limit:
         raise LimitExceeded("step")
     callee = head.struct
+    # the callee's block vector is built here in one allocation, header
+    # cells first (runtime.OWNER, PARENT), then one cell per argument
     if interp.lazy:
         cb = struct.current_block
+        block = [None] * (len(args) + FIRST)
+        block[OWNER] = callee
+        block[PARENT] = head.block
         if interp.demanding and len(args) == len(callee.params):
             # the body would force the demand prefix before anything else,
             # in this order: evaluate those arguments here, and suspend the
             # rest (every parameter when the prefix is empty)
             demand = callee.demand
             interp.counters.thunks_elided += len(demand)
-            vals = [None] * len(args)
             for i in demand:
                 v = args[i].ev(interp, struct)
                 if type(v) is Thunk:
                     v = interp._force(v)
-                vals[i] = v
+                block[FIRST + i] = v
             for i in callee.suspend:
-                vals[i] = args[i].delay(interp, cb)
+                block[FIRST + i] = args[i].delay(interp, cb)
         else:
             # a wrong argument count (new_block reports it) or prefixes off
-            vals = [a.delay(interp, cb) for a in args]
+            for i, a in enumerate(args, FIRST):
+                block[i] = a.delay(interp, cb)
     else:
         # a strict run counts every position a lazy run delays; arities 1-3
-        # are spelled out, as a list comprehension costs a function object
-        # and a frame on every call
+        # are spelled out, as a loop or a comprehension costs more than a
+        # list display
         n = len(args)
         interp.counters.thunks_created += n
         if n == 1:
-            vals = [args[0].ev(interp, struct)]
+            block = [callee, head.block, args[0].ev(interp, struct)]
         elif n == 2:
-            vals = [args[0].ev(interp, struct), args[1].ev(interp, struct)]
+            block = [callee, head.block, args[0].ev(interp, struct),
+                     args[1].ev(interp, struct)]
         elif n == 3:
-            vals = [args[0].ev(interp, struct), args[1].ev(interp, struct),
-                    args[2].ev(interp, struct)]
+            block = [callee, head.block, args[0].ev(interp, struct),
+                     args[1].ev(interp, struct), args[2].ev(interp, struct)]
         else:
-            vals = [a.ev(interp, struct) for a in args]
+            block = [None] * (n + FIRST)
+            block[OWNER] = callee
+            block[PARENT] = head.block
+            for i, a in enumerate(args, FIRST):
+                block[i] = a.ev(interp, struct)
     rt = interp.rt
-    log = rt.install(rt.new_block(callee, vals, head.block))
+    log = rt.install(rt.new_block(block))
     depth = interp.depth
     try:
         if depth >= interp.depth_limit:
@@ -389,14 +403,30 @@ def _ev_app(self, interp, struct):
 # same order and with the same counts. A name redefined (even to another
 # primitive), or holding a thunk under need, fails the guard, and the node
 # evaluates as the App it is, which reads the head again and reports as any
-# application.
+# application. The table is read only once `demanding` is off: until a
+# top-level definition rebinds a primitive's name, every such name still
+# holds this interpreter's primitive.
+#
+# A literal operand gives its value, and a local operand whose slot is set
+# is read in place with the count and forcing of _ev_local; an unset slot or
+# an environment not installed goes to the operand's own ev, which reports
+# it as any read would and counts it once. Any other operand is evaluated.
 
 def _ev_prim1(self, interp, struct):
     head = self.prim
-    if interp.rt.top_table.get(self.name) is not head:
+    if not interp.demanding and interp.rt.top_table.get(self.name) is not head:
         return _ev_app(self, interp, struct)
-    interp.counters.lookups += 1
-    a = self.a.ev(interp, struct)
+    c = interp.counters
+    c.lookups += 1
+    node = self.a
+    t = type(node)
+    if t is Lit:
+        return head.fn(interp, node.value)
+    if (t is LocalRef and (blk := node.target.current_block) is not None
+            and (a := blk[node.index]) is not UNSET):
+        c.lookups += 1
+    else:
+        a = node.ev(interp, struct)
     if type(a) is Thunk:
         a = interp._force(a)
     return head.fn(interp, a)
@@ -404,44 +434,62 @@ def _ev_prim1(self, interp, struct):
 
 def _ev_prim2(self, interp, struct):
     head = self.prim
-    if interp.rt.top_table.get(self.name) is not head:
+    if not interp.demanding and interp.rt.top_table.get(self.name) is not head:
         return _ev_app(self, interp, struct)
-    interp.counters.lookups += 1
+    c = interp.counters
+    c.lookups += 1
     if head.lazy and interp.lazy:
         cb = struct.current_block
         return head.fn(interp, self.a.delay(interp, cb),
                        self.b.delay(interp, cb))
-    a = self.a.ev(interp, struct)
-    if type(a) is Thunk:
-        a = interp._force(a)
-    b = self.b.ev(interp, struct)
-    if type(b) is Thunk:
-        b = interp._force(b)
+    node = self.a
+    t = type(node)
+    if t is Lit:
+        a = node.value
+    else:
+        if (t is LocalRef and (blk := node.target.current_block) is not None
+                and (a := blk[node.index]) is not UNSET):
+            c.lookups += 1
+        else:
+            a = node.ev(interp, struct)
+        if type(a) is Thunk:
+            a = interp._force(a)
+    node = self.b
+    t = type(node)
+    if t is Lit:
+        b = node.value
+    else:
+        if (t is LocalRef and (blk := node.target.current_block) is not None
+                and (b := blk[node.index]) is not UNSET):
+            c.lookups += 1
+        else:
+            b = node.ev(interp, struct)
+        if type(b) is Thunk:
+            b = interp._force(b)
     if head.lazy:
         # as in _ev_app: a strict run counts the positions a lazy run
         # would suspend
-        interp.counters.thunks_created += 2
+        c.thunks_created += 2
     return head.fn(interp, a, b)
 
 
 def _ev_let(self, interp, struct):
     L = self.struct
     rt = interp.rt
-    block = rt.new_block(L, [], struct.current_block)
-    slots = block.slots
+    block = rt.new_block([L, struct.current_block])
     interp.counters.thunks_created += len(self.bindings)
     log = rt.install(block)
     try:
         if interp.lazy:
-            for i, b in enumerate(self.bindings):
-                slots[i] = Thunk(b, block)
+            for i, b in enumerate(self.bindings, FIRST):
+                block[i] = Thunk(b, block)
         else:
             # strict lets evaluate bindings top to bottom; reading a sibling
             # that has no value yet is an error (see LocalRef)
-            for i, b in enumerate(self.bindings):
+            for i, b in enumerate(self.bindings, FIRST):
                 value = b.ev(interp, L)
-                assert slots[i] is UNSET  # slots are written exactly once
-                slots[i] = value
+                assert block[i] is UNSET  # slots are written exactly once
+                block[i] = value
         return L.body.ev(interp, L)
     finally:
         rt.restore(log)
@@ -492,7 +540,7 @@ def _delay_local(self, interp, cb):
     # thunk, whose forcing reports it as the read itself would.
     block = self.target.current_block
     if block is not None:
-        slot = block.slots[self.offset]
+        slot = block[self.index]
         if slot is not UNSET:
             c = interp.counters
             c.lookups += 1
@@ -511,7 +559,7 @@ def _computed(node):
     if t is LocalRef:
         block = node.target.current_block
         if block is not None:
-            v = block.slots[node.offset]
+            v = block[node.index]
             if type(v) is Thunk:
                 return v.memo
             if v is not UNSET:
@@ -540,7 +588,8 @@ def _delay_prim1(self, interp, cb):
         a = _computed(self.a)
         total_on = _CHEAP1[name]
         if (a is not None and (total_on is None or type(a) is total_on)
-                and interp.rt.top_table.get(name) is self.prim):
+                and (interp.demanding
+                     or interp.rt.top_table.get(name) is self.prim)):
             _elide_prim(interp, type(self.a) is LocalRef)
             return self.prim.fn(interp, a)
     return _delay_thunk(self, interp, cb)
@@ -554,7 +603,8 @@ def _delay_prim2(self, interp, cb):
         a = _computed(self.a)
         if type(a) is int:
             b = _computed(self.b)
-            if type(b) is int and interp.rt.top_table.get(name) is self.prim:
+            if type(b) is int and (interp.demanding or
+                                   interp.rt.top_table.get(name) is self.prim):
                 try:
                     v = self.prim.fn(interp, a, b)
                 except EvalError:

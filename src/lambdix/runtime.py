@@ -2,7 +2,14 @@
 
 A block records one call's argument and local values plus a pointer to the
 block of the defining environment, mirroring the owner's lexical parent
-chain. Installing an environment walks structure and block chains upward in
+chain. It is one flat list, a frame vector in Dybvig's sense (Three
+Implementation Models for Scheme, 1987): the owner struct in cell OWNER,
+the defining block in cell PARENT, then from cell FIRST on the parameters
+and, after them, the local definitions, so slot `offset` is cell
+`FIRST + offset`. The caller builds the vector with its header and
+arguments in one allocation, and new_block checks and extends it in place.
+
+Installing an environment walks structure and block chains upward in
 lockstep, setting each structure's current-block slot and stopping as soon
 as a link is already correct. The early stop assumes that once a pointer is
 right, all its ancestors are too. That assumption is known to fail: a
@@ -36,17 +43,9 @@ from .errors import EvalError
 # slot value for a local definition not yet evaluated (call-by-value lets)
 UNSET = object()
 
-
-class Block:
-    __slots__ = ("owner", "slots", "parent")
-
-    def __init__(self, owner, slots, parent):
-        self.owner = owner
-        self.slots = slots
-        self.parent = parent  # block of the defining environment
-
-    def __repr__(self):
-        return f"<block of {self.owner.name}#{self.owner.uid}>"
+# the cells of a block: its owner struct, the block of the defining
+# environment, and the first slot
+OWNER, PARENT, FIRST = 0, 1, 2
 
 
 class Counters:
@@ -78,22 +77,25 @@ class Runtime:
         # The top level is a pseudo-struct with one permanent block; its
         # named bindings live in a growable table because top-level names
         # are added at any time.
-        self.top_block = Block(top_struct, [], None)
+        self.top_block = [top_struct, None]
         counters.blocks_allocated += 1
         top_struct.current_block = self.top_block
         self.top_table = {}
 
-    def new_block(self, struct, args, defining_block):
-        """A block for one entry into `struct`; it takes over the fresh list
-        `args` as its slots."""
-        if len(args) != len(struct.params):
+    def new_block(self, block):
+        """Make the fresh vector `block`, [owner struct, defining block,
+        arg0, ...], the block of one entry into its owner: check the
+        argument count, append the local slots and return the same list."""
+        struct = block[OWNER]
+        n = len(block) - FIRST
+        if n != len(struct.params):
             raise EvalError(
                 f"{struct.name}: expected {len(struct.params)} argument(s), "
-                f"got {len(args)}", "arity")
+                f"got {n}", "arity")
         if struct.local_names:
-            args.extend([UNSET] * len(struct.local_names))
+            block.extend([UNSET] * len(struct.local_names))
         self.counters.blocks_allocated += 1
-        return Block(struct, args, defining_block)
+        return block
 
     def install(self, block):
         """Make `block` (and its ancestors) current for its owner struct (and
@@ -104,7 +106,7 @@ class Runtime:
         pseudo-struct. The cases that need no walk are spelled out: the top
         block, an owner whose current block is already `block`, and an
         owner one level deep."""
-        struct = block.owner
+        struct = block[OWNER]
         old = struct.current_block
         top = self.top_struct
         if old is block:
@@ -131,7 +133,7 @@ class Runtime:
                 log.append(old)
                 s.current_block = b
                 s = s.parent
-                b = b.parent
+                b = b[PARENT]
             assignments = len(log) >> 1
             tests += assignments
         c = self.counters
@@ -159,6 +161,6 @@ class Runtime:
         if b is None:
             raise EvalError(f"internal: environment of {s.name} not installed",
                             "internal")
-        assert 0 <= offset < len(b.slots)
+        assert 0 <= offset < len(b) - FIRST
         self.counters.lookups += 1
-        return b.slots[offset]
+        return b[FIRST + offset]

@@ -1,6 +1,7 @@
 import io
 
 from lambdix import Interpreter
+from lambdix.runtime import OWNER, PARENT
 
 
 # Far above the closure calls of any test program (the largest suite run,
@@ -33,7 +34,7 @@ def observe_installs(rt, fn):
     def observed_install(block):
         tests, assignments = c.switch_tests, c.switch_assignments
         log = install(block)
-        fn(block.owner, c.switch_tests - tests,
+        fn(block[OWNER], c.switch_tests - tests,
            c.switch_assignments - assignments)
         return log
 
@@ -63,12 +64,12 @@ def check_switches(rt, structs):
 
 
 def _assert_installed(rt, block):
-    s, b = block.owner, block
+    s, b = block[OWNER], block
     while s is not rt.top_struct:
         assert s.current_block is b, \
             f"install left {s!r} pointing away from {b!r}"
         s = s.parent
-        b = b.parent
+        b = b[PARENT]
     assert b is rt.top_block
 
 
@@ -80,7 +81,7 @@ def _assert_coherent(rt, structs):
         b = s.current_block
         if s is top or b is None:
             continue
-        assert b.owner is s
+        assert b[OWNER] is s
         if s.parent is not top:
-            assert s.parent.current_block is b.parent, \
+            assert s.parent.current_block is b[PARENT], \
                 f"stale ancestor link above {s!r}"

@@ -232,15 +232,19 @@ def test_need_creates_or_elides_every_position_value_counts(program):
 
 
 def test_import_loads_only_what_a_run_needs():
-    # the benchmark worker and every command import these two first
+    # the benchmark worker and every command import these two first, and
+    # `lambdix run` and `repl` go no further than the command line
     src = os.path.dirname(os.path.dirname(os.path.abspath(lambdix.__file__)))
     code = ("import sys; sys.path.insert(0, %r)\n"
             "import lambdix, lambdix.bench\n"
-            "print(sorted(m for m in ('lambdix.oracle', 'dataclasses')"
+            "print(sorted(m for m in ('lambdix.oracle', 'dataclasses',"
+            " 'statistics') if m in sys.modules))\n"
+            "import lambdix.cli\n"
+            "print(sorted(m for m in ('lambdix.oracle', 'lambdix.corpus')"
             " if m in sys.modules))\n"
             "from lambdix import Oracle\n"
             "print(Oracle.__module__)\n" % src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\nlambdix.oracle\n"
+    assert proc.stdout == "[]\n[]\nlambdix.oracle\n"

@@ -13,6 +13,7 @@ from lambdix import cli as cli_module
 from lambdix import deep
 from lambdix.corpus import run_corpus
 from lambdix.evaluator import Interpreter
+from lambdix.runtime import OWNER
 from lambdix.values import Primitive
 
 MAPFUN_FILE = """\
@@ -378,7 +379,7 @@ def test_repl_interrupt_between_an_install_and_its_try(strategy, monkeypatch,
 
         def interrupted_install(block):
             log = install(block)
-            if block.owner.depth == 2 and not fired:
+            if block[OWNER].depth == 2 and not fired:
                 fired.append(block)
                 raise KeyboardInterrupt
             return log

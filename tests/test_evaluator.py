@@ -394,6 +394,25 @@ def test_error_during_forcing_is_repeatable():
         assert exc.value.category == "undefined"
 
 
+@pytest.mark.parametrize("a,b,printed", [("(car b)", "'(1 2)", "1\n"),
+                                          ("(+ b 1)", "2", "3\n"),
+                                          ("(+ 1 b)", "2", "3\n")])
+def test_unset_operand_counts_its_read_once(a, b, printed):
+    # under value, print's head, the primitive's head and the read of b,
+    # which fails; need also reads a and forces both bindings
+    text = f"(print (let ((a {a}) (b {b})) a))"
+    interp, _ = make_interp("value")
+    with pytest.raises(EvalError) as exc:
+        interp.eval_source(text)
+    assert (exc.value.category, exc.value.message) == \
+        ("undefined", "b is used before its definition")
+    assert interp.counters.lookups == 3
+    interp, out = make_interp("need")
+    interp.eval_source(text)
+    assert out.getvalue() == printed
+    assert interp.counters.lookups == 4
+
+
 def test_forced_thunk_releases_its_environment():
     interp, _ = make_interp()
     # (car '(2)) is not an operand already computed, so the sum stays

@@ -173,7 +173,14 @@ def test_differential_sharing_hazards(name):
 # nothing has every argument suspended. A primitive reached as a value
 # evaluates its arguments left to right, except cons under need, which
 # suspends both. Each entry gives, per strategy, (outcome kind, error
-# category or limit kind, printed output).
+# category or limit kind, printed output); an error given as (category,
+# message) is checked with its message.
+#
+# A strict let that reads a later sibling fails on the read under value,
+# here through each operand position of a primitive-shaped application,
+# whose evaluator reads a set local slot in place and leaves an unset one
+# to the operand's own evaluation; need suspends the binding and prints.
+USED_BEFORE = ("undefined", "b is used before its definition")
 TAK = ("(de (tak x y z) (if (< y x) (tak (tak (- x 1) y z) (tak (- y 1) z x)"
        " (tak (- z 1) x y)) z)) ")
 EFFECT_ORDER = {
@@ -220,6 +227,18 @@ EFFECT_ORDER = {
     "cons-as-a-value-with-an-unused-failure": (
         "(de (ap f x y) (f x y)) (print (car (ap cons 1 (car 5))))",
         {"value": ("error", "type", ""), "need": ("value", None, "1\n")}),
+    "let-sibling-read-early-as-the-operand-of-car": (
+        "(print (let ((a (car b)) (b '(1 2))) a))",
+        {"value": ("error", USED_BEFORE, ""),
+         "need": ("value", None, "1\n")}),
+    "let-sibling-read-early-as-the-first-operand-of-plus": (
+        "(print (let ((a (+ b 1)) (b 2)) a))",
+        {"value": ("error", USED_BEFORE, ""),
+         "need": ("value", None, "3\n")}),
+    "let-sibling-read-early-as-the-second-operand-of-plus": (
+        "(print (let ((a (+ 1 b)) (b 2)) a))",
+        {"value": ("error", USED_BEFORE, ""),
+         "need": ("value", None, "3\n")}),
 }
 
 
@@ -230,6 +249,8 @@ def test_differential_effect_order(name, strategy):
     result = differential_run(text, strategy)
     kind, payload, output = result.main
     detail = {"value": None, "error": payload[0], "limit": payload}[kind]
+    if kind == "error" and type(expected[strategy][1]) is tuple:
+        detail = payload
     assert (kind, detail, output) == expected[strategy]
     assert result.equal, (result.main, result.oracle)
 

@@ -5,7 +5,7 @@ from lambdix.analyzer import LambdaStruct
 from lambdix.errors import EvalError
 from lambdix.oracle import generate_program
 from lambdix.reader import read_program
-from lambdix.runtime import UNSET, Counters, Runtime
+from lambdix.runtime import FIRST, OWNER, PARENT, UNSET, Counters, Runtime
 
 
 def chain(depth=3):
@@ -19,7 +19,7 @@ def chain(depth=3):
     for i in range(1, depth + 1):
         s = LambdaStruct(i, f"s{i}", ("a",), (), parent_s)
         registry.append(s)
-        b = rt.new_block(s, [i * 10], parent_b)
+        b = rt.new_block([s, parent_b, i * 10])
         structs.append(s)
         blocks.append(b)
         parent_s, parent_b = s, b
@@ -28,21 +28,33 @@ def chain(depth=3):
 
 def test_block_shape_and_arity():
     rt, counters, structs, blocks = chain(1)
-    assert blocks[0].slots == [10]
-    assert blocks[0].parent is rt.top_block
+    assert blocks[0][FIRST:] == [10]
+    assert blocks[0][OWNER] is structs[0]
+    assert blocks[0][PARENT] is rt.top_block
     with pytest.raises(EvalError) as exc:
-        rt.new_block(structs[0], [1, 2], rt.top_block)
+        rt.new_block([structs[0], rt.top_block, 1, 2])
     assert exc.value.category == "arity"
-    assert "s1" in exc.value.message
+    assert exc.value.message == "s1: expected 1 argument(s), got 2"
 
 
 def test_zero_parameter_block_still_allocated():
     rt, counters, _, _ = chain(0)
     before = counters.blocks_allocated
     s = LambdaStruct(9, "z", (), (), rt.top_struct)
-    b = rt.new_block(s, [], rt.top_block)
-    assert b.slots == []
+    b = rt.new_block([s, rt.top_block])
+    assert b[FIRST:] == []
     assert counters.blocks_allocated == before + 1
+
+
+def test_new_block_extends_the_vector_in_place():
+    # the caller's vector is the block: local slots are appended to it,
+    # unset, after the parameters
+    rt, counters, _, _ = chain(0)
+    s = LambdaStruct(9, "l", ("p",), ("x", "y"), rt.top_struct)
+    vector = [s, rt.top_block, 5]
+    assert rt.new_block(vector) is vector
+    assert vector[FIRST:] == [5, UNSET, UNSET]
+    assert counters.blocks_allocated == 2
 
 
 def test_install_all_stale_costs_chain_length():
@@ -81,7 +93,7 @@ def test_self_recursion_is_one_test_one_assignment():
     rt, counters, structs, blocks = chain(1)
     s1 = structs[0]
     rt.install(blocks[0])
-    b2 = rt.new_block(s1, [99], rt.top_block)
+    b2 = rt.new_block([s1, rt.top_block, 99])
     before = counters.snapshot()
     rt.install(b2)
     d = counters.delta(before)
@@ -91,7 +103,7 @@ def test_self_recursion_is_one_test_one_assignment():
 def test_restore_replays_in_reverse():
     rt, counters, structs, blocks = chain(2)
     outer = rt.install(blocks[1])
-    alt = rt.new_block(structs[1], [77], blocks[0])
+    alt = rt.new_block([structs[1], blocks[0], 77])
     inner = rt.install(alt)
     assert structs[1].current_block is alt
     rt.restore(inner)
@@ -120,7 +132,7 @@ def test_three_level_round_trip_restores_every_block():
     # a re-install, a walk of one level at depth 3 and the top block; each
     # restore, in reverse, must bring back the blocks seen before its install
     rt, counters, structs, blocks = chain(3)
-    alt = rt.new_block(structs[2], [99], blocks[1])
+    alt = rt.new_block([structs[2], blocks[1], 99])
     shapes = []
     observe_installs(rt, lambda s, t, a: shapes.append((t, a)))
     states, logs = [], []
@@ -143,7 +155,8 @@ def test_install_walks_the_block_owners_chain():
     observe_installs(rt, lambda s, t, a: seen.append((s, t, a)))
     rt.install(blocks[1])
     assert seen == [(structs[1], 2, 2)]
-    assert [s.current_block for s in structs] == [blocks[0], blocks[1], None]
+    now = [s.current_block for s in structs]
+    assert all(a is b for a, b in zip(now, [blocks[0], blocks[1], None]))
 
 
 def test_lookup_constant_hops():
@@ -245,7 +258,8 @@ def test_restore_exactness_on_random_programs():
                     interp.eval_form_rendered(sx)
                 except Exception:
                     pass
-                assert [s.current_block for s in known] == snap
+                now = [s.current_block for s in known]
+                assert all(a is b for a, b in zip(now, snap))
                 for new in interp.structs[len(known):]:
                     assert new.current_block is None
 
