@@ -14,12 +14,13 @@ and the offsets of the parameters it does not demand, which a call
 suspends.
 
 An application whose head is a top-level name that names a primitive, with
-as many arguments as that primitive takes, becomes a PrimApp1 or PrimApp2
-instead of an App, bound to that primitive. The choice is made once, from
-the name alone: once a top-level definition has rebound a primitive's
-name, the evaluator checks at every call that the name still holds that
-very primitive and otherwise evaluates the node as the App it also is, so
-a later definition of the name still takes effect.
+as many arguments as that primitive takes, becomes a PrimApp instead of an
+App, bound to that primitive; demand_prefix reads a strict one's arguments
+as forced. The choice is made once, from the name alone: once a top-level
+definition has rebound a primitive's name, the evaluator checks at every
+call that the name still holds that very primitive and otherwise
+evaluates the node as the App it also is, so a later definition of the
+name still takes effect.
 
 Original names are kept on every reference for diagnostics and reflection.
 The same compiled tree feeds both evaluation strategies.
@@ -127,33 +128,19 @@ class App:
         self.args = tuple(args)
 
 
-class PrimApp1(App):
-    """An App of a top-level name that named a one-argument primitive when
-    it was analyzed; `prim` is that primitive, and `name` and `a` spare the
-    evaluator the head and tuple reads."""
+class PrimApp(App):
+    """An App of a top-level name that named a primitive, with that
+    primitive's arity, when it was analyzed; `prim` is that primitive, and
+    `a` and `b` (None for a one-argument primitive) spare the evaluator the
+    tuple reads."""
 
-    __slots__ = ("name", "prim", "a")
+    __slots__ = ("prim", "a", "b")
 
     def __init__(self, head, args, prim):
         App.__init__(self, head, args)
-        self.name = head.name
         self.prim = prim
         self.a = self.args[0]
-
-
-class PrimApp2(App):
-    """As PrimApp1, for a two-argument primitive."""
-
-    __slots__ = ("name", "prim", "a", "b")
-
-    def __init__(self, head, args, prim):
-        App.__init__(self, head, args)
-        self.name = head.name
-        self.prim = prim
-        self.a, self.b = self.args
-
-
-_PRIM_APPS = {1: PrimApp1, 2: PrimApp2}
+        self.b = self.args[1] if len(self.args) == 2 else None
 
 
 class LambdaRef:
@@ -190,19 +177,18 @@ class LetForm:
 
 # ---------------------------------------------------------------------------
 
-def demand_prefix(struct, strict):
+def demand_prefix(struct):
     """The offsets of `struct`'s parameters that its body forces, in the
     order it forces them, before anything else can happen: before any
     effect, any operation that can fail, any branch, any closure call and
-    any read of an outer or top-level name. `strict` maps each strict
-    primitive's name to its arity; a global head with such a name is
-    assumed to be that primitive."""
+    any read of an outer or top-level name. A primitive-shaped application
+    of a strict primitive is assumed to call that primitive."""
     demand = []
-    _walk_demand(struct.body, struct, strict, demand)
+    _walk_demand(struct.body, struct, demand)
     return tuple(demand)
 
 
-def _walk_demand(node, struct, strict, demand):
+def _walk_demand(node, struct, demand):
     # appends to `demand` what evaluating `node` forces first; True when
     # evaluation carries on past `node` with nothing but parameter forcings
     # having happened. Not a closure: making one per definition took as
@@ -217,13 +203,12 @@ def _walk_demand(node, struct, strict, demand):
     if t is Lit or t is LambdaRef or t is QuoteForm:
         return True
     if t is If:
-        _walk_demand(node.test, struct, strict, demand)
-    elif (isinstance(node, App) and type(node.head) is TopRef
-          and strict.get(node.head.name) == len(node.args)):
+        _walk_demand(node.test, struct, demand)
+    elif t is PrimApp and not node.prim.lazy:
         # the arguments are evaluated and forced left to right; the
         # primitive itself may then fail or print
         for a in node.args:
-            if not _walk_demand(a, struct, strict, demand):
+            if not _walk_demand(a, struct, demand):
                 break
     return False
 
@@ -293,9 +278,6 @@ class Analyzer:
         # primitive name -> the interpreter's primitive, for the
         # primitive-shaped applications
         self.primitives = primitives
-        # strict primitive name -> arity, for demand_prefix
-        self.strict = {name: p.arity for name, p in primitives.items()
-                       if not p.lazy}
 
     def _new_struct(self, name, params, local_names, parent):
         struct = LambdaStruct(len(self.registry), name, params, local_names,
@@ -333,7 +315,7 @@ class Analyzer:
             if type(compiled_head) is TopRef:
                 prim = self.primitives.get(compiled_head.name)
                 if prim is not None and prim.arity == len(args):
-                    return _PRIM_APPS[len(args)](compiled_head, args, prim)
+                    return PrimApp(compiled_head, args, prim)
             return App(compiled_head, args)
         raise AnalysisError(f"cannot analyze {sx!r}")
 
@@ -371,7 +353,7 @@ class Analyzer:
         body in the extended scope."""
         struct = self._new_struct(name, params, (), parent)
         struct.body = self.analyze(body_sx, struct)
-        struct.demand = demand = demand_prefix(struct, self.strict)
+        struct.demand = demand = demand_prefix(struct)
         struct.suspend = tuple(i for i in range(len(struct.params))
                                if i not in demand)
         return struct

@@ -40,17 +40,16 @@ def program_source(name, strategy):
 
 class BenchResult:
     """One program under one strategy: the median time and its spread in
-    ms, the counters, the output and its digest, and the relative column
-    once both strategies ran."""
+    ms, the counters, the output's digest, and the relative column once
+    both strategies ran."""
 
     def __init__(self, program, strategy, median_ms, counters, digest,
-                 output, pct_diff=None, min_ms=None, max_ms=None):
+                 pct_diff=None, min_ms=None, max_ms=None):
         self.program = program
         self.strategy = strategy
         self.median_ms = median_ms
         self.counters = counters
         self.digest = digest
-        self.output = output
         self.pct_diff = pct_diff
         self.min_ms = min_ms
         self.max_ms = max_ms
@@ -105,7 +104,7 @@ def run_suite(names=SUITE_NAMES, strategies=("value", "need"), reps=5,
             times, counters, output = _time_runs(text, strategy, reps,
                                                  step_limit, depth_limit)
             res = BenchResult(name, strategy, _median(times),
-                              counters, _digest(output), output,
+                              counters, _digest(output),
                               min_ms=min(times), max_ms=max(times))
             by_strategy[strategy] = res
             results.append(res)

@@ -47,8 +47,8 @@ vector (runtime.py), and a closure call builds its callee's vector,
 header and arguments, in one list.
 
 A call of a primitive's name with that primitive's arity is a
-primitive-shaped node (analyzer.PrimApp1, PrimApp2) with its own short
-`ev`, bound to this interpreter's primitive of that name. It runs the
+primitive-shaped node (analyzer.PrimApp) with its own short `ev` and
+`delay`, bound to this interpreter's primitive of that name. It runs the
 primitive while the name still holds that very primitive, which needs no
 test while `demanding` is on (no top-level definition has rebound a
 primitive's name yet) and one read of the top-level table after; otherwise
@@ -68,10 +68,9 @@ with no memo. An application undoes its depth and its install in one
 `finally` the same way. car, cdr and cadr cut forced components out of the
 pairs they read (builtins.py), so a list does not keep its used-up thunks
 alive. Local slots are not rewritten the same way: later reads of a
-rewritten slot skip `_force`, and on the benchmark's suite-need workload
-the `_force` calls then fall below the forcings (184,344 against 184,800,
-as one call memoizes a whole chain), which breaks its tracer's check that
-every forcing is seen in a `_force` call.
+rewritten slot skip `_force`, so the `_force` calls could fall below the
+forcings (one call memoizes a whole chain), which would break the
+benchmark tracer's check that every forcing is seen in a `_force` call.
 
 A "step" is one application of a closure; step and depth limits turn
 divergence into a reported outcome rather than a hang.
@@ -82,8 +81,8 @@ import sys
 from collections import namedtuple
 
 from .analyzer import (Analyzer, App, ExclaForm, If, LambdaRef, LambdaStruct,
-                       LetForm, Lit, LocalRef, PrimApp1, PrimApp2, QuoteForm,
-                       TopRef, is_de_form, parse_de)
+                       LetForm, Lit, LocalRef, PrimApp, QuoteForm, TopRef,
+                       is_de_form, parse_de)
 from .builtins import make_primitives
 from .deep import call_on_reserved_stack, call_with_deep_stack
 from .errors import EvalError, LambdixError, LimitExceeded
@@ -102,7 +101,6 @@ class Interpreter:
                  print_items=100, print_nesting=20, out=None):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
-        self.strategy = strategy
         self.lazy = strategy == "need"
         self.step_limit = UNLIMITED if step_limit is None else step_limit
         self.depth_limit = depth_limit
@@ -301,8 +299,8 @@ def _ev_quote(self, interp, struct):
 def _ev_app(self, interp, struct):
     head = self.head
     if type(head) is TopRef:
-        # a global head (a top-level function, or a primitive call of the
-        # wrong arity or past a failed PrimApp guard) is read here as
+        # a global head (a top-level function, a primitive call of the
+        # wrong arity, or a PrimApp whose guard failed) is read here as
         # _ev_top would, without a frame of its own; still read at every
         # call, so a later definition of the name takes effect
         head = interp.rt.top_table.get(head.name, UNSET)
@@ -399,42 +397,22 @@ def _ev_app(self, interp, struct):
         rt.restore(log)
 
 
-# Past the guard, each does what _ev_app does for its primitive, in the
-# same order and with the same counts. A name redefined (even to another
-# primitive), or holding a thunk under need, fails the guard, and the node
-# evaluates as the App it is, which reads the head again and reports as any
-# application. The table is read only once `demanding` is off: until a
-# top-level definition rebinds a primitive's name, every such name still
-# holds this interpreter's primitive.
+# Past the guard, _ev_prim does what _ev_app does for the node's
+# primitive, in the same order and with the same counts. A name redefined
+# (even to another primitive), or holding a thunk under need, fails the
+# guard, and the node evaluates as the App it is, which reads the head
+# again and reports as any application. The table is read only once
+# `demanding` is off: until a top-level definition rebinds a primitive's
+# name, every such name still holds this interpreter's primitive.
 #
 # A literal operand gives its value, and a local operand whose slot is set
 # is read in place with the count and forcing of _ev_local; an unset slot or
 # an environment not installed goes to the operand's own ev, which reports
 # it as any read would and counts it once. Any other operand is evaluated.
 
-def _ev_prim1(self, interp, struct):
+def _ev_prim(self, interp, struct):
     head = self.prim
-    if not interp.demanding and interp.rt.top_table.get(self.name) is not head:
-        return _ev_app(self, interp, struct)
-    c = interp.counters
-    c.lookups += 1
-    node = self.a
-    t = type(node)
-    if t is Lit:
-        return head.fn(interp, node.value)
-    if (t is LocalRef and (blk := node.target.current_block) is not None
-            and (a := blk[node.index]) is not UNSET):
-        c.lookups += 1
-    else:
-        a = node.ev(interp, struct)
-    if type(a) is Thunk:
-        a = interp._force(a)
-    return head.fn(interp, a)
-
-
-def _ev_prim2(self, interp, struct):
-    head = self.prim
-    if not interp.demanding and interp.rt.top_table.get(self.name) is not head:
+    if not interp.demanding and interp.rt.top_table.get(head.name) is not head:
         return _ev_app(self, interp, struct)
     c = interp.counters
     c.lookups += 1
@@ -455,6 +433,8 @@ def _ev_prim2(self, interp, struct):
         if type(a) is Thunk:
             a = interp._force(a)
     node = self.b
+    if node is None:
+        return head.fn(interp, a)
     t = type(node)
     if t is Lit:
         b = node.value
@@ -511,8 +491,8 @@ def _ev_excla(self, interp, struct):
 
 for _node, _ev in ((Lit, _ev_lit), (LocalRef, _ev_local), (TopRef, _ev_top),
                    (If, _ev_if), (LambdaRef, _ev_lambda), (QuoteForm, _ev_quote),
-                   (App, _ev_app), (PrimApp1, _ev_prim1), (PrimApp2, _ev_prim2),
-                   (LetForm, _ev_let), (ExclaForm, _ev_excla)):
+                   (App, _ev_app), (PrimApp, _ev_prim), (LetForm, _ev_let),
+                   (ExclaForm, _ev_excla)):
     _node.ev = _ev
 
 
@@ -549,69 +529,60 @@ def _delay_local(self, interp, cb):
     return _delay_thunk(self, interp, cb)
 
 
-def _computed(node):
-    # an operand that needs no evaluation: a literal's value, or what a
-    # local's slot holds once that is a value (a thunk's memo stays None
-    # until it is forced, and is never a thunk); None otherwise
+# primitive name -> the operand type on which it is total (None: any value)
+_CHEAP = {"car": Pair, "cdr": Pair, "nullist": None, "atom": None,
+          "+": int, "-": int, "*": int, "<": int, "<=": int, ">": int,
+          ">=": int, "=": int}
+
+
+def _computed(node, total_on):
+    # an operand that needs no evaluation, when it has type `total_on`
+    # (None: any type): a literal's value, or what a local's slot holds
+    # once that is a value (a thunk's memo stays None until it is forced,
+    # and is never a thunk); None otherwise
     t = type(node)
     if t is Lit:
-        return node.value
-    if t is LocalRef:
-        block = node.target.current_block
-        if block is not None:
-            v = block[node.index]
-            if type(v) is Thunk:
-                return v.memo
-            if v is not UNSET:
-                return v
+        v = node.value
+    elif t is LocalRef and (block := node.target.current_block) is not None:
+        v = block[node.index]
+        if type(v) is Thunk:
+            v = v.memo
+        elif v is UNSET:
+            return None
+    else:
+        return None
+    if total_on is None or type(v) is total_on:
+        return v
     return None
 
 
-# primitive name -> the operand type on which it is total (None: any value)
-_CHEAP1 = {"car": Pair, "cdr": Pair, "nullist": None, "atom": None}
-_CHEAP2 = frozenset(("+", "-", "*", "<", "<=", ">", ">=", "="))
-
-
-def _elide_prim(interp, n):
-    # the counts of the forcing this replaces: one elided suspension, the
-    # head lookup and one lookup per local operand
-    c = interp.counters
-    c.thunks_elided += 1
-    c.lookups += 1 + n
-
-
-def _delay_prim1(self, interp, cb):
-    # cheap eagerness: a total primitive on an operand already computed is
-    # applied now (car and cdr still pass a component unforced)
-    name = self.name
-    if name in _CHEAP1:
-        a = _computed(self.a)
-        total_on = _CHEAP1[name]
-        if (a is not None and (total_on is None or type(a) is total_on)
-                and (interp.demanding
-                     or interp.rt.top_table.get(name) is self.prim)):
-            _elide_prim(interp, type(self.a) is LocalRef)
-            return self.prim.fn(interp, a)
-    return _delay_thunk(self, interp, cb)
-
-
-def _delay_prim2(self, interp, cb):
-    # as _delay_prim1, for arithmetic and comparison on two integers; an
+def _delay_prim(self, interp, cb):
+    # cheap eagerness: a total primitive on operands already computed is
+    # applied now (car and cdr still pass a component unforced); an
     # overflow is left to the thunk, whose forcing reports it
-    name = self.name
-    if name in _CHEAP2:
-        a = _computed(self.a)
-        if type(a) is int:
-            b = _computed(self.b)
-            if type(b) is int and (interp.demanding or
-                                   interp.rt.top_table.get(name) is self.prim):
-                try:
-                    v = self.prim.fn(interp, a, b)
-                except EvalError:
+    prim = self.prim
+    name = prim.name
+    if name in _CHEAP and (interp.demanding
+                           or interp.rt.top_table.get(name) is prim):
+        total_on = _CHEAP[name]
+        a = _computed(self.a, total_on)
+        if a is not None:
+            try:
+                if self.b is None:
+                    v = prim.fn(interp, a)
+                elif (b := _computed(self.b, total_on)) is not None:
+                    v = prim.fn(interp, a, b)
+                else:
                     return _delay_thunk(self, interp, cb)
-                _elide_prim(interp, (type(self.a) is LocalRef)
-                            + (type(self.b) is LocalRef))
-                return v
+            except EvalError:
+                return _delay_thunk(self, interp, cb)
+            # the counts of the forcing this replaces: one elided
+            # suspension, the head lookup and one lookup per local operand
+            c = interp.counters
+            c.thunks_elided += 1
+            c.lookups += (1 + (type(self.a) is LocalRef)
+                          + (type(self.b) is LocalRef))
+            return v
     return _delay_thunk(self, interp, cb)
 
 
@@ -621,8 +592,7 @@ for _node in (TopRef, If, LambdaRef, QuoteForm, App, LetForm, ExclaForm):
     _node.delay = _delay_thunk
 Lit.delay = _delay_lit
 LocalRef.delay = _delay_local
-PrimApp1.delay = _delay_prim1
-PrimApp2.delay = _delay_prim2
+PrimApp.delay = _delay_prim
 
 
 Outcome = namedtuple("Outcome", "kind payload output")

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import make_interp, run
-from lambdix.analyzer import App, LocalRef, PrimApp1, PrimApp2, TopRef
+from lambdix.analyzer import App, LocalRef, PrimApp, TopRef
 from lambdix.errors import AnalysisError, EvalError
 from lambdix.oracle import generate_program
 from lambdix.reader import read_program
@@ -213,10 +213,10 @@ def test_demand_prefix_walk(body, demand):
 
 @pytest.mark.parametrize("body,node", [
     # a top-level name of a primitive with its arity, lazy cons included
-    ("(car x)", PrimApp1),
-    ("(print (+ x y))", PrimApp1),
-    ("(+ x y)", PrimApp2),
-    ("(cons x y)", PrimApp2),
+    ("(car x)", PrimApp),
+    ("(print (+ x y))", PrimApp),
+    ("(+ x y)", PrimApp),
+    ("(cons x y)", PrimApp),
     # a wrong arity, a local or non-primitive head stays an App
     ("(car x y)", App),
     ("(+ x)", App),
@@ -231,8 +231,8 @@ def test_primitive_shaped_applications(body, node):
     got = structs_by_name(interp)["h"][0].body
     assert type(got) is node
     if node is not App:
-        assert type(got.head) is TopRef and got.name == got.head.name
-        assert (got.a,) + ((got.b,) if node is PrimApp2 else ()) == got.args
+        assert type(got.head) is TopRef and got.prim.name == got.head.name
+        assert (got.a,) + ((got.b,) if got.b is not None else ()) == got.args
 
 
 def test_a_local_named_after_a_primitive_heads_an_app():

@@ -72,8 +72,7 @@ def test_table_formats():
                      "blocks_allocated": 1, "lookups": 1,
                      "thunks_created": 1, "thunks_forced": 0,
                      "thunks_elided": 0},
-                    "abc123", "6765\n", pct_diff=-12.0, min_ms=9.5,
-                    max_ms=11.0),
+                    "abc123", pct_diff=-12.0, min_ms=9.5, max_ms=11.0),
     ]
     tsv = to_tsv(results)
     header, row = tsv.strip().split("\n")

@@ -1,4 +1,5 @@
 import io
+import itertools
 import resource
 import sys
 import threading
@@ -6,8 +7,10 @@ import threading
 import pytest
 
 from conftest import make_interp, observe_installs, run
+from lambdix.analyzer import App, PrimApp
+from lambdix.builtins import make_primitives
 from lambdix.deep import FRAMES_PER_LEVEL, RECURSION_LIMIT
-from lambdix.errors import EvalError, LimitExceeded
+from lambdix.errors import EvalError, LambdixError, LimitExceeded
 from lambdix.evaluator import run_with_limit
 from lambdix.oracle import Oracle, differential_run
 from lambdix.values import TH_DONE, Primitive, Thunk
@@ -668,3 +671,80 @@ def test_cheap_eagerness_counts_what_the_forcing_would():
     interp.eval_source("(de (h l) (f (car l))) (h '(1))")
     delta = interp.counters.delta(before)
     assert (delta["thunks_created"], delta["thunks_elided"]) == (2, 0)
+
+
+# Every primitive at its own arity, by name.
+PRIMITIVES = sorted((p.name, p.arity) for p in make_primitives().values())
+CHEAP_NAMES = ("car", "cdr", "nullist", "atom",
+               "+", "-", "*", "<", "<=", ">", ">=", "=")
+
+
+@pytest.mark.parametrize("name,operands", [
+    (name, operands) for name, arity in PRIMITIVES
+    for operands in (("a",) if arity == 1 else ("a b", "a 2"))])
+def test_cheap_eagerness_applies_exactly_the_total_primitives(name,
+                                                             operands):
+    # k forces p (its demand prefix) and q (in its test) before it calls g,
+    # so g's a and b hold computed values: ints, or pairs for car, cdr and
+    # cadr. f ignores x, so g's argument to f is delayed and never forced.
+    # The delay is measured against the same run with a literal there,
+    # which counts one elided suspension and nothing else.
+    args = "'(1 2) '(3 4)" if name in ("car", "cdr", "cadr") else "6 3"
+    call = f"({name} {operands})"
+    local_operands = sum(op in ("a", "b") for op in operands.split())
+
+    def delta(body):
+        interp, _ = make_interp("need")
+        interp.eval_source(
+            f"(de (f x) 0) (de (g a b) (f {body}))"
+            " (de (k p q) (if (= (atom p) (atom q)) (g p q) 1))")
+        before = interp.counters.snapshot()
+        assert interp.eval_source(f"(k {args})") == [0]
+        return interp.counters.delta(before)
+
+    got, literal = delta(call), delta("0")
+    counts = {k: got[k] - literal[k] for k in got}
+    counts["thunks_elided"] += 1
+    if name in CHEAP_NAMES:
+        expected = (0, 0, 1, 1 + local_operands)
+    else:
+        expected = (1, 0, 0, 0)
+    assert (counts["thunks_created"], counts["thunks_forced"],
+            counts["thunks_elided"], counts["lookups"]) == expected
+    assert (counts["switch_tests"], counts["switch_assignments"],
+            counts["blocks_allocated"]) == (0, 0, 0)
+
+
+# -- primitive-shaped nodes -----------------------------------------------------
+
+# x is an int and y a list, each an application under need; the literal
+# 0 also reaches the zero divisor of / and mod
+PRIM_OPERANDS = ("x", "y", "0", "'(4 5)", "(+ x 1)", "(cdr y)")
+PRIM_CALL = "(h (+ 2 4) (cdr '(0 1 2)))"
+
+
+def _run_prim_body(strategy, body, as_app):
+    interp, out = make_interp(strategy)
+    interp.eval_source(f"(de (h x y) {body})")
+    struct = interp.rt.top_table["h"].struct
+    assert type(struct.body) is PrimApp
+    if as_app:
+        struct.body = App(struct.body.head, struct.body.args)
+    before = interp.counters.snapshot()
+    try:
+        result = interp.eval_source_rendered(PRIM_CALL)
+    except LambdixError as e:
+        result = (e.category, e.message)
+    return result, out.getvalue(), interp.counters.delta(before)
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+@pytest.mark.parametrize("body", [
+    f"({name} {' '.join(ops)})" for name, arity in PRIMITIVES
+    for ops in itertools.product(PRIM_OPERANDS, repeat=arity)])
+def test_primitive_shaped_node_counts_what_its_app_counts(body, strategy):
+    # the same call through the primitive-shaped node and through the
+    # general application it also is: the same result or error, the same
+    # output and the same seven counts
+    assert _run_prim_body(strategy, body, False) == \
+        _run_prim_body(strategy, body, True)
