@@ -22,6 +22,11 @@ call that the name still holds that very primitive and otherwise
 evaluates the node as the App it also is, so a later definition of the
 name still takes effect.
 
+Under call-by-value each closure-call App also records the cells of its
+level's block that nothing reads after its application (trim_dead), which
+the call clears before entering the callee; an analyzer for call-by-need
+skips that walk.
+
 Original names are kept on every reference for diagnostics and reflection.
 The same compiled tree feeds both evaluation strategies.
 """
@@ -45,7 +50,7 @@ class LambdaStruct:
     """
 
     __slots__ = ("uid", "name", "params", "local_names", "body", "parent",
-                 "current_block", "depth", "demand", "suspend")
+                 "current_block", "depth", "demand", "suspend", "free")
 
     def __init__(self, uid, name, params, local_names, parent):
         self.uid = uid
@@ -61,6 +66,11 @@ class LambdaStruct:
         # and the rest, which a need call still suspends
         self.demand = ()
         self.suspend = ()
+        # what trim_dead found this level, or a level inside it, reads of
+        # enclosing levels: (struct, cell, pinned) triples, pinned when the
+        # read is inside a lambda; None when an excla inside it may read
+        # anything
+        self.free = ()
 
     def __repr__(self):
         return f"<struct {self.name}#{self.uid}>"
@@ -121,11 +131,14 @@ class If:
 
 
 class App:
-    __slots__ = ("head", "args")
+    __slots__ = ("head", "args", "dead")
 
     def __init__(self, head, args):
         self.head = head
         self.args = tuple(args)
+        # the cells of its level's block a strict closure call clears
+        # before entering the callee (trim_dead); a PrimApp clears none
+        self.dead = ()
 
 
 class PrimApp(App):
@@ -213,6 +226,93 @@ def _walk_demand(node, struct, demand):
     return False
 
 
+def trim_dead(struct, nodes, is_lambda):
+    """Make the strict closure calls of one level safe for space (Clinger,
+    Proper tail recursion and space efficiency, 1998): give each App whose
+    level is `struct` the cells of struct's block that the application,
+    head and arguments, reads last, and that a closure call inside it has
+    not already claimed. `nodes` is the level's code in evaluation order:
+    a lambda's body, or a let's bindings and then its body.
+
+    One backward liveness walk over the level's own nodes. An If merges
+    what its branches read; a let counts as a read, at its place, of every
+    cell of this level it reads itself; a cell read inside a lambda (a
+    let-bound function too) may be read whenever that closure is called,
+    so no App lists it; and a level with an excla anywhere inside it lists
+    nothing, since the text can read any name in scope. A nested level
+    contributes its `free`, found when it was analyzed, so no subtree is
+    walked twice. Records this level's own `free` for the level around it."""
+    walk = _Liveness(struct, is_lambda)
+    live = set()
+    for node in reversed(nodes):
+        walk.walk(node, live, None)
+    if walk.excla:
+        struct.free = None
+        return
+    struct.free = walk.free
+    pinned = walk.pinned
+    for app, dead in walk.apps:
+        if dead:
+            app.dead = tuple(sorted(dead - pinned))
+
+
+class _Liveness:
+    __slots__ = ("level", "pin", "free", "pinned", "apps", "excla")
+
+    def __init__(self, level, is_lambda):
+        self.level = level
+        # a lambda's reads of enclosing levels happen whenever it is called
+        self.pin = is_lambda
+        self.free = set()
+        self.pinned = set()  # cells of the level read inside a lambda
+        self.apps = []       # (App, the cells it claims)
+        self.excla = False
+
+    def walk(self, node, live, claim):
+        # `live` holds the level's cells read after `node` and is updated
+        # to those read from `node` on; `claim` is the set of the innermost
+        # closure call around `node` in this level (None outside any),
+        # which takes each cell whose last read is here
+        t = type(node)
+        if t is LocalRef:
+            self.read(node.target, node.index, False, live, claim)
+        elif t is App:
+            dead = set()
+            self.apps.append((node, dead))
+            for a in reversed(node.args):
+                self.walk(a, live, dead)
+            self.walk(node.head, live, dead)
+        elif t is PrimApp:
+            # the head is a top-level name
+            for a in reversed(node.args):
+                self.walk(a, live, claim)
+        elif t is If:
+            other = set(live)
+            self.walk(node.then, live, claim)
+            self.walk(node.orelse, other, claim)
+            live |= other
+            self.walk(node.test, live, claim)
+        elif t is LambdaRef or t is LetForm:
+            free = node.struct.free
+            if free is None:
+                self.excla = True
+            else:
+                for target, index, pinned in free:
+                    self.read(target, index, pinned, live, claim)
+        elif t is ExclaForm:
+            self.excla = True
+
+    def read(self, target, index, pinned, live, claim):
+        if target is not self.level:
+            self.free.add((target, index, pinned or self.pin))
+        elif pinned:
+            self.pinned.add(index)
+        elif index not in live:
+            live.add(index)
+            if claim is not None:
+                claim.add(index)
+
+
 def _pos(sx):
     if getattr(sx, "pos", None):
         line, col = sx.pos
@@ -271,13 +371,16 @@ def is_de_form(sx):
 
 
 class Analyzer:
-    def __init__(self, registry, primitives):
+    def __init__(self, registry, primitives, trim):
         # every struct, the top pseudo-struct first; a struct's uid is its
         # index here
         self.registry = registry
         # primitive name -> the interpreter's primitive, for the
         # primitive-shaped applications
         self.primitives = primitives
+        # run trim_dead on every level: set under call-by-value only, as
+        # a thunk reads its creator's block whenever it is forced
+        self.trim = trim
 
     def _new_struct(self, name, params, local_names, parent):
         struct = LambdaStruct(len(self.registry), name, params, local_names,
@@ -356,6 +459,8 @@ class Analyzer:
         struct.demand = demand = demand_prefix(struct)
         struct.suspend = tuple(i for i in range(len(struct.params))
                                if i not in demand)
+        if self.trim:
+            trim_dead(struct, (struct.body,), True)
         return struct
 
     def analyze_let(self, bindings_sx, body_sx, parent):
@@ -391,4 +496,6 @@ class Analyzer:
             else:
                 bindings.append(LambdaRef(self.make_lambda_struct(p[0], p[2], p[3], struct)))
         struct.body = self.analyze(body_sx, struct)
+        if self.trim:
+            trim_dead(struct, (*bindings, struct.body), False)
         return LetForm(struct, bindings)

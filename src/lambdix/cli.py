@@ -88,8 +88,9 @@ class _GcWatch:
 @contextlib.contextmanager
 def _stats_report(args, interp):
     """Under --stats, watch the cyclic collector for the run and, when the
-    run ends without an interrupt, print the counters and the collector's
-    share on stderr. Without it, register nothing."""
+    run ends without an interrupt, print the counters, the process's peak
+    resident memory and the collector's share on stderr. Without it,
+    register nothing."""
     if not args.stats:
         yield
         return
@@ -101,6 +102,12 @@ def _stats_report(args, interp):
         gc.callbacks.remove(watch)
     for name, value in interp.counters.snapshot().items():
         print(f"{name}\t{value}", file=sys.stderr)
+    # imported here, not at the top: only --stats needs it, and every
+    # start of the command line imports this module
+    import resource
+    # ru_maxrss is in KiB on Linux
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(f"peak_rss_mb\t{peak_kib / 1024:.2f}", file=sys.stderr)
     for generation, count in enumerate(watch.collections):
         print(f"gc_collections_gen{generation}\t{count}", file=sys.stderr)
     print(f"gc_collected\t{watch.collected}", file=sys.stderr)

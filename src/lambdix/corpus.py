@@ -117,6 +117,27 @@ CORPUS = [
     _same("print-returns", "(print (+ 1 2))", ("output", "3\n")),
     _entry("flipflop-latch", FLIPFLOP,
            need=("output", "(0 1 1 1 1)\n(1 0 0 0 0)\n")),
+    # a strict call clears the cells its application reads last
+    # (analyzer.trim_dead); each read below comes after such a call, so a
+    # cell cleared too early reads as "used before its definition"
+    _same("excla-reads-after-call",
+          "(de (id v) v) (de (f x) (+ (id x) (! '(+ x 1)))) (print (f 5))",
+          ("output", "11\n")),
+    _same("let-function-reads-after-call",
+          "(de (id v) v)"
+          " (print (let ((a 5) (de (g) a)) (+ (id a) (g))))",
+          ("output", "10\n")),
+    _same("captured-parameter-returned-after-call",
+          "(de (id v) v) (de (second a b) b)"
+          " (de (mk x) (second (id x) (lambda (y) (+ x y))))"
+          " (print ((mk 5) 1))",
+          ("output", "6\n")),
+    _same("parameter-read-in-one-branch",
+          "(de (id v) v)"
+          " (de (f x b) (+ (id x) (if b x 0)))"
+          " (de (g x b) (+ (id x) (if b 0 x)))"
+          " (print (f 5 (= 0 0))) (print (g 5 (= 0 1)))",
+          ("output", "10\n10\n")),
 ]
 
 

@@ -72,6 +72,17 @@ rewritten slot skip `_force`, so the `_force` calls could fall below the
 forcings (one call memoizes a whole chain), which would break the
 benchmark tracer's check that every forcing is seen in a `_force` call.
 
+Strict calls are safe for space. Under value a closure call, once its
+arguments are evaluated and before the callee's block is made and
+installed, sets to UNSET the cells of its level's block that the analyzer
+found its application reads last (App.dead, analyzer.trim_dead), so a
+recursion holds only the arguments it still reads: in Sieve no level
+keeps its input list while strike and the levels below it run. Nothing
+is cleared under need: a thunk reads its creator's block later, whenever
+it is forced. A cell cleared while something could still read it would read
+as "used before its definition" (see LocalRef); the analyzer keeps every
+cell a lambda or an excla could read.
+
 A "step" is one application of a closure; step and depth limits turn
 divergence into a reported outcome rather than a hang.
 """
@@ -117,7 +128,7 @@ class Interpreter:
         self.rt = Runtime(top, self.counters)
         prims = make_primitives()
         self.rt.top_table.update(prims)
-        self.analyzer = Analyzer(self.structs, prims)
+        self.analyzer = Analyzer(self.structs, prims, not self.lazy)
         # demand prefixes assume that a strict primitive's name still names
         # it; a top-level definition of such a name turns them off
         self.demanding = True
@@ -384,6 +395,13 @@ def _ev_app(self, interp, struct):
             block[PARENT] = head.block
             for i, a in enumerate(args, FIRST):
                 block[i] = a.ev(interp, struct)
+        dead = self.dead
+        if dead:
+            # safe for space: the cells this application read last are
+            # cleared before the callee runs (analyzer.trim_dead)
+            cb = struct.current_block
+            for i in dead:
+                cb[i] = UNSET
     rt = interp.rt
     log = rt.install(rt.new_block(block))
     depth = interp.depth

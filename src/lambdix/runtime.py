@@ -32,6 +32,15 @@ Variable access reads one slot of one structure's current block; the
 analyzer resolves the owning structure ahead of time. Global access is a
 hash-table fetch. Everything is counted.
 
+A block's cells are written once, with one exception: under call-by-value
+a closure call sets to UNSET the cells of its caller's block that its
+application read last (analyzer.trim_dead), just before the callee's
+block is installed, so a strict recursion does not keep every level's
+dead arguments alive. Nothing is cleared under call-by-need, where a
+thunk reads its creator's block whenever it is forced. A cell cleared
+while something could still read it would read as "used before its
+definition".
+
 An install calls no hook. Every install goes through the `install`
 attribute of one Runtime instance, so an observer wraps that method on the
 instance and reads the switch counters around each call (observe_installs
@@ -40,7 +49,8 @@ in tests/conftest.py).
 
 from .errors import EvalError
 
-# slot value for a local definition not yet evaluated (call-by-value lets)
+# slot value for a local definition not yet evaluated (call-by-value lets),
+# and for a cell a strict call cleared because nothing reads it again
 UNSET = object()
 
 # the cells of a block: its owner struct, the block of the defining

@@ -1,10 +1,11 @@
 import pytest
 
 from conftest import make_interp, run
-from lambdix.analyzer import App, LocalRef, PrimApp, TopRef
+from lambdix.analyzer import App, If, LocalRef, PrimApp, TopRef
 from lambdix.errors import AnalysisError, EvalError
 from lambdix.oracle import generate_program
 from lambdix.reader import read_program
+from lambdix.runtime import FIRST
 from lambdix.evaluator import run_with_limit
 
 
@@ -256,3 +257,104 @@ def test_defining_a_primitive_name_turns_prefixes_off():
     assert interp.demanding
     interp.eval_source("(de (+ a b) (- a b))")
     assert not interp.demanding
+
+
+def closure_calls(node):
+    """Every App under `node` that is not a PrimApp, in its own level,
+    outermost first and left to right."""
+    t = type(node)
+    found = [node] if t is App else []
+    if isinstance(node, App):
+        for sub in (node.head, *node.args):
+            found += closure_calls(sub)
+    elif t is If:
+        for sub in (node.test, node.then, node.orelse):
+            found += closure_calls(sub)
+    return found
+
+
+def cleared(struct, nodes=None):
+    """(head name, names of the cells it clears) for each closure call of
+    a level's code, `nodes` (its body by default), as closure_calls orders
+    them"""
+    names = struct.params + struct.local_names
+    return [(getattr(app.head, "name", "lambda"),
+             tuple(names[i - FIRST] for i in app.dead))
+            for n in nodes or (struct.body,) for app in closure_calls(n)]
+
+
+def test_sieve_strict_calls_clear_by_hand():
+    # sieve: (strike (car l) (cdr l)) reads l last; the sieve call around
+    # it reads l only through that call, so clears nothing. strike: both
+    # recursive calls read p and l last. upto's call reads a and b last
+    # (the cons read a before it); length's and last's calls read l last.
+    from lambdix.bench import program_source
+    interp, _ = make_interp("value")
+    lines = program_source("Sieve", "value").splitlines()
+    # the definitions only, without computing primes
+    interp.eval_source("\n".join(
+        line for line in lines
+        if not line.startswith(("(print", "(de primes"))))
+    by_name = structs_by_name(interp)
+    got = {name: cleared(by_name[name][0])
+           for name in ("sieve", "strike", "upto", "length", "last")}
+    assert got == {
+        "sieve": [("sieve", ()), ("strike", ("l",))],
+        "strike": [("strike", ("p", "l")), ("strike", ("p", "l"))],
+        "upto": [("upto", ("a", "b"))],
+        "length": [("length", ("l",))],
+        "last": [("last", ("l",))],
+    }
+
+
+@pytest.mark.parametrize("body,calls", [
+    # an excla may read any name in scope, inside a lambda too
+    ("(+ (id x) (! '(+ x 1)))", [("id", ())]),
+    ("(+ (id x) ((lambda (u) (! 'u)) 1))", [("id", ()), ("lambda", ())]),
+    # a captured cell stays; the others still clear
+    ("(second (id x z) (lambda (y) (+ x y)))",
+     [("second", ()), ("id", ("z",))]),
+    ("(second (id x) (lambda (y) (lambda (u) x)))", [("second", ()), ("id", ())]),
+    # an if: a cell read in either branch is live before it
+    ("(+ (id x) (if z x 0))", [("id", ())]),
+    ("(+ (id x) (if z 0 x))", [("id", ())]),
+    # each branch clears what it reads last (z is read last in the test
+    # when the first branch runs, where no call clears it), and a call
+    # around the if clears what either branch read
+    ("(if z (id x) (id2 x z))", [("id", ("x",)), ("id2", ("x", "z"))]),
+    ("(id (if z x 0))", [("id", ("x", "z"))]),
+    # a cell read again later is not cleared; the head counts as a read
+    ("(+ (id x) x)", [("id", ())]),
+    ("(x z)", [("x", ("x", "z"))]),
+    # a let reads the cells it mentions where it stands
+    ("(id (let ((a x)) a))", [("id", ("x",))]),
+    ("(+ (id x) (let ((a x)) a))", [("id", ())]),
+    # a let-bound function captures what it reads
+    ("(id2 (id x) (let ((de (g) x)) g))", [("id2", ()), ("id", ())]),
+])
+def test_strict_calls_clear_what_they_read_last(body, calls):
+    interp, _ = make_interp("value")
+    interp.eval_source(f"(de (f x z) {body})")
+    assert cleared(structs_by_name(interp)["f"][0]) == calls
+
+
+def test_let_level_clears_its_own_cells():
+    # the let's bindings and body are one level: g captures a, so only
+    # the (g) call clears, and only the cell g; f's x is read where the
+    # let stands, inside the call to id2
+    interp, _ = make_interp("value")
+    interp.eval_source(
+        "(de (f x) (id2 (let ((a x) (de (g) a) (b 2))"
+        " (+ (id a) (+ (g) (id b))))))")
+    f = structs_by_name(interp)["f"][0]
+    let = f.body.args[0]
+    assert cleared(let.struct, (*let.bindings, let.struct.body)) == [
+        ("id", ()), ("g", ("g",)), ("id", ("b",))]
+    assert cleared(f) == [("id2", ("x",))]
+
+
+def test_need_clears_nothing():
+    # a thunk reads its creator's block whenever it is forced
+    interp, _ = make_interp("need")
+    interp.eval_source("(de (f x z) (+ (id x) (id z)))")
+    assert cleared(structs_by_name(interp)["f"][0]) == [("id", ()), ("id", ())]

@@ -206,7 +206,7 @@ def test_selftest_runs_the_corpus_once(monkeypatch, capsys):
     monkeypatch.setattr(cli_module, "run_corpus", counting_run_corpus)
     assert cli_module.main(["selftest", "--count", "1"]) == 0
     assert len(calls) == 1
-    assert "70/70 checks passed" in capsys.readouterr().out
+    assert "78/78 checks passed" in capsys.readouterr().out
 
 
 def test_run_closes_its_input_file(tmp_path):
@@ -552,3 +552,15 @@ def test_repl_session_runs_on_one_reserved_stack_chunk(strategy, monkeypatch,
     assert cli_module.main(["repl", "--strategy", strategy]) == 0
     assert capsys.readouterr().out.count("= 3000") == 2
     assert faults[4] - faults[2] < 300, faults
+
+
+def test_run_stats_reports_peak_rss_before_the_collector(tmp_path):
+    path = tmp_path / "p.lx"
+    path.write_text("(print (+ 1 2))")
+    proc = cli("run", str(path), "--stats")
+    assert proc.returncode == 0
+    names = [line.split("\t")[0] for line in proc.stderr.splitlines()]
+    assert names.index("peak_rss_mb") == names.index("gc_collections_gen0") - 1
+    report = dict(line.split("\t") for line in proc.stderr.splitlines())
+    # the interpreter alone takes several MB
+    assert 1 < float(report["peak_rss_mb"]) < 1024

@@ -748,3 +748,28 @@ def test_primitive_shaped_node_counts_what_its_app_counts(body, strategy):
     # output and the same seven counts
     assert _run_prim_body(strategy, body, False) == \
         _run_prim_body(strategy, body, True)
+
+
+def test_strict_sieve_keeps_no_dead_list():
+    # Safe for space: each sieve level's input list is dead once strike
+    # has read it, and strike's cells once its recursive call has read
+    # them, so a strict run holds about one list at a time rather than
+    # one per level. Traced heap peak, Python 3.11: 0.33 MB when every
+    # level keeps its list, 0.12 MB with the dead cells cleared. The full
+    # program (2..2741) reads 4.26 and 0.62 MB, but tracemalloc walks the
+    # whole Python stack on every allocation, which makes it take about
+    # 50 s; the first 100 primes take about 1 s.
+    import tracemalloc
+
+    from lambdix.bench import program_source
+    text = program_source("Sieve", "value").replace("(upto 2 2741)",
+                                                    "(upto 2 541)")
+    interp, out = make_interp("value")
+    tracemalloc.start()
+    try:
+        interp.eval_source(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.getvalue() == "100\n541\n"
+    assert peak < 200_000
