@@ -4,7 +4,8 @@ Every name is resolved once, at analysis time, to either a lexical address
 (the enclosing lambda structure that owns the slot, found by walking the
 chain of structures itself, plus a slot offset) or a late-bound top-level
 reference. Lambda expressions and recursive lets become LambdaStruct objects
-carrying a pointer to their lexical parent structure and a mutable
+carrying one tuple of names (a function's parameters or a let's local
+definitions), a pointer to their lexical parent structure and a mutable
 current-block slot, which is all the evaluator needs for constant-time
 variable access.
 
@@ -44,19 +45,20 @@ class LambdaStruct:
     """Internal structure for one definition level: a function, a let, or
     the distinguished top level.
 
-    Slot layout is fixed after analysis: parameters first, local definitions
-    after. `current_block` is the dynamic link - the block holding this
-    level's values in the currently installed environment.
+    `names` are the level's slots in order: a function's parameters or a
+    let's local definitions, as no level has both (the top level's names
+    live in the top-level table). `current_block` is the dynamic link - the
+    block holding this level's values in the currently installed
+    environment.
     """
 
-    __slots__ = ("uid", "name", "params", "local_names", "body", "parent",
-                 "current_block", "depth", "demand", "suspend", "free")
+    __slots__ = ("uid", "name", "names", "body", "parent", "current_block",
+                 "depth", "demand", "suspend", "free")
 
-    def __init__(self, uid, name, params, local_names, parent):
+    def __init__(self, uid, name, names, parent):
         self.uid = uid
         self.name = name
-        self.params = tuple(params)
-        self.local_names = tuple(local_names)
+        self.names = tuple(names)
         self.body = None
         self.parent = parent
         self.current_block = None
@@ -77,17 +79,13 @@ class LambdaStruct:
 
 
 def resolve(struct, name):
-    """Innermost-first search up the lambda-structure chain; parameters take
-    priority over local definitions within one level. Returns (owner,
+    """Innermost-first search up the lambda-structure chain. Returns (owner,
     offset), where owner is the struct that holds the slot, or None for a
     top-level name."""
     while struct is not None:
-        params = struct.params
-        if name in params:
-            return struct, params.index(name)
-        local_names = struct.local_names
-        if name in local_names:
-            return struct, len(params) + local_names.index(name)
+        names = struct.names
+        if name in names:
+            return struct, names.index(name)
         struct = struct.parent
     return None
 
@@ -382,9 +380,8 @@ class Analyzer:
         # a thunk reads its creator's block whenever it is forced
         self.trim = trim
 
-    def _new_struct(self, name, params, local_names, parent):
-        struct = LambdaStruct(len(self.registry), name, params, local_names,
-                              parent)
+    def _new_struct(self, name, names, parent):
+        struct = LambdaStruct(len(self.registry), name, names, parent)
         self.registry.append(struct)
         return struct
 
@@ -454,10 +451,10 @@ class Analyzer:
     def make_lambda_struct(self, name, params, body_sx, parent):
         """Build the internal structure for one lambda level and compile its
         body in the extended scope."""
-        struct = self._new_struct(name, params, (), parent)
+        struct = self._new_struct(name, params, parent)
         struct.body = self.analyze(body_sx, struct)
         struct.demand = demand = demand_prefix(struct)
-        struct.suspend = tuple(i for i in range(len(struct.params))
+        struct.suspend = tuple(i for i in range(len(struct.names))
                                if i not in demand)
         if self.trim:
             trim_dead(struct, (struct.body,), True)
@@ -469,32 +466,28 @@ class Analyzer:
         slots are the local definitions."""
         if type(bindings_sx) is not SList:
             raise AnalysisError(f"{_pos(bindings_sx)}let: binding list expected")
-        parsed = []  # (name, "value", expr_sx) | (name, "func", params, body)
+        parsed = []  # parse_de's tuples
         for b in bindings_sx.items:
             if type(b) is not SList or not b.items:
                 raise AnalysisError(f"{_pos(b)}let: malformed binding")
             if is_de_form(b):
-                de = parse_de(b)
-                if de[0] == "value":
-                    parsed.append((de[1], "value", de[2]))
-                else:
-                    parsed.append((de[1], "func", de[2], de[3]))
+                parsed.append(parse_de(b))
             elif len(b.items) == 2 and type(b.items[0]) is SSym:
                 # (name expr) is sugar for (de name expr)
-                parsed.append((b.items[0].name, "value", b.items[1]))
+                parsed.append(("value", b.items[0].name, b.items[1]))
             else:
                 raise AnalysisError(f"{_pos(b)}let: malformed binding")
-        names = [p[0] for p in parsed]
+        names = [p[1] for p in parsed]
         dup = _first_duplicate(names)
         if dup is not None:
             raise AnalysisError(f"{_pos(bindings_sx)}let: duplicate local name {dup}")
-        struct = self._new_struct("let", (), names, parent)
+        struct = self._new_struct("let", names, parent)
         bindings = []
         for p in parsed:
-            if p[1] == "value":
+            if p[0] == "value":
                 bindings.append(self.analyze(p[2], struct))
             else:
-                bindings.append(LambdaRef(self.make_lambda_struct(p[0], p[2], p[3], struct)))
+                bindings.append(LambdaRef(self.make_lambda_struct(p[1], p[2], p[3], struct)))
         struct.body = self.analyze(body_sx, struct)
         if self.trim:
             trim_dead(struct, (*bindings, struct.body), False)

@@ -80,20 +80,25 @@ GC_YOUNG_THRESHOLD = 5_000
 
 def call_with_deep_stack(fn, *args, **kwargs):
     """Run fn(*args, **kwargs) on the caller's thread with the recursion
-    limit raised; a RecursionError surfaces as LimitExceeded("depth").
+    limit raised for the call and the caller's limit put back on every
+    exit; a RecursionError surfaces as LimitExceeded("depth").
 
     A Lambdix error leaves without the frames it was raised through: at
     the depth limit they are some 300,000, and formatting such a traceback
     (as a test runner does for a failing test) takes minutes. The error's
     category and message are what reports it."""
-    if sys.getrecursionlimit() < RECURSION_LIMIT:
-        sys.setrecursionlimit(RECURSION_LIMIT)
+    saved = sys.getrecursionlimit()
     try:
+        # raised inside the try, as in call_on_reserved_stack
+        if saved < RECURSION_LIMIT:
+            sys.setrecursionlimit(RECURSION_LIMIT)
         return fn(*args, **kwargs)
     except RecursionError:
         raise LimitExceeded("depth") from None
     except LambdixError as e:
         raise e.with_traceback(None)
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def call_on_reserved_stack(fn, *args, **kwargs):

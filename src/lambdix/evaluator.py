@@ -43,8 +43,9 @@ Each analyzed node class has one `ev(interp, struct)` method, defined at
 the end of this module; `struct` is the level whose environment the node
 runs in. There is no compile pass, so a one-shot REPL form costs no more
 than its analysis. A local read is one cell of the owner's current block
-vector (runtime.py), and a closure call builds its callee's vector,
-header and arguments, in one list.
+vector (runtime.py). A closure call builds its callee's vector, header
+and arguments, in one list, and a let builds its own, header and unset
+cells, the same way.
 
 A call of a primitive's name with that primitive's arity is a
 primitive-shaped node (analyzer.PrimApp) with its own short `ev` and
@@ -122,7 +123,7 @@ class Interpreter:
         self.depth = 0
         self.counters = Counters()
         self.structs = []
-        top = LambdaStruct(0, "top", (), (), None)
+        top = LambdaStruct(0, "top", (), None)
         self.top_struct = top
         self.structs.append(top)
         self.rt = Runtime(top, self.counters)
@@ -358,7 +359,7 @@ def _ev_app(self, interp, struct):
         block = [None] * (len(args) + FIRST)
         block[OWNER] = callee
         block[PARENT] = head.block
-        if interp.demanding and len(args) == len(callee.params):
+        if interp.demanding and len(args) == len(callee.names):
             # the body would force the demand prefix before anything else,
             # in this order: evaluate those arguments here, and suspend the
             # rest (every parameter when the prefix is empty)
@@ -474,8 +475,9 @@ def _ev_prim(self, interp, struct):
 def _ev_let(self, interp, struct):
     L = self.struct
     rt = interp.rt
-    block = rt.new_block([L, struct.current_block])
-    interp.counters.thunks_created += len(self.bindings)
+    n = len(self.bindings)
+    block = rt.new_block([L, struct.current_block] + [UNSET] * n)
+    interp.counters.thunks_created += n
     log = rt.install(block)
     try:
         if interp.lazy:

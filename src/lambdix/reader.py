@@ -14,6 +14,9 @@ INT_MAX = 2**63 - 1
 _DELIMS = set("()'!;\"")
 _WS = set(" \t\r\n\f\v")
 
+# a shorthand mark and the operator it stands for
+_MARKS = {"'": "quote", "!": "excla"}
+
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", "\\": "\\\\", '"': '\\"'}
 
@@ -217,29 +220,21 @@ def read_expr(tokens, start=0):
         return SSym(tok.text, pos), start + 1
     if kind == "str":
         return SStr(tok.text, pos), start + 1
-    if kind == "'":
+    if kind in _MARKS:
         try:
             inner, nxt = read_expr(tokens, start + 1)
         except EndOfInput:
-            raise ReadError("' needs a following expression", tok.line, tok.col,
-                            incomplete=True) from None
-        return SList((SSym("quote", pos), inner), pos), nxt
-    if kind == "!":
-        try:
-            inner, nxt = read_expr(tokens, start + 1)
-        except EndOfInput:
-            raise ReadError("! needs a following expression", tok.line, tok.col,
-                            incomplete=True) from None
-        return SList((SSym("excla", pos), inner), pos), nxt
+            raise ReadError(f"{kind} needs a following expression", tok.line,
+                            tok.col, incomplete=True) from None
+        return SList((SSym(_MARKS[kind], pos), inner), pos), nxt
     if kind == "(":
         items = []
         i = start + 1
         # a mark in operator position stands for the operator symbol itself:
         # (! e) is (excla e), not a one-element list holding (excla e)
-        if i < len(tokens) and tokens[i].kind in ("'", "!"):
+        if i < len(tokens) and tokens[i].kind in _MARKS:
             mark = tokens[i]
-            name = "quote" if mark.kind == "'" else "excla"
-            items.append(SSym(name, (mark.line, mark.col)))
+            items.append(SSym(_MARKS[mark.kind], (mark.line, mark.col)))
             i += 1
         while True:
             if i >= len(tokens):
@@ -260,12 +255,10 @@ def read_program(text):
     tokens = tokenize(text)
     exprs = []
     i = 0
-    while True:
-        try:
-            expr, i = read_expr(tokens, i)
-        except EndOfInput:
-            return exprs
+    while i < len(tokens):
+        expr, i = read_expr(tokens, i)
         exprs.append(expr)
+    return exprs
 
 
 def to_text(expr):

@@ -4,10 +4,11 @@ A block records one call's argument and local values plus a pointer to the
 block of the defining environment, mirroring the owner's lexical parent
 chain. It is one flat list, a frame vector in Dybvig's sense (Three
 Implementation Models for Scheme, 1987): the owner struct in cell OWNER,
-the defining block in cell PARENT, then from cell FIRST on the parameters
-and, after them, the local definitions, so slot `offset` is cell
-`FIRST + offset`. The caller builds the vector with its header and
-arguments in one allocation, and new_block checks and extends it in place.
+the defining block in cell PARENT, then from cell FIRST on one cell per
+name of the owner (a function's parameters or a let's local definitions),
+so slot `offset` is cell `FIRST + offset`. The caller builds the whole
+vector in one allocation, a call with its arguments and a let with its
+cells unset, and new_block checks its length and counts it.
 
 Installing an environment walks structure and block chains upward in
 lockstep, setting each structure's current-block slot and stopping as soon
@@ -15,18 +16,20 @@ as a link is already correct. The early stop assumes that once a pointer is
 right, all its ancestors are too. That assumption is known to fail: a
 recursive call can re-point an ancestor while a descendant level is still
 active, and a closure or thunk born in that level then reads the ancestor's
-slots from the wrong block (the strict xfail
-test_closure_reentering_a_recursion). Restoration replays the
+slots from the wrong block (the strict xfails
+test_closure_reentering_a_recursion and, for an ancestor link left
+stale, test_let_bound_closure_maker_keeps_every_link_coherent).
+Restoration replays the
 recorded old pointers in reverse, so the cost of a switch is bounded by the
 lexical depth of the callee, never by the dynamic call depth or the argument
 count.
 
-The switches that need no walk are straight-line code with the walk's
-counts: the top block costs nothing and logs nothing, a block that is
-already current costs one test, and a block whose owner is one level deep
-(every function of the benchmark suite) costs one test and one assignment
-and logs two entries, which restore undoes without a loop. Only deeper
-owners walk the chain.
+A switch takes one of two shapes. A block that is not current and whose
+owner is one level deep (every function call of the benchmark suite) is
+installed by straight-line code with the walk's counts: one test, one
+assignment and two log entries, which restore undoes without a loop.
+Every other block goes through the walk, which already costs the top
+block nothing and a block that is current one test.
 
 Variable access reads one slot of one structure's current block; the
 analyzer resolves the owning structure ahead of time. Global access is a
@@ -94,16 +97,15 @@ class Runtime:
 
     def new_block(self, block):
         """Make the fresh vector `block`, [owner struct, defining block,
-        arg0, ...], the block of one entry into its owner: check the
-        argument count, append the local slots and return the same list."""
+        slot0, ...], the block of one entry into its owner: check that it
+        has one slot per name of the owner, count it and return the same
+        list."""
         struct = block[OWNER]
         n = len(block) - FIRST
-        if n != len(struct.params):
+        if n != len(struct.names):
             raise EvalError(
-                f"{struct.name}: expected {len(struct.params)} argument(s), "
+                f"{struct.name}: expected {len(struct.names)} argument(s), "
                 f"got {n}", "arity")
-        if struct.local_names:
-            block.extend([UNSET] * len(struct.local_names))
         self.counters.blocks_allocated += 1
         return block
 
@@ -113,19 +115,13 @@ class Runtime:
         switched struct followed by its previous block. Stops early at the
         first already-correct link, assuming every link above it is correct
         too (not always so: see the module docstring), or at the top
-        pseudo-struct. The cases that need no walk are spelled out: the top
-        block, an owner whose current block is already `block`, and an
-        owner one level deep."""
+        pseudo-struct, which is never tested. The one case that needs no
+        walk is spelled out: an owner one level deep whose current block is
+        not `block`."""
         struct = block[OWNER]
         old = struct.current_block
         top = self.top_struct
-        if old is block:
-            # the top pseudo-struct's one block is always current and is
-            # never tested
-            tests = 0 if struct is top else 1
-            assignments = 0
-            log = []
-        elif struct.parent is top:
+        if struct.parent is top and old is not block:
             struct.current_block = block
             tests = assignments = 1
             log = [struct, old]

@@ -23,7 +23,7 @@ def test_innermost_binding_is_hops_zero():
     body = lam.body
     assert type(body) is LocalRef
     assert (body.target, body.offset, body.name) == (lam, 0, "x")
-    assert body.offset < len(lam.params)  # a parameter slot
+    assert lam.names[body.offset] == "x"  # a parameter slot
 
 
 def test_enclosing_parameter_is_one_hop():
@@ -162,9 +162,10 @@ def test_alpha_renaming_invariance(seed):
 
 
 def demands(interp):
-    """name -> demand prefix as parameter names, for each function struct"""
-    return {s.name: tuple(s.params[i] for i in s.demand)
-            for s in interp.structs if s.params}
+    """name -> demand prefix as parameter names, for each struct with
+    slots (a let's is empty)"""
+    return {s.name: tuple(s.names[i] for i in s.demand)
+            for s in interp.structs if s.names}
 
 
 def test_demand_prefix_of_the_suite_functions():
@@ -277,7 +278,7 @@ def cleared(struct, nodes=None):
     """(head name, names of the cells it clears) for each closure call of
     a level's code, `nodes` (its body by default), as closure_calls orders
     them"""
-    names = struct.params + struct.local_names
+    names = struct.names
     return [(getattr(app.head, "name", "lambda"),
              tuple(names[i - FIRST] for i in app.dead))
             for n in nodes or (struct.body,) for app in closure_calls(n)]

@@ -1,14 +1,17 @@
-"""The per-program collector schedule of lambdix.deep: a run sees generation
-0's threshold raised to GC_YOUNG_THRESHOLD, and finds the host's thresholds
-back in place however it ends."""
+"""The per-program policy of lambdix.deep: a run sees generation 0's
+threshold raised to GC_YOUNG_THRESHOLD, and finds the host's thresholds and
+recursion limit back in place however it ends."""
 
 import gc
+import sys
 
 import pytest
 
 from conftest import make_interp
-from lambdix.deep import GC_YOUNG_THRESHOLD, call_on_reserved_stack
+from lambdix.deep import (GC_YOUNG_THRESHOLD, RECURSION_LIMIT,
+                          call_on_reserved_stack)
 from lambdix.errors import EvalError, LimitExceeded
+from lambdix.evaluator import run_with_limit
 from lambdix.reader import read_program
 from lambdix.values import Primitive
 
@@ -100,3 +103,27 @@ def test_a_host_schedule_off_or_above_is_left_as_it_is(host):
     probed_interp("value", seen).eval_source("(print (probe 1))")
     assert seen == [host]
     assert gc.get_threshold() == host
+
+
+def test_every_way_in_puts_the_hosts_recursion_limit_back():
+    host = 5_000
+    assert host < RECURSION_LIMIT
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(host)
+    try:
+        interp, _ = make_interp("need", depth_limit=20)
+        interp.eval_source("(print 1)")
+        assert sys.getrecursionlimit() == host
+        (sx,) = read_program("(+ 1 2)")
+        assert interp.eval_form_rendered(sx) == "3"
+        assert sys.getrecursionlimit() == host
+        assert run_with_limit("(print 1)", "value", 100).kind == "value"
+        assert sys.getrecursionlimit() == host
+        with pytest.raises(EvalError):
+            interp.eval_source("(car 1)")
+        assert sys.getrecursionlimit() == host
+        with pytest.raises(LimitExceeded):
+            interp.eval_source("(de (f n) (+ 1 (f n))) (f 0)")
+        assert sys.getrecursionlimit() == host
+    finally:
+        sys.setrecursionlimit(saved)

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from conftest import make_interp, observe_installs, run
+from conftest import check_switches, make_interp, observe_installs, run
 from lambdix.analyzer import App, PrimApp
 from lambdix.builtins import make_primitives
 from lambdix.deep import FRAMES_PER_LEVEL, RECURSION_LIMIT
@@ -257,6 +257,32 @@ def test_closure_reentering_a_recursion(name, strategy):
     result = differential_run(text, strategy, step_limit=100_000)
     assert (result.main[0], result.main[2]) == ("value", expected)
     assert result.equal
+
+
+# A let-bound function of a recursive level makes the closures the caller
+# consumes after the recursion has returned; the oracle prints 5.
+GEN_SCALE = ("(de (gen k n) (if (< n 1) ()"
+             " (let ((de (scale a) (lambda (b) (+ a b))))"
+             " (cons ((scale k) n) (gen (+ k 1) (- n 1))))))"
+             " (print (car (cdr (gen 1 4))))")
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+def test_let_bound_closure_maker_in_a_recursion(strategy):
+    result = differential_run(GEN_SCALE, strategy)
+    assert (result.main[0], result.main[2]) == ("value", "5\n")
+    assert result.equal
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "Runtime.install stops early at a link that is already correct and "
+    "leaves an ancestor link of the let level stale"))
+@pytest.mark.parametrize("strategy", ["value", "need"])
+def test_let_bound_closure_maker_keeps_every_link_coherent(strategy):
+    interp, out = make_interp(strategy)
+    check_switches(interp.rt, interp.structs)
+    interp.eval_source(GEN_SCALE)
+    assert out.getvalue() == "5\n"
 
 
 def test_closure_captures_defining_block():

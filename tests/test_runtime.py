@@ -10,14 +10,14 @@ from lambdix.runtime import FIRST, OWNER, PARENT, UNSET, Counters, Runtime
 
 def chain(depth=3):
     """top <- s1 <- s2 <- ... and matching blocks, all one-parameter."""
-    top = LambdaStruct(0, "top", (), (), None)
+    top = LambdaStruct(0, "top", (), None)
     registry = [top]
     counters = Counters()
     rt = check_switches(Runtime(top, counters), registry)
     structs, blocks = [], []
     parent_s, parent_b = top, rt.top_block
     for i in range(1, depth + 1):
-        s = LambdaStruct(i, f"s{i}", ("a",), (), parent_s)
+        s = LambdaStruct(i, f"s{i}", ("a",), parent_s)
         registry.append(s)
         b = rt.new_block([s, parent_b, i * 10])
         structs.append(s)
@@ -40,20 +40,19 @@ def test_block_shape_and_arity():
 def test_zero_parameter_block_still_allocated():
     rt, counters, _, _ = chain(0)
     before = counters.blocks_allocated
-    s = LambdaStruct(9, "z", (), (), rt.top_struct)
+    s = LambdaStruct(9, "z", (), rt.top_struct)
     b = rt.new_block([s, rt.top_block])
     assert b[FIRST:] == []
     assert counters.blocks_allocated == before + 1
 
 
-def test_new_block_extends_the_vector_in_place():
-    # the caller's vector is the block: local slots are appended to it,
-    # unset, after the parameters
+def test_new_block_is_the_vector_itself():
+    # the caller's vector is the block: a let passes its cells unset
     rt, counters, _, _ = chain(0)
-    s = LambdaStruct(9, "l", ("p",), ("x", "y"), rt.top_struct)
-    vector = [s, rt.top_block, 5]
+    s = LambdaStruct(9, "let", ("x", "y"), rt.top_struct)
+    vector = [s, rt.top_block, UNSET, UNSET]
     assert rt.new_block(vector) is vector
-    assert vector[FIRST:] == [5, UNSET, UNSET]
+    assert vector[FIRST:] == [UNSET, UNSET]
     assert counters.blocks_allocated == 2
 
 
