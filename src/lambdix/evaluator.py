@@ -7,8 +7,9 @@ state, and evaluates under exactly one strategy:
           are computed eagerly;
   need  - all of those are suspended as memoized thunks, forced at most once,
           with strict primitives still strict; a literal or local argument
-          is passed on as it is, and a total primitive on operands already
-          computed is applied (see the `delay` methods).
+          or let binding is passed on as it is, a total primitive on
+          operands already computed is applied (see the `delay` methods),
+          and a let's local function is its closure at once.
 
 Under need a closure call also passes its callee's demand prefix evaluated
 (analyzer.demand_prefix): the parameters the body forces first, in the
@@ -25,18 +26,18 @@ strict primitive's name turns prefixes off for the interpreter, since they
 assume that name still names the primitive.
 
 Cheap eagerness: where a need run would suspend a primitive-shaped
-application (a closure argument or a cons component), its `delay` applies
-it at once when the primitive is total on the operands (car and cdr of a
-pair, nullist and atom of any value, + - * < <= > >= = of two integers),
-each operand is a literal or a local whose slot holds a value or a forced
-thunk's memo, and the name still holds the node's primitive; otherwise,
-and on overflow, it makes the usual thunk. Such an application cannot
-fail, print or call a closure, and reads only values that exist already,
-so it yields what its forcing would have. What moves is depth: no
-forcing frame, and no chain of suspended sums behind an accumulator. The
-one other difference is late binding: a top-level definition of the
-primitive's name made after the application was computed no longer
-reaches it, as under value. It counts what its forcing would have: one
+application (a closure argument, a cons component or a let binding), its
+`delay` applies it at once when the primitive is total on the operands
+(car and cdr of a pair, nullist and atom of any value, + - * < <= > >= =
+of two integers), each operand is a literal or a local whose slot holds a
+value or a forced thunk's memo, and the name still holds the node's
+primitive; otherwise, and on overflow, it makes the usual thunk. Such an
+application cannot fail, print or call a closure, and reads only values
+that exist already, so it yields what its forcing would have. What moves
+is depth: no forcing frame, and no chain of suspended sums behind an
+accumulator. The one other difference is late binding: a top-level
+definition of the primitive's name made after the application was
+computed no longer reaches it, as under value. It counts what its forcing would have: one
 elided suspension, the head lookup and one lookup per local operand.
 
 Each analyzed node class has one `ev(interp, struct)` method, defined at
@@ -477,13 +478,21 @@ def _ev_let(self, interp, struct):
     rt = interp.rt
     n = len(self.bindings)
     block = rt.new_block([L, struct.current_block] + [UNSET] * n)
-    interp.counters.thunks_created += n
     log = rt.install(block)
     try:
         if interp.lazy:
+            # bindings are passed as closure arguments are, top to bottom: a
+            # local function is its closure, anything else goes through its
+            # delay; a binding that reads a later sibling finds that slot
+            # unset and stays a thunk
             for i, b in enumerate(self.bindings, FIRST):
-                block[i] = Thunk(b, block)
+                if type(b) is LambdaRef:
+                    interp.counters.thunks_elided += 1
+                    block[i] = Closure(b.struct, block)
+                else:
+                    block[i] = b.delay(interp, block)
         else:
+            interp.counters.thunks_created += n
             # strict lets evaluate bindings top to bottom; reading a sibling
             # that has no value yet is an error (see LocalRef)
             for i, b in enumerate(self.bindings, FIRST):
@@ -533,11 +542,12 @@ def _delay_lit(self, interp, cb):
 
 
 def _delay_local(self, interp, cb):
-    # the slot already holds a value or a thunk, and no later write can
-    # change it; passing it on shares its memo. Under need a let fills its
-    # slots with thunks before its scope runs, so an empty slot or an
-    # uninstalled environment would be an internal fault: it is left to a
-    # thunk, whose forcing reports it as the read itself would.
+    # a set slot holds a value or a thunk, and no later write can change
+    # it; passing it on shares its memo. Under need a slot is still unset
+    # only for a let binding that reads a later sibling (or itself): that
+    # read is left to a thunk, forced once the let has filled every slot,
+    # which reports a cycle or an uninstalled environment as the read
+    # itself would.
     block = self.target.current_block
     if block is not None:
         slot = block[self.index]

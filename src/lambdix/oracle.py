@@ -9,12 +9,15 @@ divergence. It shares the reader and the value representation with the main
 interpreter, nothing else.
 
 Under need it applies the same suspension rule, written separately
-(Oracle.suspend): a literal argument is its value, a symbol bound in a
-local frame passes what its slot holds, and a total primitive on operands
-already computed is applied (cheap eagerness); anything else is suspended.
-The rule moves only depth (and what a later redefinition of a primitive's
-name reaches), so with it both interpreters finish an accumulator loop
-that would otherwise build a chain of thunks as deep as the loop.
+(Oracle.suspend), to closure arguments, cons components and a let's value
+bindings: a literal is its value, a symbol bound in a local frame passes
+what its slot holds, and a total primitive on operands already computed is
+applied (cheap eagerness); anything else is suspended, a symbol that a let
+has not bound yet included. A let binds top to bottom, a local function as
+its closure. The rule moves only depth (and what a later redefinition of a
+primitive's name reaches), so with it both interpreters finish an
+accumulator loop that would otherwise build a chain of thunks as deep as
+the loop.
 
 Also here: a seeded random program generator (closed terms over the builtin
 vocabulary) and the differential runner that compares printed forms and
@@ -253,24 +256,18 @@ class Oracle:
         names = [p[1] for p in parsed]
         if len(set(names)) != len(names):
             raise AnalysisError("let: duplicate local name")
-        frame = OFrame({}, env)
-        if self.lazy:
-            # every name sees every binding: suspensions close over the frame
-            for p in parsed:
-                if p[0] == "func":
-                    frame.vars[p[1]] = Closure(OLambda(p[1], p[2], p[3]), frame)
-                else:
-                    frame.vars[p[1]] = Thunk(p[2], frame)
-        else:
-            for name in names:
-                frame.vars[name] = _LATER
-            # strict lets bind top to bottom; a local function becomes
-            # visible at its own position, like any other binding
-            for p in parsed:
-                if p[0] == "func":
-                    frame.vars[p[1]] = Closure(OLambda(p[1], p[2], p[3]), frame)
-                else:
-                    frame.vars[p[1]] = self.eval(p[2], frame)
+        # every name sees every binding, and bindings are made top to
+        # bottom: a local function becomes its closure at its own position;
+        # a strict let evaluates a value binding, a lazy one passes it as a
+        # closure argument, so one that reads a later name is suspended
+        frame = OFrame(dict.fromkeys(names, _LATER), env)
+        for p in parsed:
+            if p[0] == "func":
+                frame.vars[p[1]] = Closure(OLambda(p[1], p[2], p[3]), frame)
+            elif self.lazy:
+                frame.vars[p[1]] = self.suspend(p[2], frame)
+            else:
+                frame.vars[p[1]] = self.eval(p[2], frame)
         return self.eval(body, frame)
 
     def apply(self, f, arg_sxs, env):
@@ -360,14 +357,15 @@ class Oracle:
     # -- suspensions ----------------------------------------------------------
 
     def suspend(self, sx, env):
-        """What a closure parameter or a cons component receives under need:
-        a literal is its value, a symbol bound in a local frame is what its
-        slot holds, a total primitive on computed operands is applied, and
-        anything else is a new suspension."""
+        """What a closure parameter, a cons component or a let's value
+        binding receives under need: a literal is its value, a symbol bound
+        in a local frame is what its slot holds, a total primitive on
+        computed operands is applied, and anything else (a name a let has
+        not bound yet included) is a new suspension."""
         t = type(sx)
         if t is SSym:
             slot = self._local(sx.name, env)
-            if slot is not None:
+            if slot is not None and slot is not _LATER:
                 return slot
         elif t is SList and sx.items:
             v = self._cheap(sx.items, env)
@@ -602,10 +600,12 @@ class ProgramGen:
             bindings = []
             for bid in bids:
                 style = rng.random()
-                if style < 0.5:
-                    bindings.append((bid, "val", self._expr(budget - 2, scope, funs, vals)))
-                elif style < 0.75:
-                    bindings.append((bid, "sugar", self._expr(budget - 2, scope, funs, vals)))
+                if style < 0.75:
+                    # half the value bindings see the let's own names, so
+                    # they read earlier and later siblings and themselves
+                    own = inner if rng.random() < 0.5 else scope
+                    bindings.append((bid, "val" if style < 0.5 else "sugar",
+                                     self._expr(budget - 2, own, funs, vals)))
                 else:
                     p = self._new_id()
                     bindings.append((bid, "fun", (p,),

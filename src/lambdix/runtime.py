@@ -52,8 +52,8 @@ in tests/conftest.py).
 
 from .errors import EvalError
 
-# slot value for a local definition not yet evaluated (call-by-value lets),
-# and for a cell a strict call cleared because nothing reads it again
+# slot value for a let's local definition not yet bound, and for a cell a
+# strict call cleared because nothing reads it again
 UNSET = object()
 
 # the cells of a block: its owner struct, the block of the defining

@@ -699,6 +699,98 @@ def test_cheap_eagerness_counts_what_the_forcing_would():
     assert (delta["thunks_created"], delta["thunks_elided"]) == (2, 0)
 
 
+# -- let bindings under need --------------------------------------------------
+
+# (program, outcome under value, outcome under need); an outcome is the
+# printed output, or ("error", (category, message))
+LET_BINDINGS = {
+    # a is bound while b's slot is still unset, so it stays a thunk
+    "reads-a-later-sibling": (
+        "(print (let ((a b) (b 1)) a))",
+        ("error", ("undefined", "b is used before its definition")), "1\n"),
+    # the let's own x, bound after y, not f's parameter
+    "later-sibling-shadows-a-parameter": (
+        "(de (f x) (let ((y x) (x 5)) y)) (print (f 1))",
+        ("error", ("undefined", "x is used before its definition")), "5\n"),
+    "reads-itself": (
+        "(print (let ((a a)) a))",
+        ("error", ("undefined", "a is used before its definition")),
+        ("error", ("cyclic", "cyclic definition: a value depends on itself"))),
+    # an unused binding neither fails nor prints
+    "failing-binding-unused": (
+        "(print (let ((a (car 5))) 7))",
+        ("error", ("type", "car: expected a pair")), "7\n"),
+    "effect-unused": (
+        "(de (p) (print 9)) (print (let ((a (p)) (b 2)) b))",
+        "9\n2\n", "2\n"),
+    # rendering x's definition runs the let, which computes (+ 1 2) as a
+    # value run does: the later definition of + does not reach it
+    "plus-redefined-after": (
+        "(de x (let ((a (+ 1 2))) (lambda () a))) (de + -) (print (x))",
+        "3\n", "3\n"),
+}
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+@pytest.mark.parametrize("name", sorted(LET_BINDINGS))
+def test_let_binding_agrees_with_the_oracle(name, strategy):
+    text, by_value, by_need = LET_BINDINGS[name]
+    expected = by_value if strategy == "value" else by_need
+    result = differential_run(text, strategy)
+    if type(expected) is tuple:
+        assert result.main[:2] == expected
+    else:
+        assert (result.main[0], result.main[2]) == ("value", expected)
+    assert result.equal
+    # the same run again, with every link checked after each switch
+    interp, out = make_interp(strategy)
+    check_switches(interp.rt, interp.structs)
+    try:
+        interp.eval_source_rendered(text)
+    except EvalError as e:
+        assert result.main[:2] == ("error", (e.category, e.message))
+    else:
+        assert result.main[0] == "value"
+    assert out.getvalue() == result.main[2]
+
+
+def test_let_bindings_take_the_argument_rule():
+    # t's block (1 test, 1 assignment), the let's (2, 1: its link, then t's
+    # current one) and g's (2, 1) make value's 5/3; need adds no forcing,
+    # where it forced a's and g's thunks at 1 test each (7/3). Elided: the
+    # literal 1 (t demands nothing), a = (+ 1 1) applied at once, g made a
+    # closure, and a passed evaluated as g's demanded x.
+    text = ("(de (t n) (let ((a (+ n 1)) (de (g x) (+ x a))) (g a)))"
+            " (print (t 1))")
+    counts = {}
+    for strategy in ("value", "need"):
+        _, out, interp = run(text, strategy)
+        assert out == "4\n"
+        counts[strategy] = interp.counters.snapshot()
+    need = counts["need"]
+    assert (need["switch_tests"], need["switch_assignments"]) == (5, 3)
+    assert (need["switch_tests"], need["switch_assignments"]) == \
+        (counts["value"]["switch_tests"], counts["value"]["switch_assignments"])
+    assert (need["thunks_created"], need["thunks_forced"],
+            need["thunks_elided"]) == (0, 0, 4)
+    assert need["thunks_created"] + need["thunks_elided"] == \
+        counts["value"]["thunks_created"]
+
+
+def test_let_binding_reading_a_later_sibling_stays_a_thunk():
+    # the literals a and e, b = (+ a 1) applied at once and c = b's 2 are
+    # elided; d reads e, unset when d is bound, so it is the one thunk. The
+    # let's install (1 test, 1 assignment) and d's forcing, which finds the
+    # let's block current (1 test), give 2/1, where forcing all five thunks
+    # gave 6/1.
+    _, out, interp = run(
+        "(print (let ((a 1) (b (+ a 1)) (c b) (d e) (e 5)) (+ c d)))")
+    assert out == "7\n"
+    c = interp.counters
+    assert (c.switch_tests, c.switch_assignments) == (2, 1)
+    assert (c.thunks_created, c.thunks_forced, c.thunks_elided) == (1, 1, 4)
+
+
 # Every primitive at its own arity, by name.
 PRIMITIVES = sorted((p.name, p.arity) for p in make_primitives().values())
 CHEAP_NAMES = ("car", "cdr", "nullist", "atom",
