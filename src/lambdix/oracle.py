@@ -20,8 +20,9 @@ accumulator loop that would otherwise build a chain of thunks as deep as
 the loop.
 
 Also here: a seeded random program generator (closed terms over the builtin
-vocabulary) and the differential runner that compares printed forms and
-error categories between the two interpreters.
+vocabulary, built as the reader's expressions and printed with `to_text`;
+no random choice depends on a name) and the differential runner that
+compares printed forms and error categories between the two interpreters.
 """
 
 import random
@@ -31,7 +32,8 @@ from collections import namedtuple
 from .deep import call_on_reserved_stack, call_with_deep_stack
 from .errors import AnalysisError, EvalError, LimitExceeded
 from .evaluator import UNLIMITED, run_with_limit
-from .reader import INT_MAX, INT_MIN, SEmbed, SList, SNum, SStr, SSym, read_program
+from .reader import (INT_MAX, INT_MIN, SEmbed, SList, SNum, SStr, SSym,
+                     read_program, to_text)
 from .values import (TH_BUSY, TH_DONE, TH_NEW, EMPTY, Closure, EmptyList,
                      Pair, Primitive, Sym, Thunk, datum_to_source,
                      quote_datum, render, structural_eq)
@@ -500,75 +502,82 @@ def differential_run(text, strategy, step_limit=10_000, depth_limit=100_000):
 # ---------------------------------------------------------------------------
 # random program generator
 
-_GEN_PRIMS1 = ("car", "cdr", "cadr", "nullist", "atom", "print")
-_GEN_PRIMS2 = ("+", "-", "*", "/", "mod", "<", "<=", ">", ">=", "=", "cons")
+_GEN_PRIMS1, _GEN_PRIMS2 = (
+    tuple(name for name, p in _prims().items() if p.arity == arity)
+    for arity in (1, 2))
 _GEN_SYMS = ("a", "b", "c", "x", "y")
 
 
-class ProgramGen:
-    """Seeded generator of closed random programs: a few top-level
-    definitions followed by expressions, depth-bounded, integer literals in
-    [-10, 10] (and 2^62 in accumulator loops). The same seed with different
-    name prefixes yields alpha-equivalent programs (generation is
-    structural; names are supplied at rendering time)."""
+def _sx(*items):
+    # a form from its items: a str is a symbol, an int a literal
+    return SList([SSym(x) if type(x) is str else SNum(x) if type(x) is int
+                  else x for x in items])
 
-    def __init__(self, seed):
+
+class ProgramGen:
+    """Seeded generator of closed random programs as the reader's
+    expressions: a few top-level definitions followed by expressions,
+    depth-bounded, integer literals in [-10, 10] (and 2^62 in accumulator
+    loops). Names are `prefix` followed by a number, and no random choice
+    depends on a name, so the same seed with different prefixes yields
+    alpha-equivalent programs."""
+
+    def __init__(self, seed, prefix="v"):
         self.rng = random.Random(seed)
+        self.prefix = prefix
         self._uid = 0
 
-    def _new_id(self):
+    def _name(self):
         self._uid += 1
-        return self._uid
+        return SSym(f"{self.prefix}{self._uid}")
 
     def program_tree(self):
         rng = self.rng
-        # (id, arity, offset of the parameter that takes a list or None);
+        # (name, arity, offset of the parameter that takes a list or None);
         # every other first argument is a small count
         funs = []
-        vals = []  # id
+        vals = []  # name
         forms = []
         for _ in range(rng.randint(0, 2)):
-            fid = self._new_id()
+            f = self._name()
             roll = rng.random()
             if roll < 0.3:
                 # terminating countdown
-                p = self._new_id()
+                p = self._name()
                 base = self._expr(2, (p,), funs, vals)
-                forms.append(("defun", fid, (p,),
-                              ("if", ("prim", "<", [("var", p), ("int", 1)]),
-                               base,
-                               ("call", fid, [("prim", "-", [("var", p), ("int", 1)])]))))
-                funs.append((fid, 1, None))
+                forms.append(_sx("de", _sx(f, p),
+                                 _sx("if", _sx("<", p, 1), base,
+                                     _sx(f, _sx("-", p, 1)))))
+                funs.append((f, 1, None))
             elif roll < 0.6:
                 # a loop shape, called once at once so that it runs
                 if roll < 0.45:
-                    form, fun = self._accumulator(fid), (fid, 2, None)
+                    form, fun = self._accumulator(f)
                 else:
-                    form = self._walk(fid)
-                    fun = (fid, len(form[2]), len(form[2]) - 2)
+                    form, fun = self._walk(f)
                 forms.append(form)
-                forms.append(("expr", self._call(fun, 3, (), funs, vals)))
+                forms.append(self._call(fun, 3, (), funs, vals))
                 funs.append(fun)
             else:
-                ps = tuple(self._new_id() for _ in range(rng.randint(1, 3)))
-                forms.append(("defun", fid, ps, self._expr(3, ps, funs, vals)))
-                funs.append((fid, len(ps), None))
+                ps = tuple(self._name() for _ in range(rng.randint(1, 3)))
+                forms.append(_sx("de", _sx(f, *ps), self._expr(3, ps, funs, vals)))
+                funs.append((f, len(ps), None))
         for _ in range(rng.randint(0, 2)):
-            vid = self._new_id()
-            forms.append(("defval", vid, self._expr(3, (), funs, vals)))
-            vals.append(vid)
+            v = self._name()
+            forms.append(_sx("de", v, self._expr(3, (), funs, vals)))
+            vals.append(v)
         for _ in range(rng.randint(1, 3)):
-            forms.append(("expr", self._expr(5, (), funs, vals)))
+            forms.append(self._expr(5, (), funs, vals))
         return forms
 
     def _expr(self, budget, scope, funs, vals):
         rng = self.rng
         if budget <= 0:
-            leaves = [("int", rng.randint(-10, 10))]
+            leaves = [SNum(rng.randint(-10, 10))]
             if scope:
-                leaves.append(("var", rng.choice(scope)))
+                leaves.append(rng.choice(scope))
             if vals:
-                leaves.append(("topval", rng.choice(vals)))
+                leaves.append(rng.choice(vals))
             return rng.choice(leaves)
         roll = rng.random()
         sub = lambda b=1: self._expr(budget - b, scope, funs, vals)
@@ -577,166 +586,107 @@ class ProgramGen:
         if roll < 0.40:
             op = rng.choice(_GEN_PRIMS2)
             if op in ("/", "mod") and rng.random() < 0.85:
-                return ("prim", op, [sub(), ("int", rng.choice((1, 2, 3, 5, -4)))])
-            return ("prim", op, [sub(), sub()])
+                return _sx(op, sub(), rng.choice((1, 2, 3, 5, -4)))
+            return _sx(op, sub(), sub())
         if roll < 0.50:
-            test = ("prim", rng.choice(("<", "<=", "=", ">")), [sub(2), sub(2)])
-            return ("if", test, sub(), sub())
+            test = _sx(rng.choice(("<", "<=", "=", ">")), sub(2), sub(2))
+            return _sx("if", test, sub(), sub())
         if roll < 0.58:
             op = rng.choice(_GEN_PRIMS1)
             if op in ("car", "cdr", "cadr") and rng.random() < 0.8:
-                return ("prim", op, [self._pairish(budget - 1, scope, funs, vals)])
-            return ("prim", op, [sub()])
+                return _sx(op, self._pairish(budget - 1, scope, funs, vals))
+            return _sx(op, sub())
         if roll < 0.66 and funs:
             return self._call(rng.choice(funs), budget, scope, funs, vals)
         if roll < 0.76:
-            ps = tuple(self._new_id() for _ in range(rng.randint(1, 2)))
+            ps = tuple(self._name() for _ in range(rng.randint(1, 2)))
             body = self._expr(budget - 1, scope + ps, funs, vals)
-            return ("lamapp", ps, body, [sub(2) for _ in ps])
+            return _sx(_sx("lambda", _sx(*ps), body), *[sub(2) for _ in ps])
         if roll < 0.88:
             n = rng.randint(1, 2)
-            bids = tuple(self._new_id() for _ in range(n))
-            inner = scope + bids
+            names = tuple(self._name() for _ in range(n))
+            inner = scope + names
             bindings = []
-            for bid in bids:
+            for name in names:
                 style = rng.random()
                 if style < 0.75:
                     # half the value bindings see the let's own names, so
                     # they read earlier and later siblings and themselves
                     own = inner if rng.random() < 0.5 else scope
-                    bindings.append((bid, "val" if style < 0.5 else "sugar",
-                                     self._expr(budget - 2, own, funs, vals)))
+                    value = self._expr(budget - 2, own, funs, vals)
+                    bindings.append(_sx("de", name, value) if style < 0.5
+                                    else _sx(name, value))
                 else:
-                    p = self._new_id()
-                    bindings.append((bid, "fun", (p,),
-                                     self._expr(budget - 2, inner + (p,), funs, vals)))
-            return ("let", bindings, self._expr(budget - 1, inner, funs, vals))
+                    p = self._name()
+                    bindings.append(_sx("de", _sx(name, p),
+                                        self._expr(budget - 2, inner + (p,), funs, vals)))
+            return _sx("let", _sx(*bindings), self._expr(budget - 1, inner, funs, vals))
         if roll < 0.95:
-            return ("quote", self._datum(2))
-        return ("exclaq", ("list", [("sym", rng.choice(("+", "-", "*"))),
-                                    ("num", rng.randint(-5, 5)),
-                                    ("num", rng.randint(-5, 5))]))
+            return _sx("quote", self._datum(2))
+        return _sx("excla", _sx("quote", _sx(rng.choice(("+", "-", "*")),
+                                             rng.randint(-5, 5), rng.randint(-5, 5))))
 
     def _call(self, fun, budget, scope, funs, vals):
-        fid, arity, walked = fun
-        return ("call", fid, [
+        f, arity, walked = fun
+        return _sx(f, *[
             self._pairish(budget - 1, scope, funs, vals) if i == walked
-            else ("int", self.rng.randint(0, 8)) if i == 0
+            else self.rng.randint(0, 8) if i == 0
             else self._expr(budget - 2, scope, funs, vals)
             for i in range(arity)])
 
     # The two loop shapes pass, at each recursive call, total primitives on
     # their own parameters: what cheap eagerness applies under need when
     # the operands are already computed, and suspends when they are not.
+    # Each returns its definition and its `funs` entry.
 
-    def _accumulator(self, fid):
+    def _accumulator(self, f):
         # (de (f n acc) (if (< n 1) acc (f (- n 1) (op acc e)))): n is
         # demanded; acc holds a value from a literal start on, or a thunk;
         # e = 2^62 soon overflows, and a comparison makes acc a boolean
         rng = self.rng
-        n, acc = self._new_id(), self._new_id()
+        n, acc = self._name(), self._name()
         op = rng.choice(("+", "-", "*", "<", "<=", ">", ">=", "="))
-        e = rng.choice((("int", rng.randint(-3, 3)), ("int", 1 << 62),
-                        ("var", n), ("var", acc)))
-        return ("defun", fid, (n, acc),
-                ("if", ("prim", "<", [("var", n), ("int", 1)]), ("var", acc),
-                 ("call", fid, [("prim", "-", [("var", n), ("int", 1)]),
-                                ("prim", op, [("var", acc), e])])))
+        e = rng.choice((rng.randint(-3, 3), 1 << 62, n, acc))
+        return (_sx("de", _sx(f, n, acc),
+                    _sx("if", _sx("<", n, 1), acc,
+                        _sx(f, _sx("-", n, 1), _sx(op, acc, e)))),
+                (f, 2, None))
 
-    def _walk(self, fid):
+    def _walk(self, f):
         # (de (f l a) (if (test l) a (f (cdr l) step))): test is nullist or
         # atom, so f demands l, and step is car, cdr, nullist or atom of l,
         # or a cons of (car l) onto a. With a countdown k in front, l is no
         # longer demanded but forced by the test, so a thunk in its slot is
         # forced by the time step reads it
         rng = self.rng
-        lv, a = self._new_id(), self._new_id()
-        l = ("var", lv)
-        step = rng.choice((("prim", "car", [l]), ("prim", "cdr", [l]),
-                           ("prim", "nullist", [l]), ("prim", "atom", [l]),
-                           ("prim", "cons", [("prim", "car", [l]), ("var", a)])))
-        test = ("prim", rng.choice(("nullist", "atom")), [l])
-        rec = [("prim", "cdr", [l]), step]
+        l, a = self._name(), self._name()
+        step = rng.choice((_sx("car", l), _sx("cdr", l), _sx("nullist", l),
+                           _sx("atom", l), _sx("cons", _sx("car", l), a)))
+        test = _sx(rng.choice(("nullist", "atom")), l)
+        rec = (_sx("cdr", l), step)
         if rng.random() < 0.5:
-            return ("defun", fid, (lv, a), ("if", test, ("var", a),
-                                             ("call", fid, rec)))
-        k = self._new_id()
-        return ("defun", fid, (k, lv, a),
-                ("if", ("prim", "<", [("var", k), ("int", 1)]), ("var", a),
-                 ("if", test, ("var", a),
-                  ("call", fid, [("prim", "-", [("var", k), ("int", 1)])] + rec))))
+            return _sx("de", _sx(f, l, a), _sx("if", test, a, _sx(f, *rec))), (f, 2, 0)
+        k = self._name()
+        return (_sx("de", _sx(f, k, l, a),
+                    _sx("if", _sx("<", k, 1), a,
+                        _sx("if", test, a, _sx(f, _sx("-", k, 1), *rec)))),
+                (f, 3, 1))
 
     def _pairish(self, budget, scope, funs, vals):
         if self.rng.random() < 0.5:
-            return ("prim", "cons",
-                    [self._expr(max(budget - 1, 0), scope, funs, vals),
-                     ("quote", self._datum(1))])
-        return ("quote", ("list", [self._datum(1) for _ in range(self.rng.randint(1, 3))]))
+            return _sx("cons", self._expr(max(budget - 1, 0), scope, funs, vals),
+                       _sx("quote", self._datum(1)))
+        return _sx("quote", _sx(*[self._datum(1) for _ in range(self.rng.randint(1, 3))]))
 
     def _datum(self, budget):
         rng = self.rng
         if budget <= 0 or rng.random() < 0.6:
             if rng.random() < 0.7:
-                return ("num", rng.randint(-10, 10))
-            return ("sym", rng.choice(_GEN_SYMS))
-        return ("list", [self._datum(budget - 1) for _ in range(rng.randint(0, 3))])
-
-
-def render_program(forms, prefix="v"):
-    name = lambda i: f"{prefix}{i}"
-
-    def rx(e):
-        tag = e[0]
-        if tag == "int":
-            return str(e[1])
-        if tag == "var" or tag == "topval":
-            return name(e[1])
-        if tag == "prim":
-            return "(" + " ".join([e[1]] + [rx(a) for a in e[2]]) + ")"
-        if tag == "if":
-            return f"(if {rx(e[1])} {rx(e[2])} {rx(e[3])})"
-        if tag == "call":
-            return "(" + " ".join([name(e[1])] + [rx(a) for a in e[2]]) + ")"
-        if tag == "lamapp":
-            params = " ".join(name(p) for p in e[1])
-            args = " ".join(rx(a) for a in e[3])
-            return f"((lambda ({params}) {rx(e[2])}) {args})".replace("  ", " ")
-        if tag == "let":
-            bs = []
-            for b in e[1]:
-                if b[1] == "val":
-                    bs.append(f"(de {name(b[0])} {rx(b[2])})")
-                elif b[1] == "sugar":
-                    bs.append(f"({name(b[0])} {rx(b[2])})")
-                else:
-                    params = " ".join(name(p) for p in b[2])
-                    bs.append(f"(de ({name(b[0])} {params}) {rx(b[3])})")
-            return f"(let ({' '.join(bs)}) {rx(e[2])})"
-        if tag == "quote":
-            return "'" + rdatum(e[1])
-        if tag == "exclaq":
-            return "(! '" + rdatum(e[1]) + ")"
-        raise ValueError(f"unknown node {e!r}")
-
-    def rdatum(d):
-        if d[0] == "num":
-            return str(d[1])
-        if d[0] == "sym":
-            return d[1]
-        return "(" + " ".join(rdatum(x) for x in d[1]) + ")"
-
-    lines = []
-    for form in forms:
-        if form[0] == "defun":
-            _, fid, ps, body = form
-            params = " ".join(name(p) for p in ps)
-            lines.append(f"(de ({name(fid)} {params}) {rx(body)})")
-        elif form[0] == "defval":
-            lines.append(f"(de {name(form[1])} {rx(form[2])})")
-        else:
-            lines.append(rx(form[1]))
-    return "\n".join(lines) + "\n"
+                return SNum(rng.randint(-10, 10))
+            return SSym(rng.choice(_GEN_SYMS))
+        return _sx(*[self._datum(budget - 1) for _ in range(rng.randint(0, 3))])
 
 
 def generate_program(seed, prefix="v"):
-    return render_program(ProgramGen(seed).program_tree(), prefix)
+    forms = ProgramGen(seed, prefix).program_tree()
+    return "".join(to_text(form) + "\n" for form in forms)

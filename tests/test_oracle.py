@@ -3,9 +3,8 @@ import pytest
 from lambdix.builtins import make_primitives
 from lambdix.corpus import CORPUS, check_outcome
 from lambdix.evaluator import Outcome, run_with_limit
-from lambdix.oracle import (Oracle, ProgramGen, _prims,
-                            differential_run, generate_program,
-                            render_program)
+from lambdix.oracle import Oracle, _prims, differential_run, generate_program
+from lambdix.reader import read_program, to_text
 
 
 # run_corpus's step and depth limits
@@ -77,18 +76,20 @@ def test_generator_is_deterministic():
 
 
 def test_generator_prefix_changes_names_only():
-    tree = ProgramGen(99).program_tree()
-    v = render_program(tree, "v")
-    w = render_program(tree, "w")
-    assert v != w
-    assert v == w.replace("w", "v")
+    for seed in range(95, 105):
+        v = generate_program(seed, "v")
+        w = generate_program(seed, "w")
+        assert v != w
+        assert v == w.replace("w", "v")
 
 
 def test_generated_programs_parse():
-    from lambdix.reader import read_program
-    for seed in range(50):
-        forms = read_program(generate_program(seed))
+    # the text is what to_text prints for the forms it reads as
+    for seed in range(200):
+        text = generate_program(seed)
+        forms = read_program(text)
         assert forms
+        assert "".join(to_text(form) + "\n" for form in forms) == text
 
 
 # Programs where passing a literal, a local or a demanded argument on
