@@ -23,6 +23,14 @@ call that the name still holds that very primitive and otherwise
 evaluates the node as the App it also is, so a later definition of the
 name still takes effect.
 
+A let's level records the offsets of its (de (f ...) ...) bindings
+(`funs`), and an App whose head reads one of those slots is marked
+(App.parent_current) when it is built. Such a slot always holds f's
+closure over the let's block, which is current wherever the slot can be
+read, so the call's install need not walk (runtime.Runtime.install). A
+value binding or a parameter may hold a closure of any level and marks
+nothing.
+
 Under call-by-value each closure-call App also records the cells of its
 level's block that nothing reads after its application (trim_dead), which
 the call clears before entering the callee; an analyzer for call-by-need
@@ -53,7 +61,7 @@ class LambdaStruct:
     """
 
     __slots__ = ("uid", "name", "names", "body", "parent", "current_block",
-                 "depth", "demand", "suspend", "free")
+                 "depth", "demand", "suspend", "free", "funs")
 
     def __init__(self, uid, name, names, parent):
         self.uid = uid
@@ -73,6 +81,9 @@ class LambdaStruct:
         # read is inside a lambda; None when an excla inside it may read
         # anything
         self.free = ()
+        # a let's offsets of its (de (f ...) ...) bindings, whose slots
+        # hold their closures over the let's own block
+        self.funs = ()
 
     def __repr__(self):
         return f"<struct {self.name}#{self.uid}>"
@@ -129,7 +140,7 @@ class If:
 
 
 class App:
-    __slots__ = ("head", "args", "dead")
+    __slots__ = ("head", "args", "dead", "parent_current")
 
     def __init__(self, head, args):
         self.head = head
@@ -137,6 +148,11 @@ class App:
         # the cells of its level's block a strict closure call clears
         # before entering the callee (trim_dead); a PrimApp clears none
         self.dead = ()
+        # a call of a let's own local function: its closure's block is the
+        # let's current one, so the callee's parent link is current
+        # whenever the call runs and its install need not walk
+        self.parent_current = (type(head) is LocalRef
+                               and head.offset in head.target.funs)
 
 
 class PrimApp(App):
@@ -482,6 +498,7 @@ class Analyzer:
         if dup is not None:
             raise AnalysisError(f"{_pos(bindings_sx)}let: duplicate local name {dup}")
         struct = self._new_struct("let", names, parent)
+        struct.funs = tuple(i for i, p in enumerate(parsed) if p[0] == "func")
         bindings = []
         for p in parsed:
             if p[0] == "value":

@@ -46,7 +46,10 @@ runs in. There is no compile pass, so a one-shot REPL form costs no more
 than its analysis. A local read is one cell of the owner's current block
 vector (runtime.py). A closure call builds its callee's vector, header
 and arguments, in one list, and a let builds its own, header and unset
-cells, the same way.
+cells, the same way. A let's entry and a call the analyzer marked as one
+of a let's own functions (App.parent_current) tell `install` that the new
+block's parent is current already; a forcing and every other call pass
+nothing.
 
 A call of a primitive's name with that primitive's arity is a
 primitive-shaped node (analyzer.PrimApp) with its own short `ev` and
@@ -405,7 +408,7 @@ def _ev_app(self, interp, struct):
             for i in dead:
                 cb[i] = UNSET
     rt = interp.rt
-    log = rt.install(rt.new_block(block))
+    log = rt.install(rt.new_block(block), self.parent_current)
     depth = interp.depth
     try:
         if depth >= interp.depth_limit:
@@ -478,7 +481,8 @@ def _ev_let(self, interp, struct):
     rt = interp.rt
     n = len(self.bindings)
     block = rt.new_block([L, struct.current_block] + [UNSET] * n)
-    log = rt.install(block)
+    # the block hangs from the running level's block, which is current
+    log = rt.install(block, True)
     try:
         if interp.lazy:
             # bindings are passed as closure arguments are, top to bottom: a

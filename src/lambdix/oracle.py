@@ -31,7 +31,7 @@ from collections import namedtuple
 
 from .deep import call_on_reserved_stack, call_with_deep_stack
 from .errors import AnalysisError, EvalError, LimitExceeded
-from .evaluator import UNLIMITED, run_with_limit
+from .evaluator import UNLIMITED, Outcome, run_with_limit
 from .reader import (INT_MAX, INT_MIN, SEmbed, SList, SNum, SStr, SSym,
                      read_program, to_text)
 from .values import (TH_BUSY, TH_DONE, TH_NEW, EMPTY, Closure, EmptyList,
@@ -485,10 +485,12 @@ DiffResult = namedtuple("DiffResult", "main oracle equal")
 def differential_run(text, strategy, step_limit=10_000, depth_limit=100_000):
     """Run one program through both interpreters; equality compares printed
     output and the rendered results or the error category. Limit-exceeded
-    on both sides counts as equal."""
-    m = run_with_limit(text, strategy, step_limit, depth_limit)
-    o = run_with_limit(text, strategy, step_limit, depth_limit, engine=Oracle)
-    if m.kind != o.kind:
+    on both sides counts as equal. A Python exception that escapes either
+    interpreter comes back as a "crash" outcome, its payload the
+    exception's type and message, and is never equal."""
+    m = _outcome(text, strategy, step_limit, depth_limit)
+    o = _outcome(text, strategy, step_limit, depth_limit, engine=Oracle)
+    if m.kind != o.kind or m.kind == "crash":
         equal = False
     elif m.kind == "limit":
         equal = True
@@ -497,6 +499,14 @@ def differential_run(text, strategy, step_limit=10_000, depth_limit=100_000):
     else:
         equal = m.payload[0] == o.payload[0] and m.output == o.output
     return DiffResult(m, o, equal)
+
+
+def _outcome(text, strategy, step_limit, depth_limit, **engine):
+    try:
+        return run_with_limit(text, strategy, step_limit, depth_limit,
+                              **engine)
+    except Exception as e:
+        return Outcome("crash", f"{type(e).__name__}: {e}", "")
 
 
 # ---------------------------------------------------------------------------

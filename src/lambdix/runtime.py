@@ -11,25 +11,26 @@ vector in one allocation, a call with its arguments and a let with its
 cells unset, and new_block checks its length and counts it.
 
 Installing an environment walks structure and block chains upward in
-lockstep, setting each structure's current-block slot and stopping as soon
-as a link is already correct. The early stop assumes that once a pointer is
-right, all its ancestors are too. That assumption is known to fail: a
-recursive call can re-point an ancestor while a descendant level is still
-active, and a closure or thunk born in that level then reads the ancestor's
-slots from the wrong block (the strict xfails
-test_closure_reentering_a_recursion and, for an ancestor link left
-stale, test_let_bound_closure_maker_keeps_every_link_coherent).
-Restoration replays the
-recorded old pointers in reverse, so the cost of a switch is bounded by the
-lexical depth of the callee, never by the dynamic call depth or the argument
-count.
+lockstep, up to the top pseudo-struct, testing each structure's
+current-block slot and setting the ones that are wrong. A link that is
+already right says nothing about the links above it: a recursive call can
+re-point an ancestor while a descendant level is still active, so the walk
+never stops early. After an install the owner's whole chain is current,
+and restoration replays the recorded old pointers in reverse, undoing each
+install exactly. The cost of a switch is therefore at most the lexical
+depth of the callee (`struct.depth` tests), never the dynamic call depth
+or the argument count.
 
-A switch takes one of two shapes. A block that is not current and whose
-owner is one level deep (every function call of the benchmark suite) is
-installed by straight-line code with the walk's counts: one test, one
-assignment and two log entries, which restore undoes without a loop.
-Every other block goes through the walk, which already costs the top
-block nothing and a block that is current one test.
+A block that is not current is installed by straight-line code, one test,
+one assignment and a one-pair log that restore undoes without a loop, in
+three shapes where the rest of its chain is known to be current: its owner
+is one level deep (every function call of the benchmark suite), it is a
+let's block, whose parent is the running level's block, or it is a call of
+a let's own local function, marked by the analyzer (App.parent_current),
+whose closure's block is the let's current block. The running level's
+chain is always current, since every install leaves its owner's whole
+chain current and restores are LIFO, so both parent links are current
+whenever such a switch runs.
 
 Variable access reads one slot of one structure's current block; the
 analyzer resolves the owning structure ahead of time. Global access is a
@@ -109,42 +110,41 @@ class Runtime:
         self.counters.blocks_allocated += 1
         return block
 
-    def install(self, block):
-        """Make `block` (and its ancestors) current for its owner struct (and
-        the owner's ancestors); returns the log restore() needs: each
-        switched struct followed by its previous block. Stops early at the
-        first already-correct link, assuming every link above it is correct
-        too (not always so: see the module docstring), or at the top
-        pseudo-struct, which is never tested. The one case that needs no
-        walk is spelled out: an owner one level deep whose current block is
-        not `block`."""
+    def install(self, block, parent_current=False):
+        """Make `block` and its ancestors current for its owner struct and
+        the owner's ancestors; returns the log restore() needs: each
+        switched struct followed by its previous block.
+
+        A block that is not current is installed by straight-line code
+        when its owner is one level deep or the caller knows the block's
+        parent to be current already (`parent_current`: a let's entry, a
+        call of a let's own function): one test, one assignment. Every
+        other install walks to the top pseudo-struct, which is never
+        tested: one test per level, `struct.depth` in all, and one
+        assignment per link that is wrong."""
         struct = block[OWNER]
         old = struct.current_block
-        top = self.top_struct
-        if struct.parent is top and old is not block:
+        c = self.counters
+        if old is not block and (parent_current
+                                 or struct.parent is self.top_struct):
             struct.current_block = block
-            tests = assignments = 1
-            log = [struct, old]
-        else:
-            log = []
-            s = struct
-            b = block
-            tests = 0
-            while s is not top:
-                old = s.current_block
-                if old is b:
-                    tests = 1
-                    break
+            c.switch_tests += 1
+            c.switch_assignments += 1
+            return [struct, old]
+        log = []
+        top = self.top_struct
+        s = struct
+        b = block
+        while s is not top:
+            old = s.current_block
+            if old is not b:
                 log.append(s)
                 log.append(old)
                 s.current_block = b
-                s = s.parent
-                b = b[PARENT]
-            assignments = len(log) >> 1
-            tests += assignments
-        c = self.counters
-        c.switch_tests += tests
-        c.switch_assignments += assignments
+            s = s.parent
+            b = b[PARENT]
+        c.switch_tests += struct.depth
+        c.switch_assignments += len(log) >> 1
         return log
 
     def restore(self, log):

@@ -31,9 +31,9 @@ def observe_installs(rt, fn):
     install = rt.install
     c = rt.counters
 
-    def observed_install(block):
+    def observed_install(block, parent_current=False):
         tests, assignments = c.switch_tests, c.switch_assignments
-        log = install(block)
+        log = install(block, parent_current)
         fn(block[OWNER], c.switch_tests - tests,
            c.switch_assignments - assignments)
         return log
@@ -42,15 +42,40 @@ def observe_installs(rt, fn):
     return rt
 
 
+def check_installs(rt):
+    """Assert after every install on `rt`, by wrapping that method on this
+    one instance, that the owner's whole chain is current and that the
+    install tested each level of the owner, `struct.depth` tests, or one
+    level in the three straight-line shapes: a block not yet current whose
+    owner is one level deep, or whose caller passes `parent_current` (a
+    let's entry, a call of a let's own function)."""
+    install = rt.install
+    c = rt.counters
+
+    def checked_install(block, parent_current=False):
+        struct = block[OWNER]
+        straight = (struct.current_block is not block
+                    and (parent_current or struct.depth == 1))
+        tests = c.switch_tests
+        log = install(block, parent_current)
+        _assert_installed(rt, block)
+        assert c.switch_tests - tests == (1 if straight else struct.depth), \
+            f"{c.switch_tests - tests} tests to install {struct!r}"
+        return log
+
+    rt.install = checked_install
+    return rt
+
+
 def check_switches(rt, structs):
-    """Assert chain coherence after every install and every restore on `rt`
-    by wrapping those two methods on this one instance. `structs` is the
-    live list of every structure the checks cover."""
+    """check_installs, and chain coherence after every install and every
+    restore on `rt`, by wrapping those two methods on this one instance.
+    `structs` is the live list of every structure the checks cover."""
+    check_installs(rt)
     install, restore = rt.install, rt.restore
 
-    def checked_install(block):
-        log = install(block)
-        _assert_installed(rt, block)
+    def checked_install(block, parent_current=False):
+        log = install(block, parent_current)
         _assert_coherent(rt, structs)
         return log
 

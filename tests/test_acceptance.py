@@ -113,10 +113,11 @@ NESTED_LET = """
 def test_criterion_3b_nested_let_hand_trace():
     def check():
         # hand trace, strict strategy:
-        #   (make):   install make 1t/1a, three lets 2t/1a each   -> 7t 4a
+        #   (make):   install make 1t/1a, three lets 1t/1a each,
+        #             each hanging from the running level's block -> 4t 4a
         #   (disturb 3): four self-recursive calls 1t/1a each     -> 4t 4a
         #   (probe 10): escaped closure, whole chain stale,
-        #               lam+let*3+make all assigned               -> 5t 5a
+        #               lam+let*3+make all tested and assigned    -> 5t 5a
         #   (probe 20): same                                      -> 5t 5a
         interp, _ = make_interp("value")
         per_install = []
@@ -125,7 +126,7 @@ def test_criterion_3b_nested_let_hand_trace():
         interp.eval_source(NESTED_LET)
         total_tests = sum(t for _, t, _ in per_install)
         total_assigns = sum(a for _, _, a in per_install)
-        assert total_tests == 21, total_tests
+        assert total_tests == 18, total_tests
         assert total_assigns == 18, total_assigns
         # switch_tests per install never exceeds lexical depth + 1 (struct
         # depth counts the struct itself plus its enclosing lambda/lets)

@@ -244,6 +244,28 @@ def test_a_local_named_after_a_primitive_heads_an_app():
     assert type(got) is App and type(got.head) is LocalRef
 
 
+@pytest.mark.parametrize("body,marked", [
+    ("(f 1)", True),                  # the let's own function
+    ("(g 1)", False),                 # a value binding holding a lambda
+    ("(k 1)", False),                 # a (de name expr) binding
+    ("(p 1)", False),                 # a parameter of the enclosing level
+    ("((lambda (y) y) 1)", False),
+    ("(car p)", False),
+])
+def test_calls_of_a_lets_own_functions_are_marked(body, marked):
+    # only a call of a (de (f ...) ...) binding of the let is known to find
+    # its callee's parent block current
+    interp, _ = make_interp()
+    interp.eval_source("(de (h p) (let ((de (f x) (f x)) (g (lambda (y) y))"
+                       f" (de k p)) {body}))")
+    let = structs_by_name(interp)["let"][0]
+    assert let.funs == (0,)
+    assert isinstance(let.body, App)
+    assert let.body.parent_current is marked
+    # f's own recursive call reads f from the let's slot too
+    assert structs_by_name(interp)["f"][0].body.parent_current is True
+
+
 def test_let_bound_and_excla_functions_have_prefixes():
     interp, _ = make_interp()
     interp.eval_source("(let ((de (h a b) (- b a))) (h 1 2))"

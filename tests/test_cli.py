@@ -13,6 +13,7 @@ from lambdix import cli as cli_module
 from lambdix import deep
 from lambdix.corpus import run_corpus
 from lambdix.evaluator import Interpreter
+from lambdix.oracle import generate_program
 from lambdix.runtime import OWNER
 from lambdix.values import Primitive
 
@@ -209,6 +210,23 @@ def test_selftest_runs_the_corpus_once(monkeypatch, capsys):
     assert "78/78 checks passed" in capsys.readouterr().out
 
 
+def test_selftest_reports_a_crash_as_a_mismatch(monkeypatch, capsys):
+    # a Python exception escaping the main interpreter is a mismatch that
+    # names its program, not a traceback out of selftest
+    def crash(self, text):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli_module, "run_corpus", lambda: [])
+    monkeypatch.setattr(Interpreter, "eval_source_rendered", crash)
+    assert cli_module.main(["selftest", "--count", "1", "--seed", "7"]) == 3
+    out = capsys.readouterr().out
+    text = generate_program(7 * 100_003)
+    assert out.count("MISMATCH\t") == 2
+    assert f"  program: {text!r}\n" in out
+    assert "IndexError: list index out of range" in out
+    assert "0/2 checks passed" in out
+
+
 def test_run_closes_its_input_file(tmp_path):
     path = tmp_path / "one.lx"
     path.write_text("(print 1)\n")
@@ -377,8 +395,8 @@ def test_repl_interrupt_between_an_install_and_its_try(strategy, monkeypatch,
         install = interp.rt.install
         fired = []
 
-        def interrupted_install(block):
-            log = install(block)
+        def interrupted_install(block, parent_current=False):
+            log = install(block, parent_current)
             if block[OWNER].depth == 2 and not fired:
                 fired.append(block)
                 raise KeyboardInterrupt

@@ -1,8 +1,9 @@
 import pytest
 
-from conftest import check_switches, make_interp, observe_installs
+from conftest import check_installs, check_switches, make_interp, observe_installs
 from lambdix.analyzer import LambdaStruct
-from lambdix.errors import EvalError
+from lambdix.corpus import CORPUS
+from lambdix.errors import EvalError, LambdixError
 from lambdix.oracle import generate_program
 from lambdix.reader import read_program
 from lambdix.runtime import FIRST, OWNER, PARENT, UNSET, Counters, Runtime
@@ -67,12 +68,14 @@ def test_install_all_stale_costs_chain_length():
 
 
 def test_reinstall_is_one_test_no_assignment():
+    # a current block says nothing about its ancestors' links: the walk
+    # still tests all three levels, and finds nothing to assign
     rt, counters, structs, blocks = chain(3)
     rt.install(blocks[2])
     before = counters.snapshot()
     log = rt.install(blocks[2])
     d = counters.delta(before)
-    assert (d["switch_tests"], d["switch_assignments"]) == (1, 0)
+    assert (d["switch_tests"], d["switch_assignments"]) == (3, 0)
     assert log == []
 
 
@@ -84,7 +87,8 @@ def test_install_stops_at_first_correct_ancestor():
     before = counters.snapshot()
     rt.install(blocks[2])
     d = counters.delta(before)
-    # s3 and s2 stale, s1 already correct: three tests, two assignments
+    # s3 and s2 stale, s1 already correct: the walk tests all three and
+    # assigns two
     assert (d["switch_tests"], d["switch_assignments"]) == (3, 2)
 
 
@@ -127,18 +131,23 @@ def test_installing_the_top_block_is_free():
 
 
 def test_three_level_round_trip_restores_every_block():
-    # every install shape in turn: one level deep, a walk that stops early,
-    # a re-install, a walk of one level at depth 3 and the top block; each
-    # restore, in reverse, must bring back the blocks seen before its install
+    # every install shape in turn: one level deep (1 test, 1 assignment), a
+    # walk of three levels with two wrong (3, 2), a re-install (3, 0), a
+    # walk that re-points only s3 (3, 1), a block whose parent the caller
+    # knows to be current (1, 1) and the top block (0, 0); each restore, in
+    # reverse, must bring back the blocks seen before its install
     rt, counters, structs, blocks = chain(3)
     alt = rt.new_block([structs[2], blocks[1], 99])
+    alt2 = rt.new_block([structs[2], blocks[1], 98])
     shapes = []
     observe_installs(rt, lambda s, t, a: shapes.append((t, a)))
     states, logs = [], []
-    for block in (blocks[0], blocks[2], blocks[2], alt, rt.top_block):
+    for block, parent_current in ((blocks[0], False), (blocks[2], False),
+                                  (blocks[2], False), (alt, False),
+                                  (alt2, True), (rt.top_block, False)):
         states.append([s.current_block for s in structs])
-        logs.append(rt.install(block))
-    assert shapes == [(1, 1), (3, 2), (1, 0), (2, 1), (0, 0)]
+        logs.append(rt.install(block, parent_current))
+    assert shapes == [(1, 1), (3, 2), (3, 0), (3, 1), (1, 1), (0, 0)]
     while logs:
         rt.restore(logs.pop())
         now = [s.current_block for s in structs]
@@ -266,7 +275,6 @@ def test_restore_exactness_on_random_programs():
 def test_debug_coherence_checks_pass_under_fuzz():
     # chain coherence asserted after every install and restore; only
     # interpreter-level errors are acceptable, never AssertionError
-    from lambdix.errors import LambdixError
     for seed in range(15):
         text = generate_program(8000 + seed)
         for strategy in ("value", "need"):
@@ -276,3 +284,20 @@ def test_debug_coherence_checks_pass_under_fuzz():
                 interp.eval_source(text)
             except LambdixError:
                 pass
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+def test_every_install_leaves_its_chain_current(strategy):
+    # the golden corpus and generated programs, each install checked: the
+    # owner's whole chain is current afterwards, and the install tested
+    # each of the owner's levels, or one in a straight-line shape
+    texts = [entry["text"] for entry in CORPUS]
+    texts += [generate_program(seed) for seed in range(200)]
+    for text in texts:
+        interp, _ = make_interp(strategy, step_limit=20_000,
+                                depth_limit=20_000)
+        check_installs(interp.rt)
+        try:
+            interp.eval_source(text)
+        except LambdixError:
+            pass
