@@ -159,12 +159,9 @@ def _read_eval_loop(interp):
             except LambdixError as e:
                 print(f"** error - {e.message} **")
             except KeyboardInterrupt:
-                # a finally undoes each install on the way out, unless the
-                # interrupt landed between an install and its try; between
-                # forms no structure but the top has a current block
-                for s in interp.structs:
-                    if s is not interp.top_struct:
-                        s.current_block = None
+                # a finally undoes each install on the way out; a link an
+                # interrupt leaves set between an install and its try is
+                # never read, as every later install of that level sets it
                 print("** interrupted **")
                 break
 

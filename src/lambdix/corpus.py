@@ -9,23 +9,9 @@ Expectations:
   ("error", cat)     fails with this error category
 """
 
-from .evaluator import run_with_limit
+from importlib import resources
 
-FLIPFLOP = """
-; RS latch over streams; the initial output level must be supplied
-; explicitly for the feedback loop to be productive.
-(de (nand a b) (if (< (* a b) 1) 1 0))
-(de (nands xs ys) (cons (nand (car xs) (car ys)) (nands (cdr xs) (cdr ys))))
-(de (const k) (cons k (const k)))
-(de (flipflop r s q0)
-  (let ((de q (cons q0 (nands s qbar)))
-        (de qbar (nands r q)))
-    (cons q (cons qbar ()))))
-(de (take n l) (if (< n 1) () (cons (car l) (take (- n 1) (cdr l)))))
-(de ff (flipflop (const 1) (const 0) 0))
-(print (take 5 (car ff)))
-(print (take 5 (cadr ff)))
-"""
+from .evaluator import run_with_limit
 
 MAPFUN = """
 (de (mapfun f l)
@@ -115,8 +101,11 @@ CORPUS = [
     _same("mod-truncates", "(mod -7 2)", ("last", "-1")),
     _same("div-truncates", "(/ -7 2)", ("last", "-3")),
     _same("print-returns", "(print (+ 1 2))", ("output", "3\n")),
-    _entry("flipflop-latch", FLIPFLOP,
-           need=("output", "(0 1 1 1 1)\n(1 0 0 0 0)\n")),
+    # the demo program shipped in the package (programs/flipflop.lx)
+    _entry("flipflop-latch",
+           resources.files("lambdix").joinpath("programs/flipflop.lx")
+           .read_text(),
+           need=("output", "(0 1 1 1 1 1 1 1)\n(1 0 0 0 0 0 0 0)\n")),
     # a strict call clears the cells its application reads last
     # (analyzer.trim_dead); each read below comes after such a call, so a
     # cell cleared too early reads as "used before its definition"

@@ -633,13 +633,16 @@ Outcome = namedtuple("Outcome", "kind payload output")
 # kind "value": payload = tuple of rendered top-level results
 # kind "limit": payload = "step" | "depth"
 # kind "error": payload = (category, message)
+# kind "crash": payload = "Type: message" of a Python exception (a defect)
 
 
 def run_with_limit(text, strategy, step_limit, depth_limit=100_000,
                    engine=Interpreter):
-    """Evaluate a whole program under a step budget; divergence comes back
-    as a distinct outcome instead of a hang. `engine` is the interpreter
-    class (the oracle's differential side passes its own)."""
+    """Evaluate a whole program under a step budget; every way the run
+    ends comes back as an Outcome: divergence as "limit" instead of a hang,
+    and a Python exception escaping the interpreter as "crash" instead of
+    a traceback. Only KeyboardInterrupt propagates. `engine` is the
+    interpreter class (the oracle's differential side passes its own)."""
     if step_limit <= 0:
         raise ValueError("step limit must be positive")
     out = io.StringIO()
@@ -652,3 +655,5 @@ def run_with_limit(text, strategy, step_limit, depth_limit=100_000,
         return Outcome("limit", e.kind, out.getvalue())
     except LambdixError as e:
         return Outcome("error", (e.category, e.message), out.getvalue())
+    except Exception as e:
+        return Outcome("crash", f"{type(e).__name__}: {e}", out.getvalue())

@@ -31,7 +31,7 @@ from collections import namedtuple
 
 from .deep import call_on_reserved_stack, call_with_deep_stack
 from .errors import AnalysisError, EvalError, LimitExceeded
-from .evaluator import UNLIMITED, Outcome, run_with_limit
+from .evaluator import UNLIMITED, run_with_limit
 from .reader import (INT_MAX, INT_MIN, SEmbed, SList, SNum, SStr, SSym,
                      read_program, to_text)
 from .values import (TH_BUSY, TH_DONE, TH_NEW, EMPTY, Closure, EmptyList,
@@ -485,11 +485,10 @@ DiffResult = namedtuple("DiffResult", "main oracle equal")
 def differential_run(text, strategy, step_limit=10_000, depth_limit=100_000):
     """Run one program through both interpreters; equality compares printed
     output and the rendered results or the error category. Limit-exceeded
-    on both sides counts as equal. A Python exception that escapes either
-    interpreter comes back as a "crash" outcome, its payload the
-    exception's type and message, and is never equal."""
-    m = _outcome(text, strategy, step_limit, depth_limit)
-    o = _outcome(text, strategy, step_limit, depth_limit, engine=Oracle)
+    on both sides counts as equal. A "crash" on either side is never
+    equal."""
+    m = run_with_limit(text, strategy, step_limit, depth_limit)
+    o = run_with_limit(text, strategy, step_limit, depth_limit, engine=Oracle)
     if m.kind != o.kind or m.kind == "crash":
         equal = False
     elif m.kind == "limit":
@@ -499,14 +498,6 @@ def differential_run(text, strategy, step_limit=10_000, depth_limit=100_000):
     else:
         equal = m.payload[0] == o.payload[0] and m.output == o.output
     return DiffResult(m, o, equal)
-
-
-def _outcome(text, strategy, step_limit, depth_limit, **engine):
-    try:
-        return run_with_limit(text, strategy, step_limit, depth_limit,
-                              **engine)
-    except Exception as e:
-        return Outcome("crash", f"{type(e).__name__}: {e}", "")
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +608,7 @@ class ProgramGen:
             names = tuple(self._name() for _ in range(n))
             inner = scope + names
             bindings = []
+            local = []  # the let's own functions, which its body may call
             for name in names:
                 style = rng.random()
                 if style < 0.75:
@@ -630,7 +622,12 @@ class ProgramGen:
                     p = self._name()
                     bindings.append(_sx("de", _sx(name, p),
                                         self._expr(budget - 2, inner + (p,), funs, vals)))
-            return _sx("let", _sx(*bindings), self._expr(budget - 1, inner, funs, vals))
+                    local.append((name, 1, None))
+            if local and rng.random() < 0.5:
+                body = self._call(rng.choice(local), budget - 1, inner, funs, vals)
+            else:
+                body = self._expr(budget - 1, inner, funs + local, vals)
+            return _sx("let", _sx(*bindings), body)
         if roll < 0.95:
             return _sx("quote", self._datum(2))
         return _sx("excla", _sx("quote", _sx(rng.choice(("+", "-", "*")),

@@ -9,12 +9,13 @@ import sys
 
 import pytest
 
+from conftest import check_installs
 from lambdix import cli as cli_module
 from lambdix import deep
 from lambdix.corpus import run_corpus
 from lambdix.evaluator import Interpreter
 from lambdix.oracle import generate_program
-from lambdix.runtime import OWNER
+from lambdix.runtime import FIRST, OWNER, PARENT
 from lambdix.values import Primitive
 
 MAPFUN_FILE = """\
@@ -212,19 +213,22 @@ def test_selftest_runs_the_corpus_once(monkeypatch, capsys):
 
 def test_selftest_reports_a_crash_as_a_mismatch(monkeypatch, capsys):
     # a Python exception escaping the main interpreter is a mismatch that
-    # names its program, not a traceback out of selftest
+    # names its corpus entry or its program, not a traceback out of selftest
     def crash(self, text):
         raise IndexError("list index out of range")
 
-    monkeypatch.setattr(cli_module, "run_corpus", lambda: [])
     monkeypatch.setattr(Interpreter, "eval_source_rendered", crash)
     assert cli_module.main(["selftest", "--count", "1", "--seed", "7"]) == 3
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out
     text = generate_program(7 * 100_003)
-    assert out.count("MISMATCH\t") == 2
+    entries = len(run_corpus())
+    assert out.count("MISMATCH\tcorpus/") == entries
+    assert out.count("MISMATCH\trandom/") == 2
     assert f"  program: {text!r}\n" in out
-    assert "IndexError: list index out of range" in out
-    assert "0/2 checks passed" in out
+    assert out.count("IndexError: list index out of range") == entries + 2
+    assert f"0/{entries + 2} checks passed" in out
+    assert "Traceback" not in out + captured.err
 
 
 def test_run_closes_its_input_file(tmp_path):
@@ -382,18 +386,19 @@ def test_repl_interrupt_returns_to_prompt(strategy, monkeypatch, capsys):
     assert made[0].depth == 0
 
 
-@pytest.mark.parametrize("strategy", ["value", "need"])
-def test_repl_interrupt_between_an_install_and_its_try(strategy, monkeypatch,
-                                                       capsys):
-    # Ctrl-C is simulated right after the real install of a let's block
-    # returns, before the try that would restore it: that install's log is
-    # lost, and only the REPL can clear the link it set
+def _session_interrupting_a_let(strategy, lines, monkeypatch):
+    # a REPL session in which Ctrl-C is simulated right after the real
+    # install of the first let block returns, before the try that would
+    # restore it: that install's log is lost, and its link stays set. Every
+    # install is checked throughout (conftest.check_installs). Returns the
+    # interrupted let block and, at each prompt, the structures other than
+    # the top that have a current block, with that block.
     made = []
+    fired = []
 
     def make_interp(args, out=None):
         interp = Interpreter(strategy=args.strategy, out=out)
-        install = interp.rt.install
-        fired = []
+        install = check_installs(interp.rt).install
 
         def interrupted_install(block, parent_current=False):
             log = install(block, parent_current)
@@ -406,13 +411,12 @@ def test_repl_interrupt_between_an_install_and_its_try(strategy, monkeypatch,
         made.append(interp)
         return interp
 
-    lines = iter(["(de (f x) (let ((de y (+ x 1))) (* y 10)))",
-                  "(f 1)", "(f 2)"])
-    stale = []
+    lines = iter(lines)
+    links = []
 
     def fake_input(prompt):
         interp = made[0]
-        stale.append([s for s in interp.structs
+        links.append([(s, s.current_block) for s in interp.structs
                       if s is not interp.top_struct
                       and s.current_block is not None])
         try:
@@ -423,8 +427,32 @@ def test_repl_interrupt_between_an_install_and_its_try(strategy, monkeypatch,
     monkeypatch.setattr(cli_module, "_make_interp", make_interp)
     monkeypatch.setattr("builtins.input", fake_input)
     assert cli_module.main(["repl", "--strategy", strategy]) == 0
-    assert capsys.readouterr().out == "= f\n** interrupted **\n= 30\n\n"
-    assert stale == [[], [], [], []]
+    return fired[0], links
+
+
+# (lines, output): the let link that (f 1) set stays after the interrupt,
+# and after (f 2), whose restore puts it back; no read goes through it, so
+# (f 2) is still 30. g's level hangs below a let left pointing at (mk 1)'s
+# block: calling the g that (mk 2) returns walks to the top and sets that
+# link again, so g reads x = 2.
+INTERRUPTED_LET_SESSIONS = [
+    (["(de (f x) (let ((de y (+ x 1))) (* y 10)))", "(f 1)", "(f 2)"],
+     "= f\n** interrupted **\n= 30\n\n"),
+    (["(de (mk x) (let ((de (g) x)) g))", "(mk 1)", "((mk 2))"],
+     "= mk\n** interrupted **\n= 2\n\n"),
+]
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+def test_repl_interrupt_between_an_install_and_its_try(strategy, monkeypatch,
+                                                       capsys):
+    for lines, output in INTERRUPTED_LET_SESSIONS:
+        let_block, links = _session_interrupting_a_let(strategy, lines,
+                                                       monkeypatch)
+        assert capsys.readouterr().out == output
+        assert let_block[PARENT][FIRST] == 1
+        stale = [(let_block[OWNER], let_block)]
+        assert links == [[], [], stale, stale]
 
 
 def _force_session(monkeypatch, capsys, target):

@@ -12,7 +12,7 @@ from lambdix.analyzer import App, PrimApp
 from lambdix.builtins import make_primitives
 from lambdix.deep import FRAMES_PER_LEVEL, RECURSION_LIMIT
 from lambdix.errors import EvalError, LambdixError, LimitExceeded
-from lambdix.evaluator import run_with_limit
+from lambdix.evaluator import Interpreter, Outcome, run_with_limit
 from lambdix.oracle import Oracle, differential_run
 from lambdix.values import TH_DONE, Primitive, Thunk
 
@@ -65,6 +65,25 @@ def test_depth_limit_reported_as_limit():
                              10_000_000, depth_limit=50)
     assert outcome.kind == "limit"
     assert outcome.payload == "depth"
+
+
+def test_python_exception_is_a_crash_outcome(monkeypatch):
+    # a defect that lets a Python exception out of the interpreter is an
+    # outcome with the output printed so far; only Ctrl-C propagates
+    def crash(self, text):
+        self.out.write("1\n")
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(Interpreter, "eval_source_rendered", crash)
+    assert run_with_limit("(print 1)", "need", 100) == Outcome(
+        "crash", "IndexError: list index out of range", "1\n")
+
+    def interrupt(self, text):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Interpreter, "eval_source_rendered", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_with_limit("(print 1)", "need", 100)
 
 
 @pytest.mark.parametrize("strategy", ["value", "need"])
