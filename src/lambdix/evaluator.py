@@ -638,11 +638,13 @@ Outcome = namedtuple("Outcome", "kind payload output")
 
 def run_with_limit(text, strategy, step_limit, depth_limit=100_000,
                    engine=Interpreter):
-    """Evaluate a whole program under a step budget; every way the run
-    ends comes back as an Outcome: divergence as "limit" instead of a hang,
-    and a Python exception escaping the interpreter as "crash" instead of
-    a traceback. Only KeyboardInterrupt propagates. `engine` is the
-    interpreter class (the oracle's differential side passes its own)."""
+    """Evaluate a whole program under a step budget; every way evaluating
+    `text` ends comes back as an Outcome: divergence as "limit" instead of
+    a hang, and any Exception escaping the interpreter as "crash" instead
+    of a traceback. A non-positive step limit raises ValueError, and
+    KeyboardInterrupt and other non-Exception interrupts propagate.
+    `engine` is the interpreter class (the oracle's differential side
+    passes its own)."""
     if step_limit <= 0:
         raise ValueError("step limit must be positive")
     out = io.StringIO()

@@ -155,7 +155,8 @@ def test_alpha_renaming_invariance(seed):
     for strategy in ("value", "need"):
         a = run_with_limit(base, strategy, 20_000)
         b = run_with_limit(renamed, strategy, 20_000)
-        assert a.kind == b.kind
+        # a crash on both sides would compare equal
+        assert a.kind == b.kind != "crash", (a, b)
         assert a.output == unname(b.output)
         if a.kind == "value":
             assert a.payload == tuple(unname(p) for p in b.payload)

@@ -44,7 +44,9 @@ def test_lexical_reduction_of_shadowing_term(strategy):
 
 
 def test_strategies_differ_only_on_divergence():
-    assert run_with_limit(F_EXAMPLE + " (f 1 2)", "need", 1000).payload[-1] == "1"
+    outcome = run_with_limit(F_EXAMPLE + " (f 1 2)", "need", 1000)
+    assert outcome.kind == "value"
+    assert outcome.payload[-1] == "1"
     outcome = run_with_limit(F_EXAMPLE + " (f 1 2)", "value", 1_000_000)
     assert outcome.kind == "limit"
 
@@ -69,7 +71,7 @@ def test_depth_limit_reported_as_limit():
 
 def test_python_exception_is_a_crash_outcome(monkeypatch):
     # a defect that lets a Python exception out of the interpreter is an
-    # outcome with the output printed so far; only Ctrl-C propagates
+    # outcome with the output printed so far; Ctrl-C propagates
     def crash(self, text):
         self.out.write("1\n")
         raise IndexError("list index out of range")
@@ -622,6 +624,8 @@ def test_quote_excla_duality(expr):
     for strategy in ("value", "need"):
         direct = run_with_limit(expr, strategy, 10_000)
         reflected = run_with_limit(f"(! '{expr})", strategy, 10_000)
+        # a crash on both sides would compare equal
+        assert direct.kind == reflected.kind == "value"
         assert direct.payload == reflected.payload
 
 

@@ -27,6 +27,7 @@ def test_oracle_identity_example():
         "(de (apply f x) (f x))"
         " (de (Identity x) (apply (lambda (y) x) 2))"
         " (Identity 45)", "value", *BOUNDS, engine=Oracle)
+    assert outcome.kind == "value"
     assert outcome.payload[-1] == "45"
 
 
@@ -34,6 +35,7 @@ def test_oracle_upward_funarg():
     outcome = run_with_limit(
         "(de (BuildConstFunc x) (lambda (y) x)) ((BuildConstFunc 0) 2)",
         "need", *BOUNDS, engine=Oracle)
+    assert outcome.kind == "value"
     assert outcome.payload[-1] == "0"
 
 
