@@ -73,7 +73,8 @@ class LambdaStruct:
         # chain length up to (excluding) the top pseudo-struct
         self.depth = 0 if parent is None else parent.depth + 1
         # parameter offsets the body forces first, in order (demand_prefix),
-        # and the rest, which a need call still suspends
+        # and the rest, which a need call still suspends (kept here: working
+        # it out at each call costs suite-need 12 %)
         self.demand = ()
         self.suspend = ()
         # what trim_dead found this level, or a level inside it, reads of
@@ -159,7 +160,7 @@ class PrimApp(App):
     """An App of a top-level name that named a primitive, with that
     primitive's arity, when it was analyzed; `prim` is that primitive, and
     `a` and `b` (None for a one-argument primitive) spare the evaluator the
-    tuple reads."""
+    tuple reads (reading `args`: suite-value +4 %, suite-need +3.5 %)."""
 
     __slots__ = ("prim", "a", "b")
 

@@ -222,15 +222,10 @@ def _cmd_bench(args):
     return EXIT_OK
 
 
-def run_corpus():
-    """The golden corpus under both strategies (lambdix.corpus). The
-    corpus and the oracle are imported by the selftest command alone, so
-    `run` and `repl` start without them."""
-    from .corpus import run_corpus
-    return run_corpus()
-
-
 def _cmd_selftest(args):
+    # the corpus and the oracle are imported here alone, so `run` and
+    # `repl` start without them
+    from .corpus import run_corpus
     from .oracle import differential_run, generate_program
     failures = 0
     report = run_corpus()

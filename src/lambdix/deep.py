@@ -25,10 +25,11 @@ claims half and every frame called below it nests in the other half. The
 chunk is unmapped once, when the call returns. Only pages that frames
 touch become resident, so a shallow program costs no more memory than
 before, and a recursion deeper than the free half continues in ordinary
-chunks, so depth and limits are unchanged. The pages a deep recursion
-touched stay resident until the call returns, though, where ordinary
-chunks are unmapped as it unwinds; a program whose heap peaks after its
-deepest recursion can therefore peak up to 8 MB higher.
+chunks, so depth and limits are unchanged. Without the reservation Sieve
+under value takes 295 ms instead of 221 (measured in-process). The pages
+a deep recursion touched stay resident until the call returns, though,
+where ordinary chunks are unmapped as it unwinds; a program whose heap
+peaks after its deepest recursion can therefore peak up to 8 MB higher.
 
 Collector schedule. Generational collection pays off when most young
 objects die young. A strict run's deep recursion breaks that: each level

@@ -62,8 +62,8 @@ application (`_ev_app`) it also is, so late binding, error messages and
 counts stay those of any application. Its literal and local operands are
 read in place, without an `ev` call.
 
-Forcing (`_force`) answers a forced thunk from its memo first thing. Any
-other forcing is one loop: it puts each thunk it takes on a path before
+Forcing (`_force`) is one loop, which a thunk forced already leaves at
+once with its memo: it puts each thunk it takes on a path before
 blackholing it, follows an expression that yields another thunk (car and
 cdr return components unforced) to the value the chain ends in, and
 memoizes that value on every thunk of the path. Its one handler undoes it
@@ -198,8 +198,6 @@ class Interpreter:
         # value; then every thunk on it memoizes that value, so a memo is
         # never a thunk and a chain is walked once. A busy thunk met on the
         # way is a cycle.
-        if th.state == TH_DONE:
-            return th.memo
         depth = self.depth
         rt = self.rt
         path = []
@@ -316,9 +314,9 @@ def _ev_app(self, interp, struct):
     head = self.head
     if type(head) is TopRef:
         # a global head (a top-level function, a primitive call of the
-        # wrong arity, or a PrimApp whose guard failed) is read here as
-        # _ev_top would, without a frame of its own; still read at every
-        # call, so a later definition of the name takes effect
+        # wrong arity, or a PrimApp whose guard failed) is read as _ev_top
+        # would, with no frame of its own (head.ev: suite-need +1.5 %),
+        # and at every call, so a later definition of the name takes effect
         head = interp.rt.top_table.get(head.name, UNSET)
         if head is UNSET:
             raise EvalError(f"{self.head.name} not defined", "undefined")
@@ -356,8 +354,8 @@ def _ev_app(self, interp, struct):
     if interp.steps > interp.step_limit:
         raise LimitExceeded("step")
     callee = head.struct
-    # the callee's block vector is built here in one allocation, header
-    # cells first (runtime.OWNER, PARENT), then one cell per argument
+    # the callee's block vector is built here, header cells first
+    # (runtime.OWNER, PARENT), then one cell per argument
     if interp.lazy:
         cb = struct.current_block
         block = [None] * (len(args) + FIRST)
@@ -367,39 +365,24 @@ def _ev_app(self, interp, struct):
             # the body would force the demand prefix before anything else,
             # in this order: evaluate those arguments here, and suspend the
             # rest (every parameter when the prefix is empty)
-            demand = callee.demand
-            interp.counters.thunks_elided += len(demand)
-            for i in demand:
-                v = args[i].ev(interp, struct)
-                if type(v) is Thunk:
-                    v = interp._force(v)
-                block[FIRST + i] = v
-            for i in callee.suspend:
-                block[FIRST + i] = args[i].delay(interp, cb)
+            demand, suspend = callee.demand, callee.suspend
         else:
             # a wrong argument count (new_block reports it) or prefixes off
-            for i, a in enumerate(args, FIRST):
-                block[i] = a.delay(interp, cb)
+            demand, suspend = (), range(len(args))
+        interp.counters.thunks_elided += len(demand)
+        for i in demand:
+            v = args[i].ev(interp, struct)
+            if type(v) is Thunk:
+                v = interp._force(v)
+            block[FIRST + i] = v
+        for i in suspend:
+            block[FIRST + i] = args[i].delay(interp, cb)
     else:
-        # a strict run counts every position a lazy run delays; arities 1-3
-        # are spelled out, as a loop or a comprehension costs more than a
-        # list display
-        n = len(args)
-        interp.counters.thunks_created += n
-        if n == 1:
-            block = [callee, head.block, args[0].ev(interp, struct)]
-        elif n == 2:
-            block = [callee, head.block, args[0].ev(interp, struct),
-                     args[1].ev(interp, struct)]
-        elif n == 3:
-            block = [callee, head.block, args[0].ev(interp, struct),
-                     args[1].ev(interp, struct), args[2].ev(interp, struct)]
-        else:
-            block = [None] * (n + FIRST)
-            block[OWNER] = callee
-            block[PARENT] = head.block
-            for i, a in enumerate(args, FIRST):
-                block[i] = a.ev(interp, struct)
+        # a strict run counts every position a lazy run delays
+        interp.counters.thunks_created += len(args)
+        block = [callee, head.block]
+        for a in args:
+            block.append(a.ev(interp, struct))
         dead = self.dead
         if dead:
             # safe for space: the cells this application read last are
@@ -429,9 +412,10 @@ def _ev_app(self, interp, struct):
 # name, every such name still holds this interpreter's primitive.
 #
 # A literal operand gives its value, and a local operand whose slot is set
-# is read in place with the count and forcing of _ev_local; an unset slot or
-# an environment not installed goes to the operand's own ev, which reports
-# it as any read would and counts it once. Any other operand is evaluated.
+# is read in place with the count and forcing of _ev_local (an ev call
+# instead: suite-value +4-6 %); an unset slot or an environment not
+# installed goes to the operand's own ev, which reports it as any read
+# would and counts it once. Any other operand is evaluated.
 
 def _ev_prim(self, interp, struct):
     head = self.prim

@@ -623,6 +623,11 @@ class ProgramGen:
                     bindings.append(_sx("de", _sx(name, p),
                                         self._expr(budget - 2, inner + (p,), funs, vals)))
                     local.append((name, 1, None))
+            if local and rng.random() < 0.25:
+                # a let function that escapes its let, applied outside it
+                f = rng.choice(local)[0]
+                return _sx(_sx("let", _sx(*bindings), f),
+                           self._expr(budget - 2, scope, funs, vals))
             if local and rng.random() < 0.5:
                 body = self._call(rng.choice(local), budget - 1, inner, funs, vals)
             else:

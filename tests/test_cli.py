@@ -11,6 +11,7 @@ import pytest
 
 from conftest import check_installs
 from lambdix import cli as cli_module
+from lambdix import corpus as corpus_module
 from lambdix import deep
 from lambdix.corpus import run_corpus
 from lambdix.evaluator import Interpreter
@@ -205,7 +206,7 @@ def test_selftest_runs_the_corpus_once(monkeypatch, capsys):
         calls.append(1)
         return run_corpus(*args, **kwargs)
 
-    monkeypatch.setattr(cli_module, "run_corpus", counting_run_corpus)
+    monkeypatch.setattr(corpus_module, "run_corpus", counting_run_corpus)
     assert cli_module.main(["selftest", "--count", "1"]) == 0
     assert len(calls) == 1
     assert "78/78 checks passed" in capsys.readouterr().out

@@ -14,6 +14,7 @@ from lambdix.deep import FRAMES_PER_LEVEL, RECURSION_LIMIT
 from lambdix.errors import EvalError, LambdixError, LimitExceeded
 from lambdix.evaluator import Interpreter, Outcome, run_with_limit
 from lambdix.oracle import Oracle, differential_run
+from lambdix.runtime import Counters
 from lambdix.values import TH_DONE, Primitive, Thunk
 
 F_EXAMPLE = "(de (f x y) (if (< x 0) 1 (f (- x 1) (f x y))))"
@@ -758,6 +759,48 @@ def test_cheap_eagerness_counts_what_the_forcing_would():
     interp.eval_source("(de (h l) (f (car l))) (h '(1))")
     delta = interp.counters.delta(before)
     assert (delta["thunks_created"], delta["thunks_elided"]) == (2, 0)
+
+
+def _need_counts(setup, form):
+    # (printed output, error or None, counter deltas) of `form` under need
+    interp, out = make_interp("need")
+    interp.eval_source(setup)
+    before = interp.counters.snapshot()
+    try:
+        interp.eval_source(form)
+        error = None
+    except EvalError as e:
+        error = (e.category, e.message)
+    delta = interp.counters.delta(before)
+    return out.getvalue(), error, tuple(delta[f] for f in Counters.FIELDS)
+
+
+@pytest.mark.parametrize("prefixes", [True, False])
+def test_call_counts_with_prefixes_on_and_off(prefixes):
+    # f demands x. With prefixes on, (ident 5) runs as f's argument: x and
+    # ident's z are evaluated (two elided), 7 is elided, and f and ident
+    # each install one level (1 test, 1 assignment). Defining mod turns
+    # prefixes off: x becomes the one thunk, forced by f's body from the
+    # top block, which is current (no test), and z is passed as a literal.
+    # Lookups: print's, f's and ident's heads, +'s head, x and z.
+    setup = "(de (ident z) z) (de (f x y) (+ x 1))"
+    if not prefixes:
+        setup = "(de mod +) " + setup
+    out, error, counts = _need_counts(setup, "(print (f (ident 5) 7))")
+    assert (out, error) == ("6\n", None)
+    # switch_tests, switch_assignments, blocks_allocated, lookups,
+    # thunks_created, thunks_forced, thunks_elided
+    assert counts == ((2, 2, 2, 6, 0, 0, 3) if prefixes
+                      else (2, 2, 2, 6, 1, 1, 2))
+
+
+def test_call_with_the_wrong_argument_count_under_need():
+    # the one argument is suspended (print is not total, so it is a thunk)
+    # before new_block reports the count: nothing prints, no block is made
+    # and nothing is installed; the one lookup is g's head
+    out, error, counts = _need_counts("(de (g a b) a)", "(g (print 1))")
+    assert (out, error) == ("", ("arity", "g: expected 2 argument(s), got 1"))
+    assert counts == (0, 0, 0, 1, 1, 0, 0)
 
 
 # -- let bindings under need --------------------------------------------------

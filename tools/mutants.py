@@ -89,6 +89,11 @@ MUTANTS = [
      "        struct.funs = tuple(i for i, p in enumerate(parsed)"
      " if p[0] == \"func\")",
      "        struct.funs = tuple(range(len(parsed)))"),
+    ("prefixes survive a rebinding",
+     "demand prefixes stay on after a primitive's name is rebound",
+     "evaluator.py",
+     "        if interp.demanding and len(args) == len(callee.names):",
+     "        if len(args) == len(callee.names):"),
 ]
 
 
