@@ -262,12 +262,8 @@ def _ev_lit(self, interp, struct):
 
 def _ev_local(self, interp, struct):
     # the analyzer resolved which struct owns the slot; no hops are walked
-    block = self.target.current_block
-    if block is None:
-        raise EvalError(f"internal: environment of {self.target.name} not "
-                        "installed", "internal")
     interp.counters.lookups += 1
-    slot = block[self.index]
+    slot = self.target.current_block[self.index]
     if type(slot) is Thunk:
         return interp._force(slot)
     if slot is UNSET:
@@ -413,9 +409,9 @@ def _ev_app(self, interp, struct):
 #
 # A literal operand gives its value, and a local operand whose slot is set
 # is read in place with the count and forcing of _ev_local (an ev call
-# instead: suite-value +4-6 %); an unset slot or an environment not
-# installed goes to the operand's own ev, which reports it as any read
-# would and counts it once. Any other operand is evaluated.
+# instead: suite-value +4-6 %); an unset slot goes to the operand's own
+# ev, which reports it as any read would and counts it once. Any other
+# operand is evaluated.
 
 def _ev_prim(self, interp, struct):
     head = self.prim
@@ -432,8 +428,8 @@ def _ev_prim(self, interp, struct):
     if t is Lit:
         a = node.value
     else:
-        if (t is LocalRef and (blk := node.target.current_block) is not None
-                and (a := blk[node.index]) is not UNSET):
+        if (t is LocalRef
+                and (a := node.target.current_block[node.index]) is not UNSET):
             c.lookups += 1
         else:
             a = node.ev(interp, struct)
@@ -446,8 +442,8 @@ def _ev_prim(self, interp, struct):
     if t is Lit:
         b = node.value
     else:
-        if (t is LocalRef and (blk := node.target.current_block) is not None
-                and (b := blk[node.index]) is not UNSET):
+        if (t is LocalRef
+                and (b := node.target.current_block[node.index]) is not UNSET):
             c.lookups += 1
         else:
             b = node.ev(interp, struct)
@@ -534,16 +530,13 @@ def _delay_local(self, interp, cb):
     # it; passing it on shares its memo. Under need a slot is still unset
     # only for a let binding that reads a later sibling (or itself): that
     # read is left to a thunk, forced once the let has filled every slot,
-    # which reports a cycle or an uninstalled environment as the read
-    # itself would.
-    block = self.target.current_block
-    if block is not None:
-        slot = block[self.index]
-        if slot is not UNSET:
-            c = interp.counters
-            c.lookups += 1
-            c.thunks_elided += 1
-            return slot
+    # which reports a cycle as the read itself would.
+    slot = self.target.current_block[self.index]
+    if slot is not UNSET:
+        c = interp.counters
+        c.lookups += 1
+        c.thunks_elided += 1
+        return slot
     return _delay_thunk(self, interp, cb)
 
 
@@ -561,8 +554,8 @@ def _computed(node, total_on):
     t = type(node)
     if t is Lit:
         v = node.value
-    elif t is LocalRef and (block := node.target.current_block) is not None:
-        v = block[node.index]
+    elif t is LocalRef:
+        v = node.target.current_block[node.index]
         if type(v) is Thunk:
             v = v.memo
         elif v is UNSET:

@@ -33,7 +33,9 @@ chain current and restores are LIFO, so both parent links are current
 whenever such a switch runs.
 
 Variable access reads one slot of one structure's current block; the
-analyzer resolves the owning structure ahead of time. Global access is a
+analyzer resolves the owning structure ahead of time. A local read runs
+only under a chain that the running evaluation's installs set, so the
+evaluator reads that block without testing for it. Global access is a
 hash-table fetch. Everything is counted.
 
 A block's cells are written once, with one exception: under call-by-value

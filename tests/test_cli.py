@@ -285,9 +285,14 @@ def test_run_interrupted_exits_130_without_traceback(tmp_path):
     path = tmp_path / "fib.lx"
     path.write_text("(de (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))\n"
                     "(print 0)\n(print (fib 30))\n")
+    # the child takes SIGINT's default action even when this run was
+    # started with SIGINT ignored (as a shell's background job is), which
+    # the child would otherwise inherit
     proc = subprocess.Popen([sys.executable, "-m", "lambdix", "run", str(path)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, env={**os.environ, "PYTHONUNBUFFERED": "1"})
+                            text=True, env={**os.environ, "PYTHONUNBUFFERED": "1"},
+                            preexec_fn=lambda: signal.signal(signal.SIGINT,
+                                                             signal.SIG_DFL))
     try:
         # the first line shows that evaluation has begun
         assert proc.stdout.readline() == "0\n"

@@ -483,6 +483,33 @@ def test_error_during_forcing_is_repeatable():
         assert exc.value.category == "undefined"
 
 
+# x60 forces x59 from inside its own forcing, and so on down to x0: 61
+# nested forcings and no closure call, so only a forcing's own depth check
+# can stop it. eval_source forces no definition as it is made (rendering
+# its value would).
+FORCING_TOWER = "(de x0 0) " + " ".join(f"(de x{i} (+ x{i - 1} 1))"
+                                        for i in range(1, 61))
+
+
+@pytest.mark.parametrize("engine", [Interpreter, Oracle])
+def test_depth_limit_inside_nested_forcings_is_undone(engine):
+    out = io.StringIO()
+    interp = engine(depth_limit=50, out=out)
+    interp.eval_source(FORCING_TOWER)
+    with pytest.raises(LimitExceeded) as exc:
+        interp.eval_source("(print x60)")
+    assert exc.value.kind == "depth"
+    assert (interp.depth, interp.steps) == (0, 0)
+    if engine is Interpreter:
+        assert interp.counters.thunks_forced == 0
+    # every thunk the failed forcing took is new again
+    interp.depth_limit = 100
+    interp.eval_source("(print x60)")
+    assert out.getvalue() == "60\n"
+    if engine is Interpreter:
+        assert interp.counters.thunks_forced == 61
+
+
 @pytest.mark.parametrize("a,b,printed", [("(car b)", "'(1 2)", "1\n"),
                                           ("(+ b 1)", "2", "3\n"),
                                           ("(+ 1 b)", "2", "3\n")])

@@ -179,6 +179,10 @@ def test_differential_sharing_hazards(name):
 # category or limit kind, printed output); an error given as (category,
 # message) is checked with its message.
 #
+# Under need, car returns a pair's component unforced, so it is forced
+# where it is used: as an if's test, or as an argument of a primitive
+# reached as a value.
+#
 # A strict let that reads a later sibling fails on the read under value,
 # here through each operand position of a primitive-shaped application,
 # whose evaluator reads a set local slot in place and leaves an unset one
@@ -227,6 +231,13 @@ EFFECT_ORDER = {
         "(de (ap f x y) (f x y)) (print (ap cons (print 1) (print 2)))",
         {"value": ("value", None, "1\n2\n(1 . 2)\n"),
          "need": ("value", None, "1\n2\n(1 . 2)\n")}),
+    "pair-component-as-an-if-test": (
+        "(de (t) (< 1 2)) (print (if (car (cons (t) 0)) 1 2))",
+        {"value": ("value", None, "1\n"), "need": ("value", None, "1\n")}),
+    "pair-component-as-an-argument-of-a-primitive-value": (
+        "(de (id f) f) (de (two) 2)"
+        " (print ((id +) (car (cons (two) 0)) 1))",
+        {"value": ("value", None, "3\n"), "need": ("value", None, "3\n")}),
     "cons-as-a-value-with-an-unused-failure": (
         "(de (ap f x y) (f x y)) (print (car (ap cons 1 (car 5))))",
         {"value": ("error", "type", ""), "need": ("value", None, "1\n")}),

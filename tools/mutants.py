@@ -51,8 +51,8 @@ MUTANTS = [
     ("delay passes unset",
      "_delay_local passes an unset slot on",
      "evaluator.py",
-     "        if slot is not UNSET:",
-     "        if True:"),
+     "    if slot is not UNSET:",
+     "    if True:"),
     ("restore one pair",
      "restore undoes only the last link",
      "runtime.py",
