@@ -15,13 +15,17 @@ and the offsets of the parameters it does not demand, which a call
 suspends.
 
 An application whose head is a top-level name that names a primitive, with
-as many arguments as that primitive takes, becomes a PrimApp instead of an
-App, bound to that primitive; demand_prefix reads a strict one's arguments
-as forced. The choice is made once, from the name alone: once a top-level
-definition has rebound a primitive's name, the evaluator checks at every
-call that the name still holds that very primitive and otherwise
-evaluates the node as the App it also is, so a later definition of the
-name still takes effect.
+as many arguments as that primitive takes, becomes a primitive-shaped node
+(a PrimApp) instead of an App, bound to that primitive; demand_prefix reads
+a strict one's arguments as forced. The choice is made once, from the name
+alone: once a top-level definition has rebound a primitive's name, the
+evaluator checks at every call that the name still holds that very
+primitive and otherwise evaluates the node as the App it also is, so a
+later definition of the name still takes effect. The node's class is its
+shape, picked from what the analyzer knows already: whether each operand
+is a local or a literal, and for cons the strategy, which the analyzer
+knows from its `trim` flag (set under call-by-value only). The evaluator
+gives each shape its own `ev`, which tests no operand type at a call.
 
 A let's level records the offsets of its (de (f ...) ...) bindings
 (`funs`), and an App whose head reads one of those slots is marked
@@ -159,16 +163,84 @@ class App:
 class PrimApp(App):
     """An App of a top-level name that named a primitive, with that
     primitive's arity, when it was analyzed; `prim` is that primitive, and
-    `a` and `b` (None for a one-argument primitive) spare the evaluator the
-    tuple reads (reading `args`: suite-value +4 %, suite-need +3.5 %)."""
+    `a` and `b` (None for a one-argument primitive) are the operands, read
+    without a tuple read (reading `args` cost suite-value 4 % and
+    suite-need 3.5 % when one `ev` served every shape).
 
-    __slots__ = ("prim", "a", "b")
+    Never built itself: the analyzer builds one of its shape classes below,
+    picked from the operands it already knows (Analyzer.analyze), so the
+    evaluator tests no operand type at a call. A local operand is
+    flattened into its slot's owner and cell (`ta`, `ia`; `tb`, `ib`) and
+    a literal second operand into its value (`kb`)."""
+
+    __slots__ = ("prim", "a", "b", "ta", "ia", "tb", "ib", "kb")
 
     def __init__(self, head, args, prim):
-        App.__init__(self, head, args)
+        # App.__init__'s fields, set here so that a node costs one frame:
+        # a top-level head is never a let's own function
+        self.head = head
+        self.args = args = tuple(args)
+        self.dead = ()
+        self.parent_current = False
         self.prim = prim
-        self.a = self.args[0]
-        self.b = self.args[1] if len(self.args) == 2 else None
+        self.a = a = args[0]
+        if type(a) is LocalRef:
+            self.ta = a.target
+            self.ia = a.index
+        if len(args) == 1:
+            self.b = None
+            return
+        self.b = b = args[1]
+        t = type(b)
+        if t is LocalRef:
+            self.tb = b.target
+            self.ib = b.index
+        elif t is Lit:
+            self.kb = b.value
+
+
+# The shapes, named after their operands: L a local, K a literal second
+# operand, E any other operand, evaluated by its own ev (a literal first
+# operand too, and a local followed by an E, which is PrimEE).
+
+class PrimE(PrimApp):
+    __slots__ = ()
+
+
+class PrimL(PrimApp):
+    __slots__ = ()
+
+
+class PrimEE(PrimApp):
+    __slots__ = ()
+
+
+class PrimEK(PrimApp):
+    __slots__ = ()
+
+
+class PrimEL(PrimApp):
+    __slots__ = ()
+
+
+class PrimLK(PrimApp):
+    __slots__ = ()
+
+
+class PrimLL(PrimApp):
+    __slots__ = ()
+
+
+class ConsValue(PrimApp):
+    """cons under call-by-value: both components evaluated."""
+
+    __slots__ = ()
+
+
+class ConsNeed(PrimApp):
+    """cons under call-by-need: both components suspended."""
+
+    __slots__ = ()
 
 
 class LambdaRef:
@@ -232,7 +304,7 @@ def _walk_demand(node, struct, demand):
         return True
     if t is If:
         _walk_demand(node.test, struct, demand)
-    elif t is PrimApp and not node.prim.lazy:
+    elif isinstance(node, PrimApp) and not node.prim.lazy:
         # the arguments are evaluated and forced left to right; the
         # primitive itself may then fail or print
         for a in node.args:
@@ -297,7 +369,7 @@ class _Liveness:
             for a in reversed(node.args):
                 self.walk(a, live, dead)
             self.walk(node.head, live, dead)
-        elif t is PrimApp:
+        elif isinstance(node, PrimApp):
             # the head is a top-level name
             for a in reversed(node.args):
                 self.walk(a, live, claim)
@@ -396,6 +468,9 @@ class Analyzer:
         # run trim_dead on every level: set under call-by-value only, as
         # a thunk reads its creator's block whenever it is forced
         self.trim = trim
+        # cons's shape, by strategy: its components are suspended under
+        # need, the one strategy that does not trim
+        self.cons = ConsValue if trim else ConsNeed
 
     def _new_struct(self, name, names, parent):
         struct = LambdaStruct(len(self.registry), name, names, parent)
@@ -432,7 +507,20 @@ class Analyzer:
             if type(compiled_head) is TopRef:
                 prim = self.primitives.get(compiled_head.name)
                 if prim is not None and prim.arity == len(args):
-                    return PrimApp(compiled_head, args, prim)
+                    local = type(args[0]) is LocalRef
+                    if len(args) == 1:
+                        shape = PrimL if local else PrimE
+                    elif prim.lazy:
+                        shape = self.cons
+                    else:
+                        t = type(args[1])
+                        if t is LocalRef:
+                            shape = PrimLL if local else PrimEL
+                        elif t is Lit:
+                            shape = PrimLK if local else PrimEK
+                        else:
+                            shape = PrimEE
+                    return shape(compiled_head, args, prim)
             return App(compiled_head, args)
         raise AnalysisError(f"cannot analyze {sx!r}")
 

@@ -4,6 +4,12 @@ counter snapshots and an output digest.
 Timings are only ever compared between this interpreter's own two
 strategies. The relative column is (value - need) / max(value, need) * 100,
 positive when the lazy strategy wins.
+
+A host's speed drifts by more than 2x between sessions, so the JSON form
+also records a host calibration (`calibrate`): the median time of a fixed
+pure-Python loop, timed in the same process just after the suite. Dividing
+a row's time by it compares files made on different hosts or sessions
+better than the raw times do.
 """
 
 import io
@@ -132,6 +138,26 @@ def to_tsv(results):
     return "\n".join(lines) + "\n"
 
 
+def _calibration_loop():
+    # a loop of list reads, integer adds and a builtin call, the kind of
+    # bytecode an interpreter in Python spends its time on
+    cells = [1, 2, 3, 4]
+    acc = 0
+    for i in range(250_000):
+        acc += cells[i & 3] + len(cells)
+    return acc
+
+
+def calibrate(reps=5):
+    """The median ms of `reps` runs of a fixed pure-Python loop."""
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        _calibration_loop()
+        times.append((time.perf_counter() - t0) * 1000.0)
+    return _median(times)
+
+
 def _git_rev():
     """The commit of the checkout this module lives in, or None."""
     # imported here, not at the top: every start of the command line and of
@@ -146,9 +172,10 @@ def _git_rev():
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def to_json(results):
+def to_json(results, calibration_ms=None):
     """The rows with their time spread, plus what is needed to compare
-    them with another run: the Python version and the git rev."""
+    them with another run: the Python version, the git rev and the host
+    calibration (`calibrate`, None when not measured)."""
     rows = []
     for r in results:
         row = {"program": r.program, "strategy": r.strategy,
@@ -158,5 +185,6 @@ def to_json(results):
         row.update(r.counters)
         rows.append(row)
     doc = {"python": "%d.%d.%d" % sys.version_info[:3],
-           "git_rev": _git_rev(), "rows": rows}
+           "git_rev": _git_rev(), "calibration_ms": calibration_ms,
+           "rows": rows}
     return json.dumps(doc, indent=2) + "\n"

@@ -218,7 +218,8 @@ def _cmd_bench(args):
         sys.stdout.write(bench.to_tsv(results))
         if args.json:
             json_file.truncate(0)
-            json_file.write(bench.to_json(results))
+            json_file.write(bench.to_json(results,
+                                          bench.calibrate(args.reps)))
     return EXIT_OK
 
 

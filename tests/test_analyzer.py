@@ -1,7 +1,9 @@
 import pytest
 
 from conftest import make_interp, run
-from lambdix.analyzer import App, If, LocalRef, PrimApp, TopRef
+from lambdix.analyzer import (App, ConsNeed, ConsValue, If, LocalRef, PrimApp,
+                              PrimE, PrimEE, PrimEK, PrimEL, PrimL, PrimLK,
+                              PrimLL, TopRef)
 from lambdix.errors import AnalysisError, EvalError
 from lambdix.oracle import generate_program
 from lambdix.reader import read_program
@@ -214,28 +216,59 @@ def test_demand_prefix_walk(body, demand):
     assert demands(interp)["h"] == demand
 
 
-@pytest.mark.parametrize("body,node", [
+# body, the class the analyzer builds for it under value, and under need
+SHAPES = [
     # a top-level name of a primitive with its arity, lazy cons included
-    ("(car x)", PrimApp),
-    ("(print (+ x y))", PrimApp),
-    ("(+ x y)", PrimApp),
-    ("(cons x y)", PrimApp),
+    ("(car x)", PrimL, PrimL),
+    ("(print (+ x y))", PrimE, PrimE),
+    ("(+ x y)", PrimLL, PrimLL),
+    ("(cons x y)", ConsValue, ConsNeed),
+    # one shape per operand pattern: L a local, K a literal second operand,
+    # E anything else (a literal first operand is read by its own ev, and
+    # a local followed by an E is the general class)
+    ("(car 1)", PrimE, PrimE),
+    ("(car (cdr x))", PrimE, PrimE),
+    ("(+ x 1)", PrimLK, PrimLK),
+    ("(+ (car x) 1)", PrimEK, PrimEK),
+    ("(+ 1 2)", PrimEK, PrimEK),
+    ("(+ (car x) y)", PrimEL, PrimEL),
+    ("(+ 1 y)", PrimEL, PrimEL),
+    ("(+ (car x) (car y))", PrimEE, PrimEE),
+    ("(+ x (car y))", PrimEE, PrimEE),
+    ("(= x 'a)", PrimEE, PrimEE),
+    ("(+ 1 (car y))", PrimEE, PrimEE),
+    ("(cons 1 2)", ConsValue, ConsNeed),
     # a wrong arity, a local or non-primitive head stays an App
-    ("(car x y)", App),
-    ("(+ x)", App),
-    ("(cons x)", App),
-    ("(car2 x)", App),
-    ("(x y)", App),
-    ("((lambda (u) u) x)", App),
-])
-def test_primitive_shaped_applications(body, node):
-    interp, _ = make_interp()
-    interp.eval_source(f"(de (h x y) {body})")
-    got = structs_by_name(interp)["h"][0].body
-    assert type(got) is node
-    if node is not App:
+    ("(car x y)", App, App),
+    ("(+ x)", App, App),
+    ("(cons x)", App, App),
+    ("(car2 x)", App, App),
+    ("(x y)", App, App),
+    ("((lambda (u) u) x)", App, App),
+]
+
+
+@pytest.mark.parametrize("body,by_value,by_need", [
+    pytest.param(*row, id=f"{row[0]}-{'App' if row[1] is App else 'PrimApp'}")
+    for row in SHAPES])
+def test_primitive_shaped_applications(body, by_value, by_need):
+    for strategy, shape in (("value", by_value), ("need", by_need)):
+        interp, _ = make_interp(strategy)
+        interp.eval_source(f"(de (h x y) {body})")
+        got = structs_by_name(interp)["h"][0].body
+        assert type(got) is shape
+        if shape is App:
+            continue
+        assert isinstance(got, PrimApp)
         assert type(got.head) is TopRef and got.prim.name == got.head.name
         assert (got.a,) + ((got.b,) if got.b is not None else ()) == got.args
+        # the operands the shape reads without an ev, flattened
+        if shape in (PrimL, PrimLK, PrimLL):
+            assert (got.ta, got.ia) == (got.a.target, got.a.index)
+        if shape in (PrimEL, PrimLL):
+            assert (got.tb, got.ib) == (got.b.target, got.b.index)
+        if shape in (PrimEK, PrimLK):
+            assert got.kb == got.b.value
 
 
 def test_a_local_named_after_a_primitive_heads_an_app():

@@ -10,8 +10,9 @@ import pytest
 
 from conftest import STEP_LIMIT
 import lambdix
-from lambdix.bench import (SUITE_NAMES, BenchResult, program_source,
-                           run_program, run_suite, to_json, to_tsv)
+from lambdix.bench import (SUITE_NAMES, BenchResult, calibrate,
+                           program_source, run_program, run_suite, to_json,
+                           to_tsv)
 from lambdix.evaluator import Interpreter
 from lambdix.values import TH_DONE, Thunk
 
@@ -97,6 +98,12 @@ def test_json_records_the_git_rev_or_null(monkeypatch):
     assert rev is None or len(rev) == 40
     monkeypatch.setenv("PATH", "")  # no git to ask
     assert json.loads(to_json(results))["git_rev"] is None
+
+
+def test_json_records_a_host_calibration():
+    ms = calibrate(reps=3)
+    assert ms > 0
+    assert json.loads(to_json([], ms))["calibration_ms"] == ms
 
 
 def test_lazy_prefix_cost_independent_of_list_length():

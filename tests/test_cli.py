@@ -256,9 +256,10 @@ def test_bench_fib_tsv_and_json(tmp_path):
     lines = proc.stdout.strip().split("\n")
     assert lines[0].startswith("program\tstrategy\tmedian_ms")
     assert len(lines) == 3  # header + value + need
-    rows = json.loads(json_path.read_text())["rows"]
-    assert [(r["program"], r["strategy"]) for r in rows] == \
+    doc = json.loads(json_path.read_text())
+    assert [(r["program"], r["strategy"]) for r in doc["rows"]] == \
         [("Fib", "value"), ("Fib", "need")]
+    assert doc["calibration_ms"] > 0
 
 
 def test_bench_json_path_checked_before_the_suite_runs(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (check_installs, check_switches, make_interp,
                       observe_installs, run)
-from lambdix.analyzer import App, PrimApp
+from lambdix.analyzer import App, LetForm, PrimApp
 from lambdix.builtins import make_primitives
 from lambdix.deep import FRAMES_PER_LEVEL, RECURSION_LIMIT
 from lambdix.errors import EvalError, LambdixError, LimitExceeded
@@ -969,21 +969,41 @@ def test_cheap_eagerness_applies_exactly_the_total_primitives(name,
 # -- primitive-shaped nodes -----------------------------------------------------
 
 # x is an int and y a list, each an application under need; the literal
-# 0 also reaches the zero divisor of / and mod
+# 0 also reaches the zero divisor of / and mod. The second call's x fails
+# when it is forced: under value before the call, under need when the
+# body forces it, inside the body when x is outside h's demand prefix, as
+# in (+ (cdr y) x)
 PRIM_OPERANDS = ("x", "y", "0", "'(4 5)", "(+ x 1)", "(cdr y)")
-PRIM_CALL = "(h (+ 2 4) (cdr '(0 1 2)))"
+PRIM_CALLS = ("(h (+ 2 4) (cdr '(0 1 2)))", "(h (car 0) (cdr '(0 1 2)))")
+# defined before h: nothing, or a primitive's name, which turns
+# `demanding` off so that every node runs its table guard
+PRIM_PRELUDES = ("", "(de mod +)")
+# a let's first binding reads its later sibling z through a local operand
+# of each shape that reads one in place; a strict let finds z unset
+PRIM_LET_BODIES = ("(let ((r (car z)) (z '(1))) r)",
+                   "(let ((r (+ z 1)) (z 1)) r)",
+                   "(let ((r (+ z x)) (z 1)) r)",
+                   "(let ((r (+ x z)) (z 1)) r)",
+                   "(let ((r (+ (+ x 1) z)) (z 1)) r)")
 
 
-def _run_prim_body(strategy, body, as_app):
+def _run_prim_body(strategy, prelude, body, call, as_app):
     interp, out = make_interp(strategy)
-    interp.eval_source(f"(de (h x y) {body})")
+    interp.eval_source(f"{prelude} (de (h x y) {body})")
     struct = interp.rt.top_table["h"].struct
-    assert type(struct.body) is PrimApp
+    # the node is h's body, or its let's first binding
+    let = struct.body if type(struct.body) is LetForm else None
+    node = let.bindings[0] if let else struct.body
+    assert isinstance(node, PrimApp)
     if as_app:
-        struct.body = App(struct.body.head, struct.body.args)
+        app = App(node.head, node.args)
+        if let:
+            let.bindings = (app,) + let.bindings[1:]
+        else:
+            struct.body = app
     before = interp.counters.snapshot()
     try:
-        result = interp.eval_source_rendered(PRIM_CALL)
+        result = interp.eval_source_rendered(call)
     except LambdixError as e:
         result = (e.category, e.message)
     return result, out.getvalue(), interp.counters.delta(before)
@@ -992,13 +1012,15 @@ def _run_prim_body(strategy, body, as_app):
 @pytest.mark.parametrize("strategy", ["value", "need"])
 @pytest.mark.parametrize("body", [
     f"({name} {' '.join(ops)})" for name, arity in PRIMITIVES
-    for ops in itertools.product(PRIM_OPERANDS, repeat=arity)])
+    for ops in itertools.product(PRIM_OPERANDS, repeat=arity)]
+    + list(PRIM_LET_BODIES))
 def test_primitive_shaped_node_counts_what_its_app_counts(body, strategy):
     # the same call through the primitive-shaped node and through the
     # general application it also is: the same result or error, the same
     # output and the same seven counts
-    assert _run_prim_body(strategy, body, False) == \
-        _run_prim_body(strategy, body, True)
+    for prelude, call in itertools.product(PRIM_PRELUDES, PRIM_CALLS):
+        assert _run_prim_body(strategy, prelude, body, call, False) == \
+            _run_prim_body(strategy, prelude, body, call, True)
 
 
 def test_strict_sieve_keeps_no_dead_list():

@@ -39,9 +39,9 @@ MUTANTS = [
      "            app.dead = tuple(sorted(dead))"),
     ("trim under need",
      "trim_dead runs under need too",
-     "evaluator.py",
-     "        self.analyzer = Analyzer(self.structs, prims, not self.lazy)",
-     "        self.analyzer = Analyzer(self.structs, prims, True)"),
+     "analyzer.py",
+     "        self.trim = trim",
+     "        self.trim = True"),
     ("demand into then",
      "the demand prefix carries on into the then-branch",
      "analyzer.py",
@@ -89,6 +89,11 @@ MUTANTS = [
      "        struct.funs = tuple(i for i, p in enumerate(parsed)"
      " if p[0] == \"func\")",
      "        struct.funs = tuple(range(len(parsed)))"),
+    ("strict cons shape",
+     "the analyzer builds cons under need as the strict shape",
+     "analyzer.py",
+     "        self.cons = ConsValue if trim else ConsNeed",
+     "        self.cons = ConsValue"),
     ("prefixes survive a rebinding",
      "demand prefixes stay on after a primitive's name is rebound",
      "evaluator.py",
