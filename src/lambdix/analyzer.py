@@ -14,18 +14,18 @@ demand_prefix), which call-by-need uses to pass those arguments evaluated,
 and the offsets of the parameters it does not demand, which a call
 suspends.
 
-An application whose head is a top-level name that names a primitive, with
-as many arguments as that primitive takes, becomes a primitive-shaped node
-(a PrimApp) instead of an App, bound to that primitive; demand_prefix reads
-a strict one's arguments as forced. The choice is made once, from the name
-alone: once a top-level definition has rebound a primitive's name, the
-evaluator checks at every call that the name still holds that very
-primitive and otherwise evaluates the node as the App it also is, so a
-later definition of the name still takes effect. The node's class is its
-shape, picked from what the analyzer knows already: whether each operand
-is a local or a literal, and for cons the strategy, which the analyzer
-knows from its `trim` flag (set under call-by-value only). The evaluator
-gives each shape its own `ev`, which tests no operand type at a call.
+An application whose head is a top-level name that names a strict
+primitive, with as many arguments as that primitive takes, becomes a
+primitive-shaped node (a PrimApp) instead of an App, bound to that
+primitive; demand_prefix reads its arguments as forced. cons under
+call-by-need is lazy (builtins.make_primitives) and stays an App. The
+choice is made once, from the name alone: once a top-level definition has
+rebound a primitive's name, the evaluator checks at every call that the
+name still holds that very primitive and otherwise evaluates the node as
+the App it also is, so a later definition of the name still takes effect.
+The node's class is its shape, picked from what the analyzer knows
+already: whether each operand is a local or a literal. The evaluator gives
+each shape its own `ev`, which tests no operand type at a call.
 
 A let's level records the offsets of its (de (f ...) ...) bindings
 (`funs`), and an App whose head reads one of those slots is marked
@@ -161,7 +161,7 @@ class App:
 
 
 class PrimApp(App):
-    """An App of a top-level name that named a primitive, with that
+    """An App of a top-level name that named a strict primitive, with that
     primitive's arity, when it was analyzed; `prim` is that primitive, and
     `a` and `b` (None for a one-argument primitive) are the operands, read
     without a tuple read (reading `args` cost suite-value 4 % and
@@ -231,18 +231,6 @@ class PrimLL(PrimApp):
     __slots__ = ()
 
 
-class ConsValue(PrimApp):
-    """cons under call-by-value: both components evaluated."""
-
-    __slots__ = ()
-
-
-class ConsNeed(PrimApp):
-    """cons under call-by-need: both components suspended."""
-
-    __slots__ = ()
-
-
 class LambdaRef:
     __slots__ = ("struct",)
 
@@ -282,7 +270,7 @@ def demand_prefix(struct):
     order it forces them, before anything else can happen: before any
     effect, any operation that can fail, any branch, any closure call and
     any read of an outer or top-level name. A primitive-shaped application
-    of a strict primitive is assumed to call that primitive."""
+    is assumed to call its primitive."""
     demand = []
     _walk_demand(struct.body, struct, demand)
     return tuple(demand)
@@ -304,7 +292,7 @@ def _walk_demand(node, struct, demand):
         return True
     if t is If:
         _walk_demand(node.test, struct, demand)
-    elif isinstance(node, PrimApp) and not node.prim.lazy:
+    elif isinstance(node, PrimApp):
         # the arguments are evaluated and forced left to right; the
         # primitive itself may then fail or print
         for a in node.args:
@@ -468,9 +456,6 @@ class Analyzer:
         # run trim_dead on every level: set under call-by-value only, as
         # a thunk reads its creator's block whenever it is forced
         self.trim = trim
-        # cons's shape, by strategy: its components are suspended under
-        # need, the one strategy that does not trim
-        self.cons = ConsValue if trim else ConsNeed
 
     def _new_struct(self, name, names, parent):
         struct = LambdaStruct(len(self.registry), name, names, parent)
@@ -506,12 +491,11 @@ class Analyzer:
             args = [self.analyze(a, struct) for a in items[1:]]
             if type(compiled_head) is TopRef:
                 prim = self.primitives.get(compiled_head.name)
-                if prim is not None and prim.arity == len(args):
+                if (prim is not None and prim.arity == len(args)
+                        and not prim.lazy):
                     local = type(args[0]) is LocalRef
                     if len(args) == 1:
                         shape = PrimL if local else PrimE
-                    elif prim.lazy:
-                        shape = self.cons
                     else:
                         t = type(args[1])
                         if t is LocalRef:

@@ -159,17 +159,24 @@ def calibrate(reps=5):
 
 
 def _git_rev():
-    """The commit of the checkout this module lives in, or None."""
+    """The commit of the checkout this module lives in, "<sha>-dirty" when
+    a tracked file differs from that commit, or None."""
     # imported here, not at the top: every start of the command line and of
     # the benchmark worker imports this module
     import subprocess
-    try:
-        done = subprocess.run(["git", "rev-parse", "HEAD"],
+
+    def git(*args):
+        return subprocess.run(["git", *args],
                               cwd=os.path.dirname(os.path.abspath(__file__)),
                               capture_output=True, text=True, timeout=10)
+    try:
+        done = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no").stdout
     except (OSError, subprocess.SubprocessError):
         return None
-    return done.stdout.strip() if done.returncode == 0 else None
+    if done.returncode != 0:
+        return None
+    return done.stdout.strip() + ("-dirty" if dirty.strip() else "")
 
 
 def to_json(results, calibration_ms=None):

@@ -1,7 +1,9 @@
 """Primitive function suite: strict 64-bit integer arithmetic and
-comparison, list operations with a strategy-dependent cons, predicates, and
-the forcing printer. Each primitive is called as fn(interp, arg, ...), one
-positional argument per parameter.
+comparison, list operations, predicates, and the forcing printer. Each
+primitive is called as fn(interp, arg, ...), one positional argument per
+parameter. make_primitives builds the table for one strategy: cons is lazy
+under need (evaluator._ev_app suspends its components) and strict under
+value, where its kernel counts the two positions a lazy run would suspend.
 
 Each strict primitive is one kernel frame: argument types (first, then
 second), a zero divisor and overflow are checked inline, in that order.
@@ -79,6 +81,11 @@ def _cons(interp, head, tail):
     return Pair(head, tail)
 
 
+def _cons_strict(interp, head, tail):
+    interp.counters.thunks_created += 2
+    return Pair(head, tail)
+
+
 def _car(interp, v):
     if type(v) is Pair:
         head = v.head
@@ -125,7 +132,8 @@ def _print(interp, v):
     return v
 
 
-def make_primitives():
+def make_primitives(lazy):
+    """name -> primitive; cons is lazy when `lazy` (call-by-need)."""
     prims = [
         _arith("+", operator.add),
         _arith("-", operator.sub),
@@ -137,7 +145,8 @@ def make_primitives():
         _compare(">", operator.gt),
         _compare(">=", operator.ge),
         Primitive("=", 2, _eq),
-        Primitive("cons", 2, _cons, lazy=True),
+        (Primitive("cons", 2, _cons, lazy=True) if lazy
+         else Primitive("cons", 2, _cons_strict)),
         Primitive("car", 1, _car),
         Primitive("cdr", 1, _cdr),
         Primitive("cadr", 1, _cadr),

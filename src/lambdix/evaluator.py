@@ -6,10 +6,10 @@ state, and evaluates under exactly one strategy:
   value - arguments, cons components, let bindings and top-level definitions
           are computed eagerly;
   need  - all of those are suspended as memoized thunks, forced at most once,
-          with strict primitives still strict; a literal or local argument
-          or let binding is passed on as it is, a total primitive on
-          operands already computed is applied (see the `delay` methods),
-          and a let's local function is its closure at once.
+          with every primitive but cons strict (builtins.make_primitives); a
+          literal or local argument or let binding is passed on as it is, a
+          total primitive on operands already computed is applied (see the
+          `delay` methods), and a let's local function is its closure at once.
 
 Under need a closure call also passes its callee's demand prefix evaluated
 (analyzer.demand_prefix): the parameters the body forces first, in the
@@ -51,20 +51,21 @@ of a let's own functions (App.parent_current) tell `install` that the new
 block's parent is current already; a forcing and every other call pass
 nothing.
 
-A call of a primitive's name with that primitive's arity is a
+A call of a strict primitive's name with that primitive's arity is a
 primitive-shaped node (analyzer.PrimApp), bound to this interpreter's
 primitive of that name. The analyzer builds it as one of a few shape
 classes, picked from its operands (a local, a literal second operand,
-anything else) and, for cons, from the strategy; each shape has its own
-short `ev`, and all share one `delay`. It runs the primitive while the
-name still holds that very primitive, which needs no test while
-`demanding` is on (no top-level definition has rebound a primitive's name
-yet) and one read of the top-level table after; otherwise (a closure, a
-thunk, any other primitive) it evaluates as the general application
-(`_ev_app`) it also is, so late binding, error messages and counts stay
-those of any application. A shape reads its local operands in place, from
-the owner and cell the analyzer stored, and a literal second operand from
-the value it stored, without an `ev` call or a type test.
+anything else); each shape has its own short `ev`, and all share one
+`delay` (cons under need is lazy, and a call of it stays an App). It runs
+the primitive while the name still holds that very primitive, which needs
+no test while `demanding` is on (no top-level definition has rebound a
+primitive's name yet) and one read of the top-level table after;
+otherwise (a closure, a thunk, any other primitive) it evaluates as the
+general application (`_ev_app`) it also is, so late binding, error
+messages and counts stay those of any application. A shape reads its
+local operands in place, from the owner and cell the analyzer stored, and
+a literal second operand from the value it stored, without an `ev` call
+or a type test.
 
 Forcing (`_force`) is one loop, which a thunk forced already leaves at
 once with its memo: it puts each thunk it takes on a path before
@@ -100,10 +101,10 @@ import io
 import sys
 from collections import namedtuple
 
-from .analyzer import (Analyzer, App, ConsNeed, ConsValue, ExclaForm, If,
-                       LambdaRef, LambdaStruct, LetForm, Lit, LocalRef,
-                       PrimApp, PrimE, PrimEE, PrimEK, PrimEL, PrimL, PrimLK,
-                       PrimLL, QuoteForm, TopRef, is_de_form, parse_de)
+from .analyzer import (Analyzer, App, ExclaForm, If, LambdaRef,
+                       LambdaStruct, LetForm, Lit, LocalRef, PrimApp, PrimE,
+                       PrimEE, PrimEK, PrimEL, PrimL, PrimLK, PrimLL,
+                       QuoteForm, TopRef, is_de_form, parse_de)
 from .builtins import make_primitives
 from .deep import call_on_reserved_stack, call_with_deep_stack
 from .errors import EvalError, LambdixError, LimitExceeded
@@ -136,7 +137,7 @@ class Interpreter:
         self.top_struct = top
         self.structs.append(top)
         self.rt = Runtime(top, self.counters)
-        prims = make_primitives()
+        prims = make_primitives(self.lazy)
         self.rt.top_table.update(prims)
         self.analyzer = Analyzer(self.structs, prims, not self.lazy)
         # demand prefixes assume that a strict primitive's name still names
@@ -314,8 +315,8 @@ def _ev_quote(self, interp, struct):
 def _ev_app(self, interp, struct):
     head = self.head
     if type(head) is TopRef:
-        # a global head (a top-level function, a primitive call of the
-        # wrong arity, or a PrimApp whose guard failed) is read as _ev_top
+        # a global head (a top-level function, cons under need, a wrong-arity
+        # primitive call, a PrimApp whose guard failed) is read as _ev_top
         # would, with no frame of its own (head.ev: suite-need +1.5 %),
         # and at every call, so a later definition of the name takes effect
         head = interp.rt.top_table.get(head.name, UNSET)
@@ -329,12 +330,12 @@ def _ev_app(self, interp, struct):
     args = self.args
     t = type(head)
     if t is Primitive:
-        # a primitive reached as a value, or called with the wrong arity;
-        # the one lazy primitive, cons, takes two arguments
+        # a primitive reached as a value or with the wrong arity, or the
+        # one lazy primitive, cons under need, which takes two arguments
         if len(args) != head.arity:
             raise EvalError(f"{head.name}: expected {head.arity} "
                             f"argument(s), got {len(args)}", "arity")
-        if head.lazy and interp.lazy:
+        if head.lazy:
             cb = struct.current_block
             return head.fn(interp, args[0].delay(interp, cb),
                            args[1].delay(interp, cb))
@@ -344,10 +345,6 @@ def _ev_app(self, interp, struct):
             if type(v) is Thunk:
                 v = interp._force(v)
             vals.append(v)
-        if head.lazy:
-            # a strict run still counts the positions a lazy run would
-            # suspend, for like-for-like cost comparisons
-            interp.counters.thunks_created += 2
         return head.fn(interp, *vals)
     if t is not Closure:
         raise EvalError("cannot apply a value that is not a function", "type")
@@ -531,33 +528,6 @@ def _ev_prim_ll(self, interp, struct):
     return prim.fn(interp, a, b)
 
 
-def _ev_cons_value(self, interp, struct):
-    prim = self.prim
-    if not interp.demanding and interp.rt.top_table.get(prim.name) is not prim:
-        return _ev_app(self, interp, struct)
-    c = interp.counters
-    c.lookups += 1
-    a = self.a.ev(interp, struct)
-    if type(a) is Thunk:
-        a = interp._force(a)
-    b = self.b.ev(interp, struct)
-    if type(b) is Thunk:
-        b = interp._force(b)
-    # as in _ev_app: a strict run counts the positions a lazy run would
-    # suspend
-    c.thunks_created += 2
-    return prim.fn(interp, a, b)
-
-
-def _ev_cons_need(self, interp, struct):
-    prim = self.prim
-    if not interp.demanding and interp.rt.top_table.get(prim.name) is not prim:
-        return _ev_app(self, interp, struct)
-    interp.counters.lookups += 1
-    cb = struct.current_block
-    return prim.fn(interp, self.a.delay(interp, cb), self.b.delay(interp, cb))
-
-
 def _ev_let(self, interp, struct):
     L = self.struct
     rt = interp.rt
@@ -609,8 +579,7 @@ for _node, _ev in ((Lit, _ev_lit), (LocalRef, _ev_local), (TopRef, _ev_top),
                    (App, _ev_app), (PrimE, _ev_prim_e), (PrimL, _ev_prim_l),
                    (PrimEE, _ev_prim_ee), (PrimEK, _ev_prim_ek),
                    (PrimEL, _ev_prim_el), (PrimLK, _ev_prim_lk),
-                   (PrimLL, _ev_prim_ll), (ConsValue, _ev_cons_value),
-                   (ConsNeed, _ev_cons_need), (LetForm, _ev_let),
+                   (PrimLL, _ev_prim_ll), (LetForm, _ev_let),
                    (ExclaForm, _ev_excla)):
     _node.ev = _ev
 

@@ -65,7 +65,7 @@ class Primitive:
     def __init__(self, name, arity, fn, lazy=False):
         self.name = name
         self.arity = arity
-        self.lazy = lazy  # arguments stay suspended under call-by-need
+        self.lazy = lazy  # cons under need: arguments stay suspended
         self.fn = fn
 
 

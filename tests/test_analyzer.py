@@ -1,9 +1,8 @@
 import pytest
 
 from conftest import make_interp, run
-from lambdix.analyzer import (App, ConsNeed, ConsValue, If, LocalRef, PrimApp,
-                              PrimE, PrimEE, PrimEK, PrimEL, PrimL, PrimLK,
-                              PrimLL, TopRef)
+from lambdix.analyzer import (App, If, LocalRef, PrimApp, PrimE, PrimEE,
+                              PrimEK, PrimEL, PrimL, PrimLK, PrimLL, TopRef)
 from lambdix.errors import AnalysisError, EvalError
 from lambdix.oracle import generate_program
 from lambdix.reader import read_program
@@ -200,8 +199,8 @@ def test_demand_prefix_of_the_suite_functions():
     ("(if y (car x) x)", ("y",)),
     # print's argument is forced before it prints; nothing after is
     ("(+ (print y) x)", ("y",)),
-    # a lazy primitive, a closure call, a let, excla, an outer or
-    # top-level read and a wrong arity stop the walk
+    # a lazy primitive (cons under need), a closure call, a let, excla, an
+    # outer or top-level read and a wrong arity stop the walk
     ("(cons x y)", ()),
     ("(+ (g x) y)", ()),
     ("(+ (let ((v 1)) v) x)", ()),
@@ -218,11 +217,12 @@ def test_demand_prefix_walk(body, demand):
 
 # body, the class the analyzer builds for it under value, and under need
 SHAPES = [
-    # a top-level name of a primitive with its arity, lazy cons included
+    # a top-level name of a strict primitive with its arity; cons is
+    # strict under value only, and under need stays an App
     ("(car x)", PrimL, PrimL),
     ("(print (+ x y))", PrimE, PrimE),
     ("(+ x y)", PrimLL, PrimLL),
-    ("(cons x y)", ConsValue, ConsNeed),
+    ("(cons x y)", PrimLL, App),
     # one shape per operand pattern: L a local, K a literal second operand,
     # E anything else (a literal first operand is read by its own ev, and
     # a local followed by an E is the general class)
@@ -237,7 +237,7 @@ SHAPES = [
     ("(+ x (car y))", PrimEE, PrimEE),
     ("(= x 'a)", PrimEE, PrimEE),
     ("(+ 1 (car y))", PrimEE, PrimEE),
-    ("(cons 1 2)", ConsValue, ConsNeed),
+    ("(cons 1 2)", PrimEK, App),
     # a wrong arity, a local or non-primitive head stays an App
     ("(car x y)", App, App),
     ("(+ x)", App, App),

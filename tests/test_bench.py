@@ -3,6 +3,7 @@ import io
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 
 from conftest import STEP_LIMIT
 import lambdix
+from lambdix import bench
 from lambdix.bench import (SUITE_NAMES, BenchResult, calibrate,
                            program_source, run_program, run_suite, to_json,
                            to_tsv)
@@ -95,9 +97,28 @@ def test_json_records_the_git_rev_or_null(monkeypatch):
     r = results[0]
     assert r.min_ms <= r.median_ms <= r.max_ms
     rev = json.loads(to_json(results))["git_rev"]
-    assert rev is None or len(rev) == 40
+    assert rev is None or re.fullmatch("[0-9a-f]{40}(-dirty)?", rev)
     monkeypatch.setenv("PATH", "")  # no git to ask
     assert json.loads(to_json(results))["git_rev"] is None
+
+
+def test_git_rev_marks_a_dirty_tree(monkeypatch):
+    # a file written from a tree with uncommitted changes to tracked files
+    # must not name the commit as if it had been measured there
+    sha = "0123456789abcdef0123456789abcdef01234567"
+    status = ""
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        calls.append(argv)
+        out = f"{sha}\n" if argv[1] == "rev-parse" else status
+        return subprocess.CompletedProcess(argv, 0, out, "")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    assert bench._git_rev() == sha
+    assert ["git", "status", "--porcelain", "--untracked-files=no"] in calls
+    status = " M src/lambdix/bench.py\n"
+    assert bench._git_rev() == f"{sha}-dirty"
 
 
 def test_json_records_a_host_calibration():

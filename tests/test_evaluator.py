@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (check_installs, check_switches, make_interp,
                       observe_installs, run)
-from lambdix.analyzer import App, LetForm, PrimApp
+from lambdix.analyzer import App, LetForm, PrimApp, PrimLL
 from lambdix.builtins import make_primitives
 from lambdix.deep import FRAMES_PER_LEVEL, RECURSION_LIMIT
 from lambdix.errors import EvalError, LambdixError, LimitExceeded
@@ -415,6 +415,57 @@ def test_cdr_returns_component_unforced():
     # forcing stops at the spine: the pair itself; both components are
     # literals, passed unsuspended, so the tail needs no forcing
     assert (d["thunks_forced"], d["thunks_elided"]) == (1, 2)
+
+
+# (definitions, measured form, f's body class under value, under need, and
+# the seven counts of the measured form under value, under need, in
+# Counters.FIELDS order)
+CONS_ROUTES = {
+    # value: print's and f's head lookups, x read with the head's lookup
+    # (2) and y (1); f's call counts its 2 positions and the kernel cons's
+    # 2. need: the same 5 lookups (cons's head one, then x and y passed
+    # on), f's literals and cons's locals elided, nothing suspended
+    "operand-shape": (
+        "(de (f x y) (cons x y))", "(print (f 1 2))", PrimLL, App,
+        (1, 1, 1, 5, 4, 0, 0), (1, 1, 1, 5, 0, 0, 4)),
+    # value: print's lookup, cons read as an argument and f read as a
+    # head; the lambda's call counts its 1 position and the kernel 2.
+    # need: cons is suspended as a top-level reference; reading f forces
+    # it, which installs the top block (no test) and reads cons; cons's
+    # literal components are elided
+    "primitive-as-a-value": (
+        "", "(print ((lambda (f) (f 1 2)) cons))", None, None,
+        (1, 1, 1, 3, 3, 0, 0), (1, 1, 1, 3, 1, 1, 2)),
+    # demanding off: under value the shapes' guards read the table, which
+    # counts nothing; under need f's call has no prefix to pass, and its
+    # prefix was empty anyway
+    "operand-shape-guarded": (
+        "(de car cdr) (de (f x y) (cons x y))", "(print (f 1 2))",
+        PrimLL, App, (1, 1, 1, 5, 4, 0, 0), (1, 1, 1, 5, 0, 0, 4)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(CONS_ROUTES))
+def test_cons_counts_the_same_by_every_route(route):
+    # cons's strategy lives in its primitive: under value a strict kernel
+    # that counts the 2 positions a need run creates or elides, under need
+    # a lazy primitive whose application is an App
+    defs, form, by_value, by_need, value_counts, need_counts = \
+        CONS_ROUTES[route]
+    for strategy, shape, counts in (("value", by_value, value_counts),
+                                    ("need", by_need, need_counts)):
+        interp, out = make_interp(strategy)
+        interp.eval_source(defs)
+        assert interp.demanding is ("car" not in defs)
+        if shape is not None:
+            assert type(interp.rt.top_table["f"].struct.body) is shape
+        before = interp.counters.snapshot()
+        interp.eval_source(form)
+        assert out.getvalue() == "(1 . 2)\n"
+        d = interp.counters.delta(before)
+        assert tuple(d[f] for f in Counters.FIELDS) == counts
+    # a need run creates or elides every position a value run counts
+    assert value_counts[4] == need_counts[4] + need_counts[6]
 
 
 @pytest.mark.parametrize("op", ["car", "cdr"])
@@ -925,7 +976,7 @@ def test_let_binding_reading_a_later_sibling_stays_a_thunk():
 
 
 # Every primitive at its own arity, by name.
-PRIMITIVES = sorted((p.name, p.arity) for p in make_primitives().values())
+PRIMITIVES = sorted((p.name, p.arity) for p in make_primitives(True).values())
 CHEAP_NAMES = ("car", "cdr", "nullist", "atom",
                "+", "-", "*", "<", "<=", ">", ">=", "=")
 
@@ -1017,7 +1068,13 @@ def _run_prim_body(strategy, prelude, body, call, as_app):
 def test_primitive_shaped_node_counts_what_its_app_counts(body, strategy):
     # the same call through the primitive-shaped node and through the
     # general application it also is: the same result or error, the same
-    # output and the same seven counts
+    # output and the same seven counts. cons is lazy under need, and its
+    # application is the general one already
+    if strategy == "need" and body.startswith("(cons "):
+        interp, _ = make_interp(strategy)
+        interp.eval_source(f"(de (h x y) {body})")
+        assert type(interp.rt.top_table["h"].struct.body) is App
+        return
     for prelude, call in itertools.product(PRIM_PRELUDES, PRIM_CALLS):
         assert _run_prim_body(strategy, prelude, body, call, False) == \
             _run_prim_body(strategy, prelude, body, call, True)

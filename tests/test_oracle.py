@@ -66,10 +66,16 @@ def test_differential_fixed_seeds(strategy):
 
 def test_primitive_tables_agree():
     # the oracle keeps its own primitive table on purpose; the two must
-    # still offer the same names with the same arities and laziness
+    # still offer the same names with the same arities and laziness. The
+    # oracle's one table serves both strategies; the main interpreter
+    # builds one per strategy, and they differ only in cons's laziness
     def spec(table):
         return {name: (p.name, p.arity, p.lazy) for name, p in table.items()}
-    assert spec(make_primitives()) == spec(_prims())
+    need = spec(make_primitives(True))
+    assert need == spec(_prims())
+    value = spec(make_primitives(False))
+    assert value == dict(need, cons=("cons", 2, False))
+    assert need["cons"] == ("cons", 2, True)
 
 
 def test_generator_is_deterministic():

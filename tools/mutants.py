@@ -89,11 +89,11 @@ MUTANTS = [
      "        struct.funs = tuple(i for i, p in enumerate(parsed)"
      " if p[0] == \"func\")",
      "        struct.funs = tuple(range(len(parsed)))"),
-    ("strict cons shape",
-     "the analyzer builds cons under need as the strict shape",
-     "analyzer.py",
-     "        self.cons = ConsValue if trim else ConsNeed",
-     "        self.cons = ConsValue"),
+    ("strict cons under need",
+     "a need interpreter gets the strict primitive table, cons included",
+     "evaluator.py",
+     "        prims = make_primitives(self.lazy)",
+     "        prims = make_primitives(False)"),
     ("prefixes survive a rebinding",
      "demand prefixes stay on after a primitive's name is rebound",
      "evaluator.py",
