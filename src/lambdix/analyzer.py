@@ -9,39 +9,45 @@ definitions), a pointer to their lexical parent structure and a mutable
 current-block slot, which is all the evaluator needs for constant-time
 variable access.
 
-Each function-level structure also records its demand prefix (see
-demand_prefix), which call-by-need uses to pass those arguments evaluated,
-and the offsets of the parameters it does not demand, which a call
-suspends.
+Under call-by-need each function-level structure also records its demand
+prefix (see demand_prefix), which a call uses to pass those arguments
+evaluated, and the offsets of the parameters it does not demand, which a
+call suspends; an analyzer for call-by-value, where nothing reads them,
+skips that walk.
 
-An application whose head is a top-level name that names a strict
-primitive, with as many arguments as that primitive takes, becomes a
-primitive-shaped node (a PrimApp) instead of an App, bound to that
-primitive; demand_prefix reads its arguments as forced. cons under
-call-by-need is lazy (builtins.make_primitives) and stays an App. The
-choice is made once, from the name alone: once a top-level definition has
-rebound a primitive's name, the evaluator checks at every call that the
-name still holds that very primitive and otherwise evaluates the node as
-the App it also is, so a later definition of the name still takes effect.
-The node's class is its shape, picked from what the analyzer knows
-already: whether each operand is a local or a literal. The evaluator gives
-each shape its own `ev`, which tests no operand type at a call.
+An application is built as one of a few App subclasses, each of which the
+evaluator gives its own `ev`, so that a call tests nothing the analyzer
+knew already. An application whose head is a top-level name that names a
+strict primitive, with as many arguments as that primitive takes, becomes
+a primitive-shaped node (a PrimApp), bound to that primitive;
+demand_prefix reads its arguments as forced. Its class is its shape,
+picked from whether each operand is a local or a literal, and its `ev`
+tests no operand type at a call. The choice is made once, from the name
+alone: once a top-level definition has rebound a primitive's name, the
+evaluator checks at every call that the name still holds that very
+primitive and otherwise evaluates the node as an ordinary application, so
+a later definition of the name still takes effect. Every other
+application, cons under call-by-need (which is lazy,
+builtins.make_primitives) included, is its strategy's call shape
+(CallValue or CallNeed). An if whose test is PrimL or PrimLK is an if
+shape (IfL, IfLK), which applies the test's primitive itself.
 
 A let's level records the offsets of its (de (f ...) ...) bindings
-(`funs`), and an App whose head reads one of those slots is marked
+(`funs`), and a call whose head reads one of those slots is marked
 (App.parent_current) when it is built. Such a slot always holds f's
 closure over the let's block, which is current wherever the slot can be
 read, so the call's install need not walk (runtime.Runtime.install). A
 value binding or a parameter may hold a closure of any level and marks
 nothing.
 
-Under call-by-value each closure-call App also records the cells of its
-level's block that nothing reads after its application (trim_dead), which
-the call clears before entering the callee; an analyzer for call-by-need
+Under call-by-value each call shape also records the cells of its level's
+block that nothing reads after its application (trim_dead), which the
+call clears before entering the callee; an analyzer for call-by-need
 skips that walk.
 
 Original names are kept on every reference for diagnostics and reflection.
-The same compiled tree feeds both evaluation strategies.
+One analyzer serves one strategy: its call shapes, its primitive table
+(cons) and its per-level records are that strategy's.
 """
 
 from .errors import AnalysisError
@@ -78,7 +84,8 @@ class LambdaStruct:
         self.depth = 0 if parent is None else parent.depth + 1
         # parameter offsets the body forces first, in order (demand_prefix),
         # and the rest, which a need call still suspends (kept here: working
-        # it out at each call costs suite-need 12 %)
+        # it out at each call costs suite-need 12 %); both stay empty under
+        # call-by-value, where no call reads them
         self.demand = ()
         self.suspend = ()
         # what trim_dead found this level, or a level inside it, reads of
@@ -145,6 +152,10 @@ class If:
 
 
 class App:
+    """An application. Never built itself: a non-primitive application is
+    one of the call shapes below, picked by strategy (Analyzer.analyze),
+    and a primitive-shaped one is a PrimApp."""
+
     __slots__ = ("head", "args", "dead", "parent_current")
 
     def __init__(self, head, args):
@@ -231,6 +242,50 @@ class PrimLL(PrimApp):
     __slots__ = ()
 
 
+class IfPrim(If):
+    """An if whose test is a primitive shape that reads a local first
+    operand in place, PrimL or PrimLK, with the test's fields copied, so
+    that the test costs no `ev` call of its own. Never built itself: the
+    analyzer builds the shape class named after the test's."""
+
+    __slots__ = ("prim", "ta", "ia", "kb")
+
+    def __init__(self, test, then, orelse):
+        self.test = test
+        self.then = then
+        self.orelse = orelse
+        self.prim = test.prim
+        self.ta = test.ta
+        self.ia = test.ia
+        if test.b is not None:
+            self.kb = test.kb
+
+
+class IfL(IfPrim):
+    __slots__ = ()
+
+
+class IfLK(IfPrim):
+    __slots__ = ()
+
+
+# an if whose test is one of these primitive shapes is built as its shape
+_IF_SHAPES = {PrimL: IfL, PrimLK: IfLK}
+
+
+# The call shapes: a non-primitive application under call-by-value, which
+# evaluates its arguments and clears its dead cells, and under
+# call-by-need, which passes its callee's demand prefix and suspends the
+# rest.
+
+class CallValue(App):
+    __slots__ = ()
+
+
+class CallNeed(App):
+    __slots__ = ()
+
+
 class LambdaRef:
     __slots__ = ("struct",)
 
@@ -290,7 +345,7 @@ def _walk_demand(node, struct, demand):
         return True
     if t is Lit or t is LambdaRef or t is QuoteForm:
         return True
-    if t is If:
+    if isinstance(node, If):
         _walk_demand(node.test, struct, demand)
     elif isinstance(node, PrimApp):
         # the arguments are evaluated and forced left to right; the
@@ -303,7 +358,7 @@ def _walk_demand(node, struct, demand):
 
 def trim_dead(struct, nodes, is_lambda):
     """Make the strict closure calls of one level safe for space (Clinger,
-    Proper tail recursion and space efficiency, 1998): give each App whose
+    Proper tail recursion and space efficiency, 1998): give each call whose
     level is `struct` the cells of struct's block that the application,
     head and arguments, reads last, and that a closure call inside it has
     not already claimed. `nodes` is the level's code in evaluation order:
@@ -313,7 +368,7 @@ def trim_dead(struct, nodes, is_lambda):
     what its branches read; a let counts as a read, at its place, of every
     cell of this level it reads itself; a cell read inside a lambda (a
     let-bound function too) may be read whenever that closure is called,
-    so no App lists it; and a level with an excla anywhere inside it lists
+    so no call lists it; and a level with an excla anywhere inside it lists
     nothing, since the text can read any name in scope. A nested level
     contributes its `free`, found when it was analyzed, so no subtree is
     walked twice. Records this level's own `free` for the level around it."""
@@ -340,7 +395,7 @@ class _Liveness:
         self.pin = is_lambda
         self.free = set()
         self.pinned = set()  # cells of the level read inside a lambda
-        self.apps = []       # (App, the cells it claims)
+        self.apps = []       # (call shape, the cells it claims)
         self.excla = False
 
     def walk(self, node, live, claim):
@@ -351,17 +406,17 @@ class _Liveness:
         t = type(node)
         if t is LocalRef:
             self.read(node.target, node.index, False, live, claim)
-        elif t is App:
+        elif isinstance(node, PrimApp):
+            # the head is a top-level name
+            for a in reversed(node.args):
+                self.walk(a, live, claim)
+        elif isinstance(node, App):
             dead = set()
             self.apps.append((node, dead))
             for a in reversed(node.args):
                 self.walk(a, live, dead)
             self.walk(node.head, live, dead)
-        elif isinstance(node, PrimApp):
-            # the head is a top-level name
-            for a in reversed(node.args):
-                self.walk(a, live, claim)
-        elif t is If:
+        elif isinstance(node, If):
             other = set(live)
             self.walk(node.then, live, claim)
             self.walk(node.orelse, other, claim)
@@ -453,9 +508,12 @@ class Analyzer:
         # primitive name -> the interpreter's primitive, for the
         # primitive-shaped applications
         self.primitives = primitives
-        # run trim_dead on every level: set under call-by-value only, as
-        # a thunk reads its creator's block whenever it is forced
+        # set under call-by-value only: run trim_dead on every level, as a
+        # thunk reads its creator's block whenever it is forced, and skip
+        # demand_prefix, which only a need call reads
         self.trim = trim
+        # the shape of every application that is not primitive-shaped
+        self.call = CallValue if trim else CallNeed
 
     def _new_struct(self, name, names, parent):
         struct = LambdaStruct(len(self.registry), name, names, parent)
@@ -505,7 +563,7 @@ class Analyzer:
                         else:
                             shape = PrimEE
                     return shape(compiled_head, args, prim)
-            return App(compiled_head, args)
+            return self.call(compiled_head, args)
         raise AnalysisError(f"cannot analyze {sx!r}")
 
     def _special(self, name, sx, struct):
@@ -518,9 +576,10 @@ class Analyzer:
         if name == "if":
             if len(items) != 4:
                 raise AnalysisError(f"{_pos(sx)}if: exactly three arguments expected")
-            return If(self.analyze(items[1], struct),
-                      self.analyze(items[2], struct),
-                      self.analyze(items[3], struct))
+            test = self.analyze(items[1], struct)
+            return _IF_SHAPES.get(type(test), If)(
+                test, self.analyze(items[2], struct),
+                self.analyze(items[3], struct))
         if name == "let":
             if len(items) != 3:
                 raise AnalysisError(f"{_pos(sx)}let: binding list and one body expression expected")
@@ -542,11 +601,12 @@ class Analyzer:
         body in the extended scope."""
         struct = self._new_struct(name, params, parent)
         struct.body = self.analyze(body_sx, struct)
-        struct.demand = demand = demand_prefix(struct)
-        struct.suspend = tuple(i for i in range(len(struct.names))
-                               if i not in demand)
         if self.trim:
             trim_dead(struct, (struct.body,), True)
+        else:
+            struct.demand = demand = demand_prefix(struct)
+            struct.suspend = tuple(i for i in range(len(struct.names))
+                                   if i not in demand)
         return struct
 
     def analyze_let(self, bindings_sx, body_sx, parent):

@@ -2,7 +2,7 @@
 comparison, list operations, predicates, and the forcing printer. Each
 primitive is called as fn(interp, arg, ...), one positional argument per
 parameter. make_primitives builds the table for one strategy: cons is lazy
-under need (evaluator._ev_app suspends its components) and strict under
+under need (the need call shape suspends its components) and strict under
 value, where its kernel counts the two positions a lazy run would suspend.
 
 Each strict primitive is one kernel frame: argument types (first, then

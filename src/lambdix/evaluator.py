@@ -51,21 +51,31 @@ of a let's own functions (App.parent_current) tell `install` that the new
 block's parent is current already; a forcing and every other call pass
 nothing.
 
+Every application that is not primitive-shaped is one of two call shapes
+(analyzer.CallValue, CallNeed), picked by the analyzer from the
+interpreter's strategy, each with its own `ev`: the value shape evaluates
+the arguments and clears its dead cells, the need shape passes the
+callee's demand prefix and suspends the rest, and neither tests the
+strategy at a call. Both read a global head inline, test for a closure
+first, and apply a primitive head inline too, so no path adds a frame.
+
 A call of a strict primitive's name with that primitive's arity is a
 primitive-shaped node (analyzer.PrimApp), bound to this interpreter's
 primitive of that name. The analyzer builds it as one of a few shape
 classes, picked from its operands (a local, a literal second operand,
 anything else); each shape has its own short `ev`, and all share one
-`delay` (cons under need is lazy, and a call of it stays an App). It runs
-the primitive while the name still holds that very primitive, which needs
-no test while `demanding` is on (no top-level definition has rebound a
-primitive's name yet) and one read of the top-level table after;
-otherwise (a closure, a thunk, any other primitive) it evaluates as the
-general application (`_ev_app`) it also is, so late binding, error
-messages and counts stay those of any application. A shape reads its
-local operands in place, from the owner and cell the analyzer stored, and
-a literal second operand from the value it stored, without an `ev` call
-or a type test.
+`delay` (cons under need is lazy, and a call of it stays a call shape).
+It runs the primitive while the name still holds that very primitive,
+which needs no test while `demanding` is on (no top-level definition has
+rebound a primitive's name yet) and one read of the top-level table
+after; otherwise (a closure, a thunk, any other primitive), and when a
+local operand's slot is unset, it evaluates as its strategy's call shape,
+so late binding, error messages and counts stay those of any
+application. A shape reads its local operands in place, from the owner
+and cell the analyzer stored, and a literal second operand from the value
+it stored, without an `ev` call or a type test. An `if` whose test is
+PrimL or PrimLK is an if shape (analyzer.IfPrim), which applies the
+test's primitive itself, so the test costs no `ev` call either.
 
 Forcing (`_force`) is one loop, which a thunk forced already leaves at
 once with its memo: it puts each thunk it takes on a path before
@@ -101,10 +111,10 @@ import io
 import sys
 from collections import namedtuple
 
-from .analyzer import (Analyzer, App, ExclaForm, If, LambdaRef,
-                       LambdaStruct, LetForm, Lit, LocalRef, PrimApp, PrimE,
-                       PrimEE, PrimEK, PrimEL, PrimL, PrimLK, PrimLL,
-                       QuoteForm, TopRef, is_de_form, parse_de)
+from .analyzer import (Analyzer, App, CallNeed, CallValue, ExclaForm, If,
+                       IfL, IfLK, LambdaRef, LambdaStruct, LetForm, Lit,
+                       LocalRef, PrimApp, PrimE, PrimEE, PrimEK, PrimEL, PrimL,
+                       PrimLK, PrimLL, QuoteForm, TopRef, is_de_form, parse_de)
 from .builtins import make_primitives
 from .deep import call_on_reserved_stack, call_with_deep_stack
 from .errors import EvalError, LambdixError, LimitExceeded
@@ -299,6 +309,55 @@ def _ev_if(self, interp, struct):
     raise EvalError("if: test must be a boolean", "type")
 
 
+# The if shapes (analyzer.IfPrim): while `demanding` is on and the local
+# operand is set, the test's primitive is applied here to the operand read
+# in place, as the test's own ev would (below); otherwise the test runs
+# its own ev, guard and unset operand included. The test's value takes
+# the operand's variable, so no operand is kept alive while a branch runs
+# (a list kept there doubles strict Sieve's traced peak). Against the
+# general if around the same test, measured one shape at a time (Python
+# 3.11.7, 2-core host, interleaved runs in one process): IfL cuts Sieve's
+# time by 5 % under value and 2-5 % under need, IfLK Fib's by 2.4 % and
+# LComp's by 3.3 % under value. A shape for PrimLL tests cut Tak's by
+# 2.5 %, but its source took evaluator.py past a size at which importing
+# it, compiled from source, peaks 0.13 MB higher, so it is not kept.
+
+def _ev_if_l(self, interp, struct):
+    test = self.ta.current_block[self.ia]
+    if test is UNSET or not interp.demanding:
+        test = self.test.ev(interp, struct)
+    else:
+        interp.counters.lookups += 2
+        if type(test) is Thunk:
+            test = interp._force(test)
+        test = self.prim.fn(interp, test)
+    if type(test) is Thunk:
+        test = interp._force(test)
+    if test is True:
+        return self.then.ev(interp, struct)
+    if test is False:
+        return self.orelse.ev(interp, struct)
+    raise EvalError("if: test must be a boolean", "type")
+
+
+def _ev_if_lk(self, interp, struct):
+    test = self.ta.current_block[self.ia]
+    if test is UNSET or not interp.demanding:
+        test = self.test.ev(interp, struct)
+    else:
+        interp.counters.lookups += 2
+        if type(test) is Thunk:
+            test = interp._force(test)
+        test = self.prim.fn(interp, test, self.kb)
+    if type(test) is Thunk:
+        test = interp._force(test)
+    if test is True:
+        return self.then.ev(interp, struct)
+    if test is False:
+        return self.orelse.ev(interp, struct)
+    raise EvalError("if: test must be a boolean", "type")
+
+
 def _ev_lambda(self, interp, struct):
     # the defining environment is the current block of the struct's
     # lexical parent, i.e. of the enclosing level
@@ -312,83 +371,130 @@ def _ev_quote(self, interp, struct):
     return datum
 
 
-def _ev_app(self, interp, struct):
+def _arity_error(head, args):
+    return EvalError(f"{head.name}: expected {head.arity} argument(s), "
+                     f"got {len(args)}", "arity")
+
+
+_NOT_A_FUNCTION = "cannot apply a value that is not a function"
+
+
+# The call shapes (analyzer.CallValue, CallNeed), one ev per strategy. A
+# global head (a top-level function, cons under need, a wrong-arity
+# primitive call, a PrimApp whose guard failed) is read as _ev_top would,
+# with no frame of its own (head.ev: suite-need +1.5 %), and at every call,
+# so a later definition of the name takes effect. A closure head is tested
+# first; a primitive one (reached as a value or with the wrong arity, or
+# cons under need) is applied inline, so that path adds no frame either.
+
+def _ev_call_value(self, interp, struct):
+    # no thunk exists under value: no head or argument needs forcing
+    rt = interp.rt
+    c = interp.counters
     head = self.head
     if type(head) is TopRef:
-        # a global head (a top-level function, cons under need, a wrong-arity
-        # primitive call, a PrimApp whose guard failed) is read as _ev_top
-        # would, with no frame of its own (head.ev: suite-need +1.5 %),
-        # and at every call, so a later definition of the name takes effect
-        head = interp.rt.top_table.get(head.name, UNSET)
+        head = rt.top_table.get(head.name, UNSET)
         if head is UNSET:
             raise EvalError(f"{self.head.name} not defined", "undefined")
-        interp.counters.lookups += 1
+        c.lookups += 1
     else:
         head = head.ev(interp, struct)
-    if type(head) is Thunk:
-        head = interp._force(head)
     args = self.args
-    t = type(head)
-    if t is Primitive:
-        # a primitive reached as a value or with the wrong arity, or the
-        # one lazy primitive, cons under need, which takes two arguments
+    if type(head) is not Closure:
+        if type(head) is not Primitive:
+            raise EvalError(_NOT_A_FUNCTION, "type")
         if len(args) != head.arity:
-            raise EvalError(f"{head.name}: expected {head.arity} "
-                            f"argument(s), got {len(args)}", "arity")
-        if head.lazy:
-            cb = struct.current_block
-            return head.fn(interp, args[0].delay(interp, cb),
-                           args[1].delay(interp, cb))
+            raise _arity_error(head, args)
         vals = []
         for a in args:
-            v = a.ev(interp, struct)
-            if type(v) is Thunk:
-                v = interp._force(v)
-            vals.append(v)
+            vals.append(a.ev(interp, struct))
         return head.fn(interp, *vals)
-    if t is not Closure:
-        raise EvalError("cannot apply a value that is not a function", "type")
-    interp.steps += 1
-    if interp.steps > interp.step_limit:
+    interp.steps = steps = interp.steps + 1
+    if steps > interp.step_limit:
         raise LimitExceeded("step")
     callee = head.struct
     # the callee's block vector is built here, header cells first
-    # (runtime.OWNER, PARENT), then one cell per argument
-    if interp.lazy:
+    # (runtime.OWNER, PARENT), then one cell per argument; a strict run
+    # counts every position a lazy run delays
+    c.thunks_created += len(args)
+    block = [callee, head.block]
+    for a in args:
+        block.append(a.ev(interp, struct))
+    dead = self.dead
+    if dead:
+        # safe for space: the cells this application read last are
+        # cleared before the callee runs (analyzer.trim_dead)
         cb = struct.current_block
-        block = [None] * (len(args) + FIRST)
-        block[OWNER] = callee
-        block[PARENT] = head.block
-        if interp.demanding and len(args) == len(callee.names):
-            # the body would force the demand prefix before anything else,
-            # in this order: evaluate those arguments here, and suspend the
-            # rest (every parameter when the prefix is empty)
-            demand, suspend = callee.demand, callee.suspend
-        else:
-            # a wrong argument count (new_block reports it) or prefixes off
-            demand, suspend = (), range(len(args))
-        interp.counters.thunks_elided += len(demand)
-        for i in demand:
-            v = args[i].ev(interp, struct)
-            if type(v) is Thunk:
-                v = interp._force(v)
-            block[FIRST + i] = v
-        for i in suspend:
-            block[FIRST + i] = args[i].delay(interp, cb)
-    else:
-        # a strict run counts every position a lazy run delays
-        interp.counters.thunks_created += len(args)
-        block = [callee, head.block]
-        for a in args:
-            block.append(a.ev(interp, struct))
-        dead = self.dead
-        if dead:
-            # safe for space: the cells this application read last are
-            # cleared before the callee runs (analyzer.trim_dead)
-            cb = struct.current_block
-            for i in dead:
-                cb[i] = UNSET
+        for i in dead:
+            cb[i] = UNSET
+    log = rt.install(rt.new_block(block), self.parent_current)
+    depth = interp.depth
+    try:
+        if depth >= interp.depth_limit:
+            raise LimitExceeded("depth")
+        interp.depth = depth + 1
+        return callee.body.ev(interp, callee)
+    finally:
+        interp.depth = depth
+        rt.restore(log)
+
+
+def _ev_call_need(self, interp, struct):
     rt = interp.rt
+    c = interp.counters
+    head = self.head
+    if type(head) is TopRef:
+        head = rt.top_table.get(head.name, UNSET)
+        if head is UNSET:
+            raise EvalError(f"{self.head.name} not defined", "undefined")
+        c.lookups += 1
+    else:
+        head = head.ev(interp, struct)
+    args = self.args
+    if type(head) is not Closure:
+        if type(head) is Thunk:
+            head = interp._force(head)
+        if type(head) is Primitive:
+            if len(args) != head.arity:
+                raise _arity_error(head, args)
+            if head.lazy:
+                # cons, which takes two arguments
+                cb = struct.current_block
+                return head.fn(interp, args[0].delay(interp, cb),
+                               args[1].delay(interp, cb))
+            vals = []
+            for a in args:
+                v = a.ev(interp, struct)
+                if type(v) is Thunk:
+                    v = interp._force(v)
+                vals.append(v)
+            return head.fn(interp, *vals)
+        if type(head) is not Closure:
+            raise EvalError(_NOT_A_FUNCTION, "type")
+    interp.steps = steps = interp.steps + 1
+    if steps > interp.step_limit:
+        raise LimitExceeded("step")
+    callee = head.struct
+    cb = struct.current_block
+    block = [None] * (len(args) + FIRST)
+    block[OWNER] = callee
+    block[PARENT] = head.block
+    if interp.demanding and len(args) == len(callee.names):
+        # the body would force the demand prefix before anything else,
+        # in this order: evaluate those arguments here, and suspend the
+        # rest (every parameter when the prefix is empty)
+        demand, suspend = callee.demand, callee.suspend
+    else:
+        # a wrong argument count (new_block reports it) or prefixes off
+        demand, suspend = (), range(len(args))
+    c.thunks_elided += len(demand)
+    for i in demand:
+        v = args[i].ev(interp, struct)
+        if type(v) is Thunk:
+            v = interp._force(v)
+        block[FIRST + i] = v
+    for i in suspend:
+        block[FIRST + i] = args[i].delay(interp, cb)
     log = rt.install(rt.new_block(block), self.parent_current)
     depth = interp.depth
     try:
@@ -402,20 +508,26 @@ def _ev_app(self, interp, struct):
 
 
 # The primitive-shaped nodes, one ev per shape (analyzer.PrimApp). Past
-# the guard, each does what _ev_app does for the node's primitive, in the
-# same order and with the same counts. A name redefined (even to another
-# primitive), or holding a thunk under need, fails the guard, and the node
-# evaluates as the App it is, which reads the head again and reports as
-# any application. The table is read only once `demanding` is off: until
-# a top-level definition rebinds a primitive's name, every such name still
-# holds this interpreter's primitive.
+# the guard, each does what its call shape does for the node's primitive,
+# in the same order and with the same counts. A name redefined (even to
+# another primitive), or holding a thunk under need, fails the guard, and
+# the node evaluates as its strategy's call shape, which reads the head
+# again and reports as any application. The table is read only once
+# `demanding` is off: until a top-level definition rebinds a primitive's
+# name, every such name still holds this interpreter's primitive.
 #
 # A literal second operand is the value the analyzer stored (kb). A local
 # operand whose slot is set is read in place from the cell the analyzer
 # stored (ta, ia; tb, ib), with the count and forcing of _ev_local; a local
-# first operand's lookup is counted with the head's, in one increment. An
-# unset slot goes to the operand's own ev, which reports it as any read
-# would and counts it once. Any other operand is evaluated by its ev.
+# first operand's lookup is counted with the head's, in one increment. A
+# local first operand whose slot is unset (PrimLL's second one too, read
+# with the first) sends the node to its call shape, which reads the head
+# and the operands as any application and reports the unset read: that
+# slot cannot change while the first operand is forced, as a cell is
+# unset only while a strict let fills it or once nothing reads it again.
+# PrimEL's unset second operand goes to the operand's own ev, which
+# reports it as any read would and counts it once. Any other operand is
+# evaluated by its ev.
 # Against one ev for all shapes that tested each operand's type at every
 # call, the shapes cut suite-value's CPU time by 11-16 % and suite-need's
 # by 8-10 % (Python 3.11.7, 2-core host).
@@ -423,7 +535,7 @@ def _ev_app(self, interp, struct):
 def _ev_prim_e(self, interp, struct):
     prim = self.prim
     if not interp.demanding and interp.rt.top_table.get(prim.name) is not prim:
-        return _ev_app(self, interp, struct)
+        return interp.analyzer.call.ev(self, interp, struct)
     interp.counters.lookups += 1
     a = self.a.ev(interp, struct)
     if type(a) is Thunk:
@@ -433,23 +545,20 @@ def _ev_prim_e(self, interp, struct):
 
 def _ev_prim_l(self, interp, struct):
     prim = self.prim
-    if not interp.demanding and interp.rt.top_table.get(prim.name) is not prim:
-        return _ev_app(self, interp, struct)
     a = self.ta.current_block[self.ia]
-    if a is UNSET:
-        interp.counters.lookups += 1
-        a = self.a.ev(interp, struct)
-    else:
-        interp.counters.lookups += 2
-        if type(a) is Thunk:
-            a = interp._force(a)
+    if a is UNSET or (not interp.demanding
+                      and interp.rt.top_table.get(prim.name) is not prim):
+        return interp.analyzer.call.ev(self, interp, struct)
+    interp.counters.lookups += 2
+    if type(a) is Thunk:
+        a = interp._force(a)
     return prim.fn(interp, a)
 
 
 def _ev_prim_ee(self, interp, struct):
     prim = self.prim
     if not interp.demanding and interp.rt.top_table.get(prim.name) is not prim:
-        return _ev_app(self, interp, struct)
+        return interp.analyzer.call.ev(self, interp, struct)
     interp.counters.lookups += 1
     a = self.a.ev(interp, struct)
     if type(a) is Thunk:
@@ -463,7 +572,7 @@ def _ev_prim_ee(self, interp, struct):
 def _ev_prim_ek(self, interp, struct):
     prim = self.prim
     if not interp.demanding and interp.rt.top_table.get(prim.name) is not prim:
-        return _ev_app(self, interp, struct)
+        return interp.analyzer.call.ev(self, interp, struct)
     interp.counters.lookups += 1
     a = self.a.ev(interp, struct)
     if type(a) is Thunk:
@@ -474,7 +583,7 @@ def _ev_prim_ek(self, interp, struct):
 def _ev_prim_el(self, interp, struct):
     prim = self.prim
     if not interp.demanding and interp.rt.top_table.get(prim.name) is not prim:
-        return _ev_app(self, interp, struct)
+        return interp.analyzer.call.ev(self, interp, struct)
     c = interp.counters
     c.lookups += 1
     a = self.a.ev(interp, struct)
@@ -492,39 +601,31 @@ def _ev_prim_el(self, interp, struct):
 
 def _ev_prim_lk(self, interp, struct):
     prim = self.prim
-    if not interp.demanding and interp.rt.top_table.get(prim.name) is not prim:
-        return _ev_app(self, interp, struct)
     a = self.ta.current_block[self.ia]
-    if a is UNSET:
-        interp.counters.lookups += 1
-        a = self.a.ev(interp, struct)
-    else:
-        interp.counters.lookups += 2
-        if type(a) is Thunk:
-            a = interp._force(a)
+    if a is UNSET or (not interp.demanding
+                      and interp.rt.top_table.get(prim.name) is not prim):
+        return interp.analyzer.call.ev(self, interp, struct)
+    interp.counters.lookups += 2
+    if type(a) is Thunk:
+        a = interp._force(a)
     return prim.fn(interp, a, self.kb)
 
 
 def _ev_prim_ll(self, interp, struct):
     prim = self.prim
-    if not interp.demanding and interp.rt.top_table.get(prim.name) is not prim:
-        return _ev_app(self, interp, struct)
-    c = interp.counters
     a = self.ta.current_block[self.ia]
-    if a is UNSET:
-        c.lookups += 1
-        a = self.a.ev(interp, struct)
-    else:
-        c.lookups += 2
-        if type(a) is Thunk:
-            a = interp._force(a)
     b = self.tb.current_block[self.ib]
-    if b is UNSET:
-        b = self.b.ev(interp, struct)
-    else:
-        c.lookups += 1
-        if type(b) is Thunk:
-            b = interp._force(b)
+    if a is UNSET or b is UNSET or (
+            not interp.demanding
+            and interp.rt.top_table.get(prim.name) is not prim):
+        return interp.analyzer.call.ev(self, interp, struct)
+    c = interp.counters
+    c.lookups += 2
+    if type(a) is Thunk:
+        a = interp._force(a)
+    c.lookups += 1
+    if type(b) is Thunk:
+        b = interp._force(b)
     return prim.fn(interp, a, b)
 
 
@@ -575,8 +676,10 @@ def _ev_excla(self, interp, struct):
 
 
 for _node, _ev in ((Lit, _ev_lit), (LocalRef, _ev_local), (TopRef, _ev_top),
-                   (If, _ev_if), (LambdaRef, _ev_lambda), (QuoteForm, _ev_quote),
-                   (App, _ev_app), (PrimE, _ev_prim_e), (PrimL, _ev_prim_l),
+                   (If, _ev_if), (IfL, _ev_if_l), (IfLK, _ev_if_lk),
+                   (LambdaRef, _ev_lambda), (QuoteForm, _ev_quote),
+                   (CallValue, _ev_call_value), (CallNeed, _ev_call_need),
+                   (PrimE, _ev_prim_e), (PrimL, _ev_prim_l),
                    (PrimEE, _ev_prim_ee), (PrimEK, _ev_prim_ek),
                    (PrimEL, _ev_prim_el), (PrimLK, _ev_prim_lk),
                    (PrimLL, _ev_prim_ll), (LetForm, _ev_let),

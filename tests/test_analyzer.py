@@ -1,8 +1,9 @@
 import pytest
 
 from conftest import make_interp, run
-from lambdix.analyzer import (App, If, LocalRef, PrimApp, PrimE, PrimEE,
-                              PrimEK, PrimEL, PrimL, PrimLK, PrimLL, TopRef)
+from lambdix.analyzer import (App, CallNeed, CallValue, If, IfL, IfLK,
+                              LocalRef, PrimApp, PrimE, PrimEE, PrimEK,
+                              PrimEL, PrimL, PrimLK, PrimLL, TopRef)
 from lambdix.errors import AnalysisError, EvalError
 from lambdix.oracle import generate_program
 from lambdix.reader import read_program
@@ -186,6 +187,24 @@ def test_demand_prefix_of_the_suite_functions():
         assert got[name] == ("l",)
 
 
+def test_value_structs_carry_no_demand_prefix():
+    # only a need call reads a prefix, so a value analyzer skips the walk;
+    # the same definitions under need keep theirs, suspending the rest
+    text = ("(de (tak x y z) (if (< y x) (tak z y x) z))"
+            " (de (f k) (let ((de (h a b) (- b a))) (lambda (p q) (+ q p))))")
+    for strategy in ("value", "need"):
+        interp, _ = make_interp(strategy)
+        interp.eval_source(text)
+        got = {s.name: (s.demand, s.suspend) for s in interp.structs
+               if s.names}
+        if strategy == "value":
+            assert set(got.values()) == {((), ())}
+        else:
+            assert got == {"tak": ((1, 0), (2,)), "f": ((), (0,)),
+                           "let": ((), ()), "h": ((1, 0), ()),
+                           "lambda": ((1, 0), ())}
+
+
 @pytest.mark.parametrize("body,demand", [
     # literals, lambdas and quotes continue; a repeated read adds nothing
     ("(+ 1 (- (car x) y))", ("x",)),
@@ -218,11 +237,11 @@ def test_demand_prefix_walk(body, demand):
 # body, the class the analyzer builds for it under value, and under need
 SHAPES = [
     # a top-level name of a strict primitive with its arity; cons is
-    # strict under value only, and under need stays an App
+    # strict under value only, and under need stays a call shape
     ("(car x)", PrimL, PrimL),
     ("(print (+ x y))", PrimE, PrimE),
     ("(+ x y)", PrimLL, PrimLL),
-    ("(cons x y)", PrimLL, App),
+    ("(cons x y)", PrimLL, CallNeed),
     # one shape per operand pattern: L a local, K a literal second operand,
     # E anything else (a literal first operand is read by its own ev, and
     # a local followed by an E is the general class)
@@ -237,19 +256,20 @@ SHAPES = [
     ("(+ x (car y))", PrimEE, PrimEE),
     ("(= x 'a)", PrimEE, PrimEE),
     ("(+ 1 (car y))", PrimEE, PrimEE),
-    ("(cons 1 2)", PrimEK, App),
-    # a wrong arity, a local or non-primitive head stays an App
-    ("(car x y)", App, App),
-    ("(+ x)", App, App),
-    ("(cons x)", App, App),
-    ("(car2 x)", App, App),
-    ("(x y)", App, App),
-    ("((lambda (u) u) x)", App, App),
+    ("(cons 1 2)", PrimEK, CallNeed),
+    # a wrong arity, a local or non-primitive head stays a call shape
+    ("(car x y)", CallValue, CallNeed),
+    ("(+ x)", CallValue, CallNeed),
+    ("(cons x)", CallValue, CallNeed),
+    ("(car2 x)", CallValue, CallNeed),
+    ("(x y)", CallValue, CallNeed),
+    ("((lambda (u) u) x)", CallValue, CallNeed),
 ]
 
 
 @pytest.mark.parametrize("body,by_value,by_need", [
-    pytest.param(*row, id=f"{row[0]}-{'App' if row[1] is App else 'PrimApp'}")
+    pytest.param(*row,
+                 id=f"{row[0]}-{'App' if row[1] is CallValue else 'PrimApp'}")
     for row in SHAPES])
 def test_primitive_shaped_applications(body, by_value, by_need):
     for strategy, shape in (("value", by_value), ("need", by_need)):
@@ -257,7 +277,7 @@ def test_primitive_shaped_applications(body, by_value, by_need):
         interp.eval_source(f"(de (h x y) {body})")
         got = structs_by_name(interp)["h"][0].body
         assert type(got) is shape
-        if shape is App:
+        if shape in (CallValue, CallNeed):
             continue
         assert isinstance(got, PrimApp)
         assert type(got.head) is TopRef and got.prim.name == got.head.name
@@ -271,11 +291,39 @@ def test_primitive_shaped_applications(body, by_value, by_need):
             assert got.kb == got.b.value
 
 
+@pytest.mark.parametrize("test,shape", [
+    # a PrimL or PrimLK test makes an if shape
+    ("(nullist x)", IfL),
+    ("(car x)", IfL),
+    ("(< x 1)", IfLK),
+    # any other test stays a plain if; a quoted operand is not a literal
+    ("(= x 'a)", If),
+    ("(< x y)", If),
+    ("(= (car x) 0)", If),
+    ("(nullist (cdr x))", If),
+    ("(car x y)", If),
+    ("(g x)", If),
+    ("x", If),
+])
+def test_if_shapes(test, shape):
+    for strategy in ("value", "need"):
+        interp, _ = make_interp(strategy)
+        interp.eval_source(f"(de (g x) x) (de (h x y) (if {test} 1 2))")
+        got = structs_by_name(interp)["h"][0].body
+        assert type(got) is shape
+        if shape is not If:
+            # the test's fields, copied so that the if reads them itself
+            t = got.test
+            assert (got.prim, got.ta, got.ia) == (t.prim, t.ta, t.ia)
+            if shape is IfLK:
+                assert got.kb == t.kb == 1
+
+
 def test_a_local_named_after_a_primitive_heads_an_app():
     interp, _ = make_interp()
     interp.eval_source("(de (h car x) (car x))")
     got = structs_by_name(interp)["h"][0].body
-    assert type(got) is App and type(got.head) is LocalRef
+    assert type(got) is CallNeed and type(got.head) is LocalRef
 
 
 @pytest.mark.parametrize("body,marked", [
@@ -317,14 +365,13 @@ def test_defining_a_primitive_name_turns_prefixes_off():
 
 
 def closure_calls(node):
-    """Every App under `node` that is not a PrimApp, in its own level,
-    outermost first and left to right."""
-    t = type(node)
-    found = [node] if t is App else []
+    """Every call shape under `node`, in its own level, outermost first
+    and left to right."""
+    found = [node] if type(node) in (CallValue, CallNeed) else []
     if isinstance(node, App):
         for sub in (node.head, *node.args):
             found += closure_calls(sub)
-    elif t is If:
+    elif isinstance(node, If):
         for sub in (node.test, node.then, node.orelse):
             found += closure_calls(sub)
     return found

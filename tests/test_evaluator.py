@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (check_installs, check_switches, make_interp,
                       observe_installs, run)
-from lambdix.analyzer import App, LetForm, PrimApp, PrimLL
+from lambdix.analyzer import CallNeed, If, IfPrim, LetForm, PrimApp, PrimLL
 from lambdix.builtins import make_primitives
 from lambdix.deep import FRAMES_PER_LEVEL, RECURSION_LIMIT
 from lambdix.errors import EvalError, LambdixError, LimitExceeded
@@ -200,6 +200,15 @@ FRAMES_PER_CALL = {
     "three-arguments": (
         "(de (down n a b) (if (= n 0) (probe 0) (+ a (down (- n 1) a b))))",
         "(down {} 1 1)", ("value", "need"), 3),
+    # a primitive passed as a value is applied inline by the call that
+    # reads it, so its arguments cost no frame beyond that call's
+    "primitive-passed-around-the-call": (
+        "(de (down n p) (if (= n 0) (probe 0) (p 1 (down (- n 1) p))))",
+        "(down {} +)", ("value", "need"), 3),
+    "primitive-passed-inside-a-let": (
+        "(de (down n p) (if (= n 0) (probe 0)"
+        " (let ((m (- n 1))) (p 1 (down m p)))))",
+        "(down {} +)", ("value", "need"), 4),
     # under need cons suspends the call, and car returns it unforced
     "through-car-and-cons": (
         "(de (down n) (if (= n 0) (probe 0) (car (cons (down (- n 1)) ()))))",
@@ -426,7 +435,7 @@ CONS_ROUTES = {
     # 2. need: the same 5 lookups (cons's head one, then x and y passed
     # on), f's literals and cons's locals elided, nothing suspended
     "operand-shape": (
-        "(de (f x y) (cons x y))", "(print (f 1 2))", PrimLL, App,
+        "(de (f x y) (cons x y))", "(print (f 1 2))", PrimLL, CallNeed,
         (1, 1, 1, 5, 4, 0, 0), (1, 1, 1, 5, 0, 0, 4)),
     # value: print's lookup, cons read as an argument and f read as a
     # head; the lambda's call counts its 1 position and the kernel 2.
@@ -441,7 +450,7 @@ CONS_ROUTES = {
     # prefix was empty anyway
     "operand-shape-guarded": (
         "(de car cdr) (de (f x y) (cons x y))", "(print (f 1 2))",
-        PrimLL, App, (1, 1, 1, 5, 4, 0, 0), (1, 1, 1, 5, 0, 0, 4)),
+        PrimLL, CallNeed, (1, 1, 1, 5, 4, 0, 0), (1, 1, 1, 5, 0, 0, 4)),
 }
 
 
@@ -449,7 +458,7 @@ CONS_ROUTES = {
 def test_cons_counts_the_same_by_every_route(route):
     # cons's strategy lives in its primitive: under value a strict kernel
     # that counts the 2 positions a need run creates or elides, under need
-    # a lazy primitive whose application is an App
+    # a lazy primitive whose application is a call shape
     defs, form, by_value, by_need, value_counts, need_counts = \
         CONS_ROUTES[route]
     for strategy, shape, counts in (("value", by_value, value_counts),
@@ -1047,7 +1056,7 @@ def _run_prim_body(strategy, prelude, body, call, as_app):
     node = let.bindings[0] if let else struct.body
     assert isinstance(node, PrimApp)
     if as_app:
-        app = App(node.head, node.args)
+        app = interp.analyzer.call(node.head, node.args)
         if let:
             let.bindings = (app,) + let.bindings[1:]
         else:
@@ -1073,11 +1082,64 @@ def test_primitive_shaped_node_counts_what_its_app_counts(body, strategy):
     if strategy == "need" and body.startswith("(cons "):
         interp, _ = make_interp(strategy)
         interp.eval_source(f"(de (h x y) {body})")
-        assert type(interp.rt.top_table["h"].struct.body) is App
+        assert type(interp.rt.top_table["h"].struct.body) is CallNeed
         return
     for prelude, call in itertools.product(PRIM_PRELUDES, PRIM_CALLS):
         assert _run_prim_body(strategy, prelude, body, call, False) == \
             _run_prim_body(strategy, prelude, body, call, True)
+
+
+# an if whose test is a primitive shape reading a local first operand:
+# alone, or with a literal second operand
+IF_TESTS = [f"({name} {ops})" for name, arity in PRIMITIVES
+            for ops in (("x", "y") if arity == 1 else ("x 0", "y 3", "x 1"))]
+# rebinding the test's own name, to a primitive or to a closure, fails
+# the guard of the test it reads in place
+IF_PRELUDES = PRIM_PRELUDES + ("(de < >)", "(de (nullist l) (atom l))")
+# a strict let's first binding reads its later sibling z in the test
+IF_LET_BODIES = ("(let ((r (if (nullist z) 1 2)) (z '(1))) r)",
+                 "(let ((r (if (< z 1) 1 2)) (z 1)) r)")
+
+
+def _run_if_body(strategy, prelude, body, call, general):
+    interp, out = make_interp(strategy)
+    interp.eval_source(f"{prelude} (de (h x y) {body})")
+    struct = interp.rt.top_table["h"].struct
+    # the node is h's body, or its let's first binding
+    let = struct.body if type(struct.body) is LetForm else None
+    node = let.bindings[0] if let else struct.body
+    assert isinstance(node, IfPrim)
+    if general:
+        plain = If(node.test, node.then, node.orelse)
+        if let:
+            let.bindings = (plain,) + let.bindings[1:]
+        else:
+            struct.body = plain
+    before = interp.counters.snapshot()
+    try:
+        result = interp.eval_source_rendered(call)
+    except LambdixError as e:
+        result = (e.category, e.message)
+    return result, out.getvalue(), interp.counters.delta(before)
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+@pytest.mark.parametrize("body", [
+    f"(if {test} (print 1) (print 2))" for test in IF_TESTS]
+    + list(IF_LET_BODIES))
+def test_if_shape_counts_what_its_if_counts(body, strategy):
+    # the same call through the if shape, which applies its test's
+    # primitive itself, and through the general if around the same test
+    # node: the same result or error, the same output and the same seven
+    # counts. cons is lazy under need, and its test is a call shape
+    if strategy == "need" and "(cons " in body:
+        interp, _ = make_interp(strategy)
+        interp.eval_source(f"(de (h x y) {body})")
+        assert type(interp.rt.top_table["h"].struct.body) is If
+        return
+    for prelude, call in itertools.product(IF_PRELUDES, PRIM_CALLS):
+        assert _run_if_body(strategy, prelude, body, call, False) == \
+            _run_if_body(strategy, prelude, body, call, True)
 
 
 def test_strict_sieve_keeps_no_dead_list():

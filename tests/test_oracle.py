@@ -321,7 +321,7 @@ LATE_BINDING = {
         PLUS_SITE + "(de + 5) (print (s 3 4))",
         ("error", NOT_A_FUNCTION, "7\n")),
     # the lazy primitive at a strict one's call site: a thunk under need,
-    # under value the node's guard fails and it runs as the App it is
+    # under value the node's guard fails and it runs as its call shape
     "plus-as-cons": (
         PLUS_SITE + "(de + cons) (print (s 3 4))",
         ("value", "(3 . 4)", "7\n(3 . 4)\n")),
@@ -338,7 +338,7 @@ LATE_BINDING = {
         CONS_SITE + "(de cons 5) (print (s 3 4))",
         ("error", NOT_A_FUNCTION, "(3 . 4)\n")),
     # a strict primitive at a lazy one's call site: a thunk under need,
-    # under value the node's guard fails and it runs as the App it is
+    # under value the node's guard fails and it runs as its call shape
     "cons-as-plus": (
         CONS_SITE + "(de cons +) (print (s 3 4))",
         ("value", "7", "(3 . 4)\n7\n")),

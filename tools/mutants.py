@@ -38,7 +38,7 @@ MUTANTS = [
      "            app.dead = tuple(sorted(dead - pinned))",
      "            app.dead = tuple(sorted(dead))"),
     ("trim under need",
-     "trim_dead runs under need too",
+     "trim_dead runs under need too, and need levels get no demand prefix",
      "analyzer.py",
      "        self.trim = trim",
      "        self.trim = True"),
@@ -94,11 +94,16 @@ MUTANTS = [
      "evaluator.py",
      "        prims = make_primitives(self.lazy)",
      "        prims = make_primitives(False)"),
+    ("value calls under need",
+     "a need interpreter gets the value call shape",
+     "analyzer.py",
+     "        self.call = CallValue if trim else CallNeed",
+     "        self.call = CallValue"),
     ("prefixes survive a rebinding",
      "demand prefixes stay on after a primitive's name is rebound",
      "evaluator.py",
-     "        if interp.demanding and len(args) == len(callee.names):",
-     "        if len(args) == len(callee.names):"),
+     "    if interp.demanding and len(args) == len(callee.names):",
+     "    if len(args) == len(callee.names):"),
 ]
 
 
