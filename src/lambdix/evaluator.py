@@ -25,20 +25,9 @@ limit can be reached at a different point. A top-level definition of a
 strict primitive's name turns prefixes off for the interpreter, since they
 assume that name still names the primitive.
 
-Cheap eagerness: where a need run would suspend a primitive-shaped
-application (a closure argument, a cons component or a let binding), its
-`delay` applies it at once when the primitive is total on the operands
-(car and cdr of a pair, nullist and atom of any value, + - * < <= > >= =
-of two integers), each operand is a literal or a local whose slot holds a
-value or a forced thunk's memo, and the name still holds the node's
-primitive; otherwise, and on overflow, it makes the usual thunk. Such an
-application cannot fail, print or call a closure, and reads only values
-that exist already, so it yields what its forcing would have. What moves
-is depth: no forcing frame, and no chain of suspended sums behind an
-accumulator. The one other difference is late binding: a top-level
-definition of the primitive's name made after the application was
-computed no longer reaches it, as under value. It counts what its forcing would have: one
-elided suspension, the head lookup and one lookup per local operand.
+Cheap eagerness (a primitive application applied where a need run would
+suspend it) is described at `_delay_prim`, and forcing at
+`Interpreter._force`.
 
 Each analyzed node class has one `ev(interp, struct)` method, defined at
 the end of this module; `struct` is the level whose environment the node
@@ -57,7 +46,8 @@ interpreter's strategy, each with its own `ev`: the value shape evaluates
 the arguments and clears its dead cells, the need shape passes the
 callee's demand prefix and suspends the rest, and neither tests the
 strategy at a call. Both read a global head inline, test for a closure
-first, and apply a primitive head inline too, so no path adds a frame.
+first, and apply a primitive head inline too, so no path adds a frame;
+the value shape also reads a local argument's slot in place.
 
 A call of a strict primitive's name with that primitive's arity is a
 primitive-shaped node (analyzer.PrimApp), bound to this interpreter's
@@ -76,21 +66,6 @@ and cell the analyzer stored, and a literal second operand from the value
 it stored, without an `ev` call or a type test. An `if` whose test is
 PrimL or PrimLK is an if shape (analyzer.IfPrim), which applies the
 test's primitive itself, so the test costs no `ev` call either.
-
-Forcing (`_force`) is one loop, which a thunk forced already leaves at
-once with its memo: it puts each thunk it takes on a path before
-blackholing it, follows an expression that yields another thunk (car and
-cdr return components unforced) to the value the chain ends in, and
-memoizes that value on every thunk of the path. Its one handler undoes it
-from saved state, wherever an error or a Ctrl-C lands: the depth goes back
-to its value on entry, and every thunk on the path still busy is new again
-with no memo. An application undoes its depth and its install in one
-`finally` the same way. car, cdr and cadr cut forced components out of the
-pairs they read (builtins.py), so a list does not keep its used-up thunks
-alive. Local slots are not rewritten the same way: later reads of a
-rewritten slot skip `_force`, so the `_force` calls could fall below the
-forcings (one call memoizes a whole chain), which would break the
-benchmark tracer's check that every forcing is seen in a `_force` call.
 
 Strict calls are safe for space. Under value a closure call, once its
 arguments are evaluated and before the callee's block is made and
@@ -210,6 +185,22 @@ class Interpreter:
     # -- forcing ---------------------------------------------------------------
 
     def _force(self, th):
+        # Forcing is one loop, which a thunk forced already leaves
+        # at once with its memo: it puts each thunk it takes on a path before
+        # blackholing it, follows an expression that yields another thunk (car
+        # and cdr return components unforced) to the value the chain ends in,
+        # and memoizes that value on every thunk of the path. Its one handler
+        # undoes it from saved state, wherever an error or a Ctrl-C lands: the
+        # depth goes back to its value on entry, and every thunk on the path
+        # still busy is new again with no memo. An application undoes its depth
+        # and its install in one `finally` the same way. car, cdr and cadr cut
+        # forced components out of the pairs they read (builtins.py), so a list
+        # does not keep its used-up thunks alive. Local slots are not rewritten
+        # the same way: later reads of a rewritten slot skip `_force`, so the
+        # `_force` calls could fall below the forcings (one call memoizes a
+        # whole chain), which would break the benchmark tracer's check that
+        # every forcing is seen in a `_force` call.
+        #
         # Each thunk taken stays busy on `path` until the chain reaches a
         # value; then every thunk on it memoizes that value, so a memo is
         # never a thunk and a chain is walked once. A busy thunk met on the
@@ -319,8 +310,9 @@ def _ev_if(self, interp, struct):
 # 3.11.7, 2-core host, interleaved runs in one process): IfL cuts Sieve's
 # time by 5 % under value and 2-5 % under need, IfLK Fib's by 2.4 % and
 # LComp's by 3.3 % under value. A shape for PrimLL tests cut Tak's by
-# 2.5 %, but its source took evaluator.py past a size at which importing
-# it, compiled from source, peaks 0.13 MB higher, so it is not kept.
+# 2.5 %, but with it importing this module, compiled from source, peaked
+# 0.26 MB above the tree without call and if shapes (0.13 MB without it),
+# as parsing the larger source takes more memory, so it is not kept.
 
 def _ev_if_l(self, interp, struct):
     test = self.ta.current_block[self.ia]
@@ -386,6 +378,10 @@ _NOT_A_FUNCTION = "cannot apply a value that is not a function"
 # so a later definition of the name takes effect. A closure head is tested
 # first; a primitive one (reached as a value or with the wrong arity, or
 # cons under need) is applied inline, so that path adds no frame either.
+# Against one ev for both strategies that tested the head's type before
+# the closure case, the two shapes alone cut 2-3 % per suite program
+# under value and about 2 % under need (interleaved runs in one process,
+# Python 3.11.7, 2-core host).
 
 def _ev_call_value(self, interp, struct):
     # no thunk exists under value: no head or argument needs forcing
@@ -415,11 +411,19 @@ def _ev_call_value(self, interp, struct):
     callee = head.struct
     # the callee's block vector is built here, header cells first
     # (runtime.OWNER, PARENT), then one cell per argument; a strict run
-    # counts every position a lazy run delays
+    # counts every position a lazy run delays. A local argument whose slot
+    # is set is read in place with _ev_local's count (Fib2 6 %, LSum 3 %
+    # faster than through its ev); an unset one goes to its ev, which
+    # reports it
     c.thunks_created += len(args)
     block = [callee, head.block]
     for a in args:
-        block.append(a.ev(interp, struct))
+        if type(a) is LocalRef and (
+                v := a.target.current_block[a.index]) is not UNSET:
+            c.lookups += 1
+            block.append(v)
+        else:
+            block.append(a.ev(interp, struct))
     dead = self.dead
     if dead:
         # safe for space: the cells this application read last are
@@ -718,6 +722,21 @@ def _delay_local(self, interp, cb):
     return _delay_thunk(self, interp, cb)
 
 
+# Cheap eagerness: where a need run would suspend a primitive-shaped
+# application (a closure argument, a cons component or a let binding), its
+# `delay` applies it at once when the primitive is total on the operands (car
+# and cdr of a pair, nullist and atom of any value, + - * < <= > >= = of two
+# integers), each operand is a literal or a local whose slot holds a value or a
+# forced thunk's memo, and the name still holds the node's primitive;
+# otherwise, and on overflow, it makes the usual thunk. Such an application
+# cannot fail, print or call a closure, and reads only values that exist
+# already, so it yields what its forcing would have. What moves is depth: no
+# forcing frame, and no chain of suspended sums behind an accumulator. The one
+# other difference is late binding: a top-level definition of the primitive's
+# name made after the application was computed no longer reaches it, as under
+# value. It counts what its forcing would have: one elided suspension, the head
+# lookup and one lookup per local operand.
+#
 # primitive name -> the operand type on which it is total (None: any value)
 _CHEAP = {"car": Pair, "cdr": Pair, "nullist": None, "atom": None,
           "+": int, "-": int, "*": int, "<": int, "<=": int, ">": int,

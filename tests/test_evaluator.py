@@ -903,6 +903,11 @@ LET_BINDINGS = {
     "later-sibling-shadows-a-parameter": (
         "(de (f x) (let ((y x) (x 5)) y)) (print (f 1))",
         ("error", ("undefined", "x is used before its definition")), "5\n"),
+    # a closure call's argument that reads a later sibling: a value call
+    # reads the unset slot, a need call passes it on as a thunk
+    "call-argument-reads-a-later-sibling": (
+        "(de (f a b) b) (print (let ((r (f 1 z)) (z 2)) r))",
+        ("error", ("undefined", "z is used before its definition")), "2\n"),
     "reads-itself": (
         "(print (let ((a a)) a))",
         ("error", ("undefined", "a is used before its definition")),
