@@ -11,7 +11,12 @@ second), a zero divisor and overflow are checked inline, in that order.
 car, cdr and cadr return a component that is not yet forced as it is, but
 cut a forced one out of its pair: the pair then holds the memo, and the
 used-up thunk can be collected. Local slots are left alone; see the
-evaluator's docstring."""
+evaluator's docstring.
+
+`total_on` (for cheap eagerness) is the operand type on which a kernel
+cannot fail but by overflow: int, Pair, object (any value), or None where
+it can. `bound` (its name holds it, kept by Interpreter._eval_top_de) is
+per interpreter, as each call builds new objects."""
 
 import operator
 
@@ -35,7 +40,7 @@ def _arith(name, op):
         if INT_MIN <= r <= INT_MAX:
             return r
         raise EvalError("arithmetic overflow", "arith")
-    return Primitive(name, 2, kernel)
+    return Primitive(name, 2, kernel, total_on=int)
 
 
 def _compare(name, op):
@@ -43,7 +48,7 @@ def _compare(name, op):
         if type(a) is not int or type(b) is not int:
             raise EvalError(f"{name}: expected a number", "type")
         return op(a, b)
-    return Primitive(name, 2, kernel)
+    return Primitive(name, 2, kernel, total_on=int)
 
 
 def _div(interp, a, b):
@@ -144,14 +149,14 @@ def make_primitives(lazy):
         _compare("<=", operator.le),
         _compare(">", operator.gt),
         _compare(">=", operator.ge),
-        Primitive("=", 2, _eq),
+        Primitive("=", 2, _eq, total_on=int),
         (Primitive("cons", 2, _cons, lazy=True) if lazy
          else Primitive("cons", 2, _cons_strict)),
-        Primitive("car", 1, _car),
-        Primitive("cdr", 1, _cdr),
+        Primitive("car", 1, _car, total_on=Pair),
+        Primitive("cdr", 1, _cdr, total_on=Pair),
         Primitive("cadr", 1, _cadr),
-        Primitive("nullist", 1, _nullist),
-        Primitive("atom", 1, _atom),
+        Primitive("nullist", 1, _nullist, total_on=object),
+        Primitive("atom", 1, _atom, total_on=object),
         Primitive("print", 1, _print),
     ]
     return {p.name: p for p in prims}

@@ -10,7 +10,9 @@ calls use no C stack, so the calling thread can run the configured depth
 limit (default 100,000) once the recursion limit is raised; no dedicated
 thread is needed. The command line refuses a depth limit above
 MAX_DEPTH_LIMIT, where the recursion limit would bind first on those
-shapes. Should it still bind first (a deeper shape, or a caller that
+shapes. Should it still bind first (a deeper shape, such as a call nested
+in five sums, or a primitive shape whose name was redefined, which runs
+its call shape in a second frame: 5 frames a level; or a caller that
 passes a larger limit), the RecursionError is reported as the depth limit.
 
 Reserved chunk. CPython keeps Python frames in data-stack chunks of 16 KB.

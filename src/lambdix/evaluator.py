@@ -22,8 +22,8 @@ suspends every argument, and new_block reports the wrong count. What
 moves is the depth: those arguments now run before the call's depth check
 and shallower than a forcing inside the body would, so a step or depth
 limit can be reached at a different point. A top-level definition of a
-strict primitive's name turns prefixes off for the interpreter, since they
-assume that name still names the primitive.
+name holding a primitive turns prefixes off for good (`demanding`), since
+they assume each primitive's name still names it.
 
 Cheap eagerness (a primitive application applied where a need run would
 suspend it) is described at `_delay_prim`, and forcing at
@@ -56,16 +56,16 @@ classes, picked from its operands (a local, a literal second operand,
 anything else); each shape has its own short `ev`, and all share one
 `delay` (cons under need is lazy, and a call of it stays a call shape).
 It runs the primitive while the name still holds that very primitive,
-which needs no test while `demanding` is on (no top-level definition has
-rebound a primitive's name yet) and one read of the top-level table
-after; otherwise (a closure, a thunk, any other primitive), and when a
-local operand's slot is unset, it evaluates as its strategy's call shape,
-so late binding, error messages and counts stay those of any
-application. A shape reads its local operands in place, from the owner
-and cell the analyzer stored, and a literal second operand from the value
-it stored, without an `ev` call or a type test. An `if` whose test is
-PrimL or PrimLK is an if shape (analyzer.IfPrim), which applies the
-test's primitive itself, so the test costs no `ev` call either.
+which is one test of the primitive's `bound` flag: the top-level
+definition of a primitive's name sets it (Interpreter._eval_top_de), so
+no shape reads the table. Otherwise (a closure, a thunk, any other
+primitive), and when a local operand's slot is unset, it evaluates as its
+strategy's call shape, so late binding, error messages and counts stay
+those of any application. A shape reads its local operands in place,
+from the owner and cell the analyzer stored, and a literal second operand
+from the value it stored, without an `ev` call or a type test. An `if`
+whose test is PrimL or PrimLK is an if shape (analyzer.IfPrim), which
+applies the test's primitive itself, so the test costs no `ev` call either.
 
 Strict calls are safe for space. Under value a closure call, once its
 arguments are evaluated and before the callee's block is made and
@@ -95,8 +95,8 @@ from .deep import call_on_reserved_stack, call_with_deep_stack
 from .errors import EvalError, LambdixError, LimitExceeded
 from .reader import read_program
 from .runtime import FIRST, OWNER, PARENT, UNSET, Counters, Runtime
-from .values import (TH_BUSY, TH_DONE, TH_NEW, Closure, Pair, Primitive,
-                     Sym, Thunk, datum_to_source, quote_datum, render)
+from .values import (TH_BUSY, TH_DONE, TH_NEW, Closure, Primitive, Sym,
+                     Thunk, datum_to_source, quote_datum, render)
 
 UNLIMITED = 1 << 62
 
@@ -125,8 +125,9 @@ class Interpreter:
         prims = make_primitives(self.lazy)
         self.rt.top_table.update(prims)
         self.analyzer = Analyzer(self.structs, prims, not self.lazy)
-        # demand prefixes assume that a strict primitive's name still names
-        # it; a top-level definition of such a name turns them off
+        # off for good once a top-level definition replaces any Primitive;
+        # read only by the need call shape, whose demand prefixes assume
+        # that each primitive's name still names it
         self.demanding = True
 
     # -- public API (deep-stack entry points) --------------------------------
@@ -163,24 +164,25 @@ class Interpreter:
         return compiled.ev(self, self.top_struct)
 
     def _eval_top_de(self, sx):
-        de = parse_de(sx)
-        if type(self.rt.top_table.get(de[1])) is Primitive:
+        kind, name, *rest = parse_de(sx)
+        if type(self.rt.top_table.get(name)) is Primitive:
             self.demanding = False
-        if de[0] == "func":
-            _, name, params, body = de
-            struct = self.analyzer.make_lambda_struct(name, params, body,
+        if kind == "func":
+            struct = self.analyzer.make_lambda_struct(name, *rest,
                                                       self.top_struct)
-            self.rt.top_table[name] = Closure(struct, self.rt.top_block)
-            return Sym(name)
-        _, name, expr_sx = de
-        compiled = self.analyzer.analyze(expr_sx, self.top_struct)
-        self.counters.thunks_created += 1
-        if self.lazy:
-            slot = Thunk(compiled, self.rt.top_block)
+            slot = Closure(struct, self.rt.top_block)
         else:
-            slot = compiled.ev(self, self.top_struct)
+            compiled = self.analyzer.analyze(rest[0], self.top_struct)
+            self.counters.thunks_created += 1
+            if self.lazy:
+                slot = Thunk(compiled, self.rt.top_block)
+            else:
+                slot = compiled.ev(self, self.top_struct)
         self.rt.top_table[name] = slot
-        return slot
+        prim = self.analyzer.primitives.get(name)
+        if prim:
+            prim.bound = slot is prim
+        return Sym(name) if kind == "func" else slot
 
     # -- forcing ---------------------------------------------------------------
 
@@ -300,9 +302,9 @@ def _ev_if(self, interp, struct):
     raise EvalError("if: test must be a boolean", "type")
 
 
-# The if shapes (analyzer.IfPrim): while `demanding` is on and the local
-# operand is set, the test's primitive is applied here to the operand read
-# in place, as the test's own ev would (below); otherwise the test runs
+# The if shapes (analyzer.IfPrim): while the test's primitive is bound and
+# the local operand is set, the primitive is applied here to the operand
+# read in place, as the test's own ev would (below); otherwise the test runs
 # its own ev, guard and unset operand included. The test's value takes
 # the operand's variable, so no operand is kept alive while a branch runs
 # (a list kept there doubles strict Sieve's traced peak). Against the
@@ -316,7 +318,7 @@ def _ev_if(self, interp, struct):
 
 def _ev_if_l(self, interp, struct):
     test = self.ta.current_block[self.ia]
-    if test is UNSET or not interp.demanding:
+    if test is UNSET or not self.prim.bound:
         test = self.test.ev(interp, struct)
     else:
         interp.counters.lookups += 2
@@ -334,7 +336,7 @@ def _ev_if_l(self, interp, struct):
 
 def _ev_if_lk(self, interp, struct):
     test = self.ta.current_block[self.ia]
-    if test is UNSET or not interp.demanding:
+    if test is UNSET or not self.prim.bound:
         test = self.test.ev(interp, struct)
     else:
         interp.counters.lookups += 2
@@ -513,12 +515,11 @@ def _ev_call_need(self, interp, struct):
 
 # The primitive-shaped nodes, one ev per shape (analyzer.PrimApp). Past
 # the guard, each does what its call shape does for the node's primitive,
-# in the same order and with the same counts. A name redefined (even to
-# another primitive), or holding a thunk under need, fails the guard, and
-# the node evaluates as its strategy's call shape, which reads the head
-# again and reports as any application. The table is read only once
-# `demanding` is off: until a top-level definition rebinds a primitive's
-# name, every such name still holds this interpreter's primitive.
+# in the same order and with the same counts. The guard is one test,
+# `prim.bound`: a name redefined (even to another primitive), or holding a
+# thunk under need, clears it (defining it back to the primitive sets it),
+# and the node evaluates as its strategy's call shape, in a second frame
+# (deep.py), which reads the head again and reports as any application.
 #
 # A literal second operand is the value the analyzer stored (kb). A local
 # operand whose slot is set is read in place from the cell the analyzer
@@ -538,7 +539,7 @@ def _ev_call_need(self, interp, struct):
 
 def _ev_prim_e(self, interp, struct):
     prim = self.prim
-    if not interp.demanding and interp.rt.top_table.get(prim.name) is not prim:
+    if not prim.bound:
         return interp.analyzer.call.ev(self, interp, struct)
     interp.counters.lookups += 1
     a = self.a.ev(interp, struct)
@@ -550,8 +551,7 @@ def _ev_prim_e(self, interp, struct):
 def _ev_prim_l(self, interp, struct):
     prim = self.prim
     a = self.ta.current_block[self.ia]
-    if a is UNSET or (not interp.demanding
-                      and interp.rt.top_table.get(prim.name) is not prim):
+    if a is UNSET or not prim.bound:
         return interp.analyzer.call.ev(self, interp, struct)
     interp.counters.lookups += 2
     if type(a) is Thunk:
@@ -561,7 +561,7 @@ def _ev_prim_l(self, interp, struct):
 
 def _ev_prim_ee(self, interp, struct):
     prim = self.prim
-    if not interp.demanding and interp.rt.top_table.get(prim.name) is not prim:
+    if not prim.bound:
         return interp.analyzer.call.ev(self, interp, struct)
     interp.counters.lookups += 1
     a = self.a.ev(interp, struct)
@@ -575,7 +575,7 @@ def _ev_prim_ee(self, interp, struct):
 
 def _ev_prim_ek(self, interp, struct):
     prim = self.prim
-    if not interp.demanding and interp.rt.top_table.get(prim.name) is not prim:
+    if not prim.bound:
         return interp.analyzer.call.ev(self, interp, struct)
     interp.counters.lookups += 1
     a = self.a.ev(interp, struct)
@@ -586,7 +586,7 @@ def _ev_prim_ek(self, interp, struct):
 
 def _ev_prim_el(self, interp, struct):
     prim = self.prim
-    if not interp.demanding and interp.rt.top_table.get(prim.name) is not prim:
+    if not prim.bound:
         return interp.analyzer.call.ev(self, interp, struct)
     c = interp.counters
     c.lookups += 1
@@ -606,8 +606,7 @@ def _ev_prim_el(self, interp, struct):
 def _ev_prim_lk(self, interp, struct):
     prim = self.prim
     a = self.ta.current_block[self.ia]
-    if a is UNSET or (not interp.demanding
-                      and interp.rt.top_table.get(prim.name) is not prim):
+    if a is UNSET or not prim.bound:
         return interp.analyzer.call.ev(self, interp, struct)
     interp.counters.lookups += 2
     if type(a) is Thunk:
@@ -619,9 +618,7 @@ def _ev_prim_ll(self, interp, struct):
     prim = self.prim
     a = self.ta.current_block[self.ia]
     b = self.tb.current_block[self.ib]
-    if a is UNSET or b is UNSET or (
-            not interp.demanding
-            and interp.rt.top_table.get(prim.name) is not prim):
+    if a is UNSET or b is UNSET or not prim.bound:
         return interp.analyzer.call.ev(self, interp, struct)
     c = interp.counters
     c.lookups += 2
@@ -724,28 +721,22 @@ def _delay_local(self, interp, cb):
 
 # Cheap eagerness: where a need run would suspend a primitive-shaped
 # application (a closure argument, a cons component or a let binding), its
-# `delay` applies it at once when the primitive is total on the operands (car
-# and cdr of a pair, nullist and atom of any value, + - * < <= > >= = of two
-# integers), each operand is a literal or a local whose slot holds a value or a
-# forced thunk's memo, and the name still holds the node's primitive;
-# otherwise, and on overflow, it makes the usual thunk. Such an application
-# cannot fail, print or call a closure, and reads only values that exist
-# already, so it yields what its forcing would have. What moves is depth: no
-# forcing frame, and no chain of suspended sums behind an accumulator. The one
-# other difference is late binding: a top-level definition of the primitive's
-# name made after the application was computed no longer reaches it, as under
-# value. It counts what its forcing would have: one elided suspension, the head
-# lookup and one lookup per local operand.
-#
-# primitive name -> the operand type on which it is total (None: any value)
-_CHEAP = {"car": Pair, "cdr": Pair, "nullist": None, "atom": None,
-          "+": int, "-": int, "*": int, "<": int, "<=": int, ">": int,
-          ">=": int, "=": int}
-
+# `delay` applies it at once when the primitive is total on the operands
+# (Primitive.total_on, set in builtins.make_primitives), each operand is a
+# literal or a local whose slot holds a value or a forced thunk's memo, and
+# the primitive is still bound to its name; otherwise, and on overflow, it
+# makes the usual thunk. Such an application cannot fail, print or call a
+# closure, and reads only values that exist already, so it yields what its
+# forcing would have. What moves is depth: no forcing frame, and no chain of
+# suspended sums behind an accumulator. The one other difference is late
+# binding: a top-level definition of the primitive's name made after the
+# application was computed no longer reaches it, as under value. It counts
+# what its forcing would have: one elided suspension, the head lookup and
+# one lookup per local operand.
 
 def _computed(node, total_on):
     # an operand that needs no evaluation, when it has type `total_on`
-    # (None: any type): a literal's value, or what a local's slot holds
+    # (object: any type): a literal's value, or what a local's slot holds
     # once that is a value (a thunk's memo stays None until it is forced,
     # and is never a thunk); None otherwise
     t = type(node)
@@ -759,7 +750,7 @@ def _computed(node, total_on):
             return None
     else:
         return None
-    if total_on is None or type(v) is total_on:
+    if total_on is object or type(v) is total_on:
         return v
     return None
 
@@ -769,10 +760,8 @@ def _delay_prim(self, interp, cb):
     # applied now (car and cdr still pass a component unforced); an
     # overflow is left to the thunk, whose forcing reports it
     prim = self.prim
-    name = prim.name
-    if name in _CHEAP and (interp.demanding
-                           or interp.rt.top_table.get(name) is prim):
-        total_on = _CHEAP[name]
+    total_on = prim.total_on
+    if total_on and prim.bound:
         a = _computed(self.a, total_on)
         if a is not None:
             try:

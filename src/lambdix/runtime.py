@@ -91,8 +91,9 @@ class Runtime:
         self.top_struct = top_struct
         self.counters = counters
         # The top level is a pseudo-struct with one permanent block; its
-        # named bindings live in a growable table because top-level names
-        # are added at any time.
+        # named bindings live in a growable table. After construction only
+        # Interpreter._eval_top_de writes it, keeping `demanding` and each
+        # primitive's `bound` flag; a direct write of a name bypasses both.
         self.top_block = [top_struct, None]
         counters.blocks_allocated += 1
         top_struct.current_block = self.top_block

@@ -60,13 +60,15 @@ class Closure:
 
 
 class Primitive:
-    __slots__ = ("name", "arity", "lazy", "fn")
+    __slots__ = ("name", "arity", "lazy", "fn", "bound", "total_on")
 
-    def __init__(self, name, arity, fn, lazy=False):
+    def __init__(self, name, arity, fn, lazy=False, total_on=None):
         self.name = name
         self.arity = arity
         self.lazy = lazy  # cons under need: arguments stay suspended
         self.fn = fn
+        self.bound = True  # its name holds it; see builtins.py
+        self.total_on = total_on  # cheap eagerness; see builtins.py
 
 
 # Thunk states: forced is final (memoization); busy marks an in-progress

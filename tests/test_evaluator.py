@@ -445,9 +445,9 @@ CONS_ROUTES = {
     "primitive-as-a-value": (
         "", "(print ((lambda (f) (f 1 2)) cons))", None, None,
         (1, 1, 1, 3, 3, 0, 0), (1, 1, 1, 3, 1, 1, 2)),
-    # demanding off: under value the shapes' guards read the table, which
-    # counts nothing; under need f's call has no prefix to pass, and its
-    # prefix was empty anyway
+    # demanding off, and car's guard fails: cons's guard tests its own
+    # flag, which counts nothing; under need f's call has no prefix to
+    # pass, and its prefix was empty anyway
     "operand-shape-guarded": (
         "(de car cdr) (de (f x y) (cons x y))", "(print (f 1 2))",
         PrimLL, CallNeed, (1, 1, 1, 5, 4, 0, 0), (1, 1, 1, 5, 0, 0, 4)),
@@ -784,6 +784,16 @@ CHEAP_EAGERNESS = {
     "plus-redefined-after": (
         "(de (mk a) (lambda () a)) (de c (mk (+ 1 2))) (de + -)"
         " (print (c))", "3\n", "3\n"),
+    # + rebound after f's nodes are built: its (+ n 1) stays suspended
+    "plus-redefined-after-f": (
+        "(de (f n) (g (+ n 1))) (de (g x) x) (de + *) (print (f 5))",
+        "5\n", "5\n"),
+    # + bound back: under value it holds its primitive again; under need
+    # (rendered, so each definition is forced as it is made) a thunk whose
+    # memo is the primitive, and the application stays suspended
+    "plus-bound-back": (
+        "(de (f n) (g (+ n 1))) (de (g x) x) (de plus +) (de + -)"
+        " (de + plus) (print (f 5))", "6\n", "6\n"),
 }
 
 
@@ -1040,9 +1050,12 @@ def test_cheap_eagerness_applies_exactly_the_total_primitives(name,
 # in (+ (cdr y) x)
 PRIM_OPERANDS = ("x", "y", "0", "'(4 5)", "(+ x 1)", "(cdr y)")
 PRIM_CALLS = ("(h (+ 2 4) (cdr '(0 1 2)))", "(h (car 0) (cdr '(0 1 2)))")
-# defined before h: nothing, or a primitive's name, which turns
-# `demanding` off so that every node runs its table guard
-PRIM_PRELUDES = ("", "(de mod +)")
+# (defined before h, defined after h's nodes are built): nothing; mod
+# rebound before or after, which fails the guard of mod's nodes; + rebound
+# and bound back after, so that + holds its primitive again under value,
+# and under need a thunk, whose call shape still runs
+PRIM_PRELUDES = (("", ""), ("(de mod +)", ""), ("", "(de mod +)"),
+                 ("", "(de plus +) (de + -) (de + plus)"))
 # a let's first binding reads its later sibling z through a local operand
 # of each shape that reads one in place; a strict let finds z unset
 PRIM_LET_BODIES = ("(let ((r (car z)) (z '(1))) r)",
@@ -1054,7 +1067,7 @@ PRIM_LET_BODIES = ("(let ((r (car z)) (z '(1))) r)",
 
 def _run_prim_body(strategy, prelude, body, call, as_app):
     interp, out = make_interp(strategy)
-    interp.eval_source(f"{prelude} (de (h x y) {body})")
+    interp.eval_source(f"{prelude[0]} (de (h x y) {body})")
     struct = interp.rt.top_table["h"].struct
     # the node is h's body, or its let's first binding
     let = struct.body if type(struct.body) is LetForm else None
@@ -1066,6 +1079,7 @@ def _run_prim_body(strategy, prelude, body, call, as_app):
             let.bindings = (app,) + let.bindings[1:]
         else:
             struct.body = app
+    interp.eval_source(prelude[1])
     before = interp.counters.snapshot()
     try:
         result = interp.eval_source_rendered(call)
@@ -1098,9 +1112,12 @@ def test_primitive_shaped_node_counts_what_its_app_counts(body, strategy):
 # alone, or with a literal second operand
 IF_TESTS = [f"({name} {ops})" for name, arity in PRIMITIVES
             for ops in (("x", "y") if arity == 1 else ("x 0", "y 3", "x 1"))]
-# rebinding the test's own name, to a primitive or to a closure, fails
-# the guard of the test it reads in place
-IF_PRELUDES = PRIM_PRELUDES + ("(de < >)", "(de (nullist l) (atom l))")
+# rebinding the test's own name, to a primitive or to a closure, before
+# or after h, fails the guard of the test it reads in place; binding < back
+# after h makes it pass again under value only
+IF_PRELUDES = PRIM_PRELUDES + (
+    ("(de < >)", ""), ("", "(de < >)"), ("(de (nullist l) (atom l))", ""),
+    ("", "(de (nullist l) (atom l))"), ("", "(de lt <) (de < >) (de < lt)"))
 # a strict let's first binding reads its later sibling z in the test
 IF_LET_BODIES = ("(let ((r (if (nullist z) 1 2)) (z '(1))) r)",
                  "(let ((r (if (< z 1) 1 2)) (z 1)) r)")
@@ -1108,7 +1125,7 @@ IF_LET_BODIES = ("(let ((r (if (nullist z) 1 2)) (z '(1))) r)",
 
 def _run_if_body(strategy, prelude, body, call, general):
     interp, out = make_interp(strategy)
-    interp.eval_source(f"{prelude} (de (h x y) {body})")
+    interp.eval_source(f"{prelude[0]} (de (h x y) {body})")
     struct = interp.rt.top_table["h"].struct
     # the node is h's body, or its let's first binding
     let = struct.body if type(struct.body) is LetForm else None
@@ -1120,6 +1137,7 @@ def _run_if_body(strategy, prelude, body, call, general):
             let.bindings = (plain,) + let.bindings[1:]
         else:
             struct.body = plain
+    interp.eval_source(prelude[1])
     before = interp.counters.snapshot()
     try:
         result = interp.eval_source_rendered(call)
@@ -1145,6 +1163,38 @@ def test_if_shape_counts_what_its_if_counts(body, strategy):
     for prelude, call in itertools.product(IF_PRELUDES, PRIM_CALLS):
         assert _run_if_body(strategy, prelude, body, call, False) == \
             _run_if_body(strategy, prelude, body, call, True)
+
+
+@pytest.mark.parametrize("strategy", ["value", "need"])
+def test_rebinding_a_primitive_leaves_other_interpreters_bound(strategy,
+                                                              monkeypatch):
+    # every interpreter builds its own primitives, so rebinding + and < in
+    # one leaves another's primitive shapes on their fast path: none of
+    # them runs the call shape, and it gives a fresh interpreter's result
+    # and seven counts, while the rebound one's shapes fail their guards
+    defs = "(de (h x y) (if (< x 1) y (h (- x 1) (+ x y))))"
+    interps = [make_interp(strategy)[0] for _ in range(3)]
+    fresh, other, rebound = interps
+    for interp in interps:
+        interp.eval_source(defs)
+    rebound.eval_source("(de + -) (de < >)")
+    call = other.analyzer.call
+    plain_ev, guard_failed = call.ev, set()
+
+    def ev(node, interp, struct):
+        if isinstance(node, PrimApp):
+            guard_failed.add(interp)
+        return plain_ev(node, interp, struct)
+
+    monkeypatch.setattr(call, "ev", ev)
+    runs = []
+    for interp in interps:
+        before = interp.counters.snapshot()
+        runs.append((interp.eval_source("(h 10 0)"),
+                     interp.counters.delta(before)))
+    assert runs[0] == runs[1] and runs[0][0] == [55]
+    assert runs[2][0] == [0]
+    assert guard_failed == {rebound}
 
 
 def test_strict_sieve_keeps_no_dead_list():

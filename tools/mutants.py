@@ -104,6 +104,11 @@ MUTANTS = [
      "evaluator.py",
      "    if interp.demanding and len(args) == len(callee.names):",
      "    if len(args) == len(callee.names):"),
+    ("bound survives a rebinding",
+     "primitive shapes keep applying a primitive whose name is rebound",
+     "evaluator.py",
+     "            prim.bound = slot is prim",
+     "            prim.bound = True"),
 ]
 
 
