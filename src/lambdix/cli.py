@@ -14,9 +14,9 @@ import time
 
 from . import bench
 from .deep import MAX_DEPTH_LIMIT, call_on_reserved_stack, call_with_deep_stack
-from .errors import LambdixError, LimitExceeded, ReadError
+from .errors import LambdixError, LimitExceeded
 from .evaluator import Interpreter
-from .reader import read_program
+from .reader import PendingForm
 
 EXIT_OK = 0
 EXIT_EVAL_ERROR = 1
@@ -124,35 +124,35 @@ def _cmd_repl(args):
 
 
 def _read_eval_loop(interp):
-    buffer = ""
+    pending = PendingForm()
     while True:
-        prompt = "+ " if buffer else "$ "
+        prompt = "+ " if pending else "$ "
         try:
             line = input(prompt)
         except EOFError:
             print()
-            if buffer:
+            if pending:
                 # the input ended inside a form: report it as `run` does
-                print(f"** error - {incomplete.message} **")
+                try:
+                    call_with_deep_stack(pending.read)
+                except LambdixError as e:
+                    print(f"** error - {e.message} **")
             break
         except KeyboardInterrupt:
             # Ctrl-C at the prompt drops the partial form
             print("\n** interrupted **")
-            buffer = ""
+            pending = PendingForm()
             continue
-        buffer += line + "\n"
         try:
+            if not pending.feed(line):
+                continue
             # read under evaluation's recursion policy: a form too deep for
             # it is reported as the depth limit
-            forms = call_with_deep_stack(read_program, buffer)
+            forms = call_with_deep_stack(pending.read)
         except LambdixError as e:
-            if isinstance(e, ReadError) and e.incomplete:
-                incomplete = e
-                continue
             print(f"** error - {e.message} **")
-            buffer = ""
-            continue
-        buffer = ""
+            forms = ()
+        pending = PendingForm()
         for sx in forms:
             try:
                 print("= " + interp.eval_form_rendered(sx))

@@ -1,4 +1,5 @@
-"""Surface syntax: tokenizer and s-expression reader.
+"""Surface syntax: tokenizer, s-expression reader, and the REPL's
+line-by-line reader of a pending form.
 
 Accepts UTF-8 text with `;` line comments, `'` and `!` shorthand marks,
 signed 64-bit integer literals (ASCII digits with an optional sign),
@@ -6,13 +7,13 @@ double-quoted strings, and symbols made of any other run of characters
 outside the delimiter set. Reading never evaluates anything.
 """
 
+import re
+from collections import namedtuple
+
 from .errors import ReadError
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
-
-_DELIMS = set("()'!;\"")
-_WS = set(" \t\r\n\f\v")
 
 # a shorthand mark and the operator it stands for
 _MARKS = {"'": "quote", "!": "excla"}
@@ -21,17 +22,8 @@ _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", "\\": "\\\\", '"': '\\"'}
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind  # one of: ( ) ' ! num sym str
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind!r}, {self.text!r}, {self.line}:{self.col})"
+# a token of the public tokenize(); _lex emits the same fields as plain tuples
+Token = namedtuple("Token", "kind text line col")  # kind: ( ) ' ! num sym str
 
 
 class SourceExpr:
@@ -118,147 +110,223 @@ class EndOfInput(Exception):
     """Signal: the token stream holds no further expression."""
 
 
-def _classify_word(text):
-    # ASCII digits only: str.isdigit also accepts digits such as "²" that
-    # int() rejects, and "١٢", which int() would read as 12
-    body = text[1:] if text[0] in "+-" else text
-    return "num" if body.isascii() and body.isdigit() else "sym"
+# One match per token or comment, with the blanks before it; a newline and
+# the blanks at a line's end match nothing. Numbers are ASCII digits only:
+# str.isdigit also accepts digits such as "²" that int() rejects, and "١٢",
+# which int() would read as 12. A string literal matches up to its closing
+# quote, its first unknown escape or the end of the text searched.
+_WORD = r"""[^()'!;" \t\r\n\f\v]"""
+_TOKEN = re.compile(rf"""
+    ([ \t\r\f\v]*)
+    (?: ([()'!])
+      | ([+-]?[0-9]+)(?!{_WORD})
+      | ({_WORD}+)
+      | ;[^\n]*
+      | ("[^"\\]*(?:\\[nt\\"][^"\\]*)*) (?: (") | (\\[^nt\\"]) | \\?\Z ) )
+""", re.VERBOSE)
 
 
-def tokenize(text):
-    """Split program text into tokens; comments and whitespace vanish."""
+def _lex(text, line=1):
+    """Split program text into (kind, text, line, col) tuples, kind one of
+    ( ) ' ! num sym str; comments and whitespace vanish. Lines count from
+    `line`, columns in code points from 1."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    append = tokens.append
+    col = 1
+    start, n = 0, len(text)
+    # one findall a line: a list of match tuples as long as a whole
+    # program's tokens would leave that many tuples on CPython's free list
+    while start < n:
+        end = text.find("\n", start) + 1 or n
+        for blanks, punct, num, sym, string, close, bad in \
+                _TOKEN.findall(text, start, end):
+            if blanks:
+                col += len(blanks)
+            if punct:
+                append((punct, punct, line, col))
+                col += 1
+            elif sym:
+                append(("sym", sym, line, col))
+                col += len(sym)
+            elif num:
+                append(("num", num, line, col))
+                col += len(num)
+            elif string:
+                if not close and not bad and end < n:
+                    # the literal goes on past this line's end
+                    m = _TOKEN.match(text, end - len(string))
+                    _, _, _, _, string, close, bad = m.groups()
+                    end = m.end()
+                if close:
+                    body = string[1:]
+                    append(("str", re.sub(r"\\(.)", lambda e: _ESCAPES[e[1]],
+                                          body), line, col))
+                elif not bad:
+                    raise ReadError("unterminated string literal", line, col,
+                                    incomplete=True)
+                if "\n" in string:
+                    line += string.count("\n")
+                    col = len(string) - string.rindex("\n")
+                else:
+                    col += len(string)
+                if bad:
+                    raise ReadError(f"unknown escape {bad}", line, col)
+                col += 1  # the closing quote
+        if text[end - 1] == "\n":
             line += 1
             col = 1
-            i += 1
-            continue
-        if ch in _WS:
-            i += 1
-            col += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "()'!":
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            sl, sc = line, col
-            i += 1
-            col += 1
-            buf = []
-            while True:
-                if i >= n:
-                    raise ReadError("unterminated string literal", sl, sc,
-                                    incomplete=True)
-                ch = text[i]
-                if ch == '"':
-                    i += 1
-                    col += 1
-                    break
-                if ch == "\\":
-                    if i + 1 >= n:
-                        raise ReadError("unterminated string literal", sl, sc,
-                                        incomplete=True)
-                    esc = text[i + 1]
-                    if esc not in _ESCAPES:
-                        raise ReadError(f"unknown escape \\{esc}", line, col)
-                    buf.append(_ESCAPES[esc])
-                    i += 2
-                    col += 2
-                    continue
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-                buf.append(ch)
-                i += 1
-            tokens.append(Token("str", "".join(buf), sl, sc))
-            continue
-        # symbol or number: a run of non-delimiter characters
-        sl, sc = line, col
-        j = i
-        while j < n and text[j] not in _DELIMS and text[j] not in _WS:
-            j += 1
-        word = text[i:j]
-        col += j - i
-        i = j
-        tokens.append(Token(_classify_word(word), word, sl, sc))
+        start = end
     return tokens
 
 
-def _parse_int(tok):
-    value = int(tok.text)
+def tokenize(text):
+    """Split program text into Tokens; comments and whitespace vanish."""
+    return list(map(Token._make, _lex(text)))
+
+
+def _parse_int(text, line, col):
+    value = int(text)
     if not (INT_MIN <= value <= INT_MAX):
-        raise ReadError("integer literal out of 64-bit range", tok.line, tok.col)
+        raise ReadError("integer literal out of 64-bit range", line, col)
     return value
 
 
 def read_expr(tokens, start=0):
-    """Read one expression; returns (expr, next_index).
+    """Read one expression from (kind, text, line, col) tokens, as _lex
+    emits them or tokenize wraps them; returns (expr, next_index).
 
     Raises EndOfInput when the stream is exhausted, ReadError on malformed
     input. `'e` reads as (quote e) and `!e` as (excla e).
     """
     if start >= len(tokens):
         raise EndOfInput()
-    tok = tokens[start]
-    kind = tok.kind
-    pos = (tok.line, tok.col)
-    if kind == "num":
-        return SNum(_parse_int(tok), pos), start + 1
+    kind, text, line, col = tokens[start]
+    pos = (line, col)
+    if kind == "(":
+        items = []
+        append = items.append
+        i = start + 1
+        # atoms are read here; only sublists and marks recurse
+        try:
+            while True:
+                k, t, tline, tcol = tokens[i]
+                if k == "sym":
+                    append(SSym(t, (tline, tcol)))
+                elif k == ")":
+                    return SList(items, pos), i + 1
+                elif k == "num":
+                    append(SNum(_parse_int(t, tline, tcol), (tline, tcol)))
+                elif k == "str":
+                    append(SStr(t, (tline, tcol)))
+                elif k in _MARKS and i == start + 1:
+                    # a mark in operator position stands for the operator
+                    # symbol itself: (! e) is (excla e), not a one-element
+                    # list holding (excla e)
+                    append(SSym(_MARKS[k], (tline, tcol)))
+                else:
+                    expr, i = read_expr(tokens, i)
+                    append(expr)
+                    continue
+                i += 1
+        except IndexError:
+            raise ReadError("unbalanced parenthesis: '(' is never closed",
+                            line, col, incomplete=True) from None
     if kind == "sym":
-        return SSym(tok.text, pos), start + 1
+        return SSym(text, pos), start + 1
+    if kind == "num":
+        return SNum(_parse_int(text, line, col), pos), start + 1
     if kind == "str":
-        return SStr(tok.text, pos), start + 1
+        return SStr(text, pos), start + 1
     if kind in _MARKS:
         try:
             inner, nxt = read_expr(tokens, start + 1)
         except EndOfInput:
-            raise ReadError(f"{kind} needs a following expression", tok.line,
-                            tok.col, incomplete=True) from None
+            raise ReadError(f"{kind} needs a following expression", line,
+                            col, incomplete=True) from None
         return SList((SSym(_MARKS[kind], pos), inner), pos), nxt
-    if kind == "(":
-        items = []
-        i = start + 1
-        # a mark in operator position stands for the operator symbol itself:
-        # (! e) is (excla e), not a one-element list holding (excla e)
-        if i < len(tokens) and tokens[i].kind in _MARKS:
-            mark = tokens[i]
-            items.append(SSym(_MARKS[mark.kind], (mark.line, mark.col)))
-            i += 1
-        while True:
-            if i >= len(tokens):
-                raise ReadError("unbalanced parenthesis: '(' is never closed",
-                                tok.line, tok.col, incomplete=True)
-            if tokens[i].kind == ")":
-                return SList(items, pos), i + 1
-            expr, i = read_expr(tokens, i)
-            items.append(expr)
     if kind == ")":
-        raise ReadError("unbalanced parenthesis: unexpected ')'",
-                        tok.line, tok.col)
-    raise ReadError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+        raise ReadError("unbalanced parenthesis: unexpected ')'", line, col)
+    raise ReadError(f"unexpected token {text!r}", line, col)
+
+
+def _read_all(tokens):
+    exprs = []
+    i = 0
+    n = len(tokens)
+    while i < n:
+        expr, i = read_expr(tokens, i)
+        exprs.append(expr)
+    return exprs
 
 
 def read_program(text):
     """Read every expression in the text; pure function, no evaluation."""
-    tokens = tokenize(text)
-    exprs = []
-    i = 0
-    while i < len(tokens):
-        expr, i = read_expr(tokens, i)
-        exprs.append(expr)
-    return exprs
+    return _read_all(_lex(text))
+
+
+class PendingForm:
+    """The lines a REPL has taken in since its last complete read.
+
+    `feed` lexes each line once, numbering lines from the first one fed, and
+    keeps the paren depth of the tokens so far. Outside a string literal a
+    token never spans a line end, so the tokens of the lines fed are the
+    tokens of their text. A line that ends inside a string is kept as text
+    and lexed again with the next line. `read` parses the tokens once
+    `feed` says that more input cannot change the outcome, so a form of n
+    lines costs O(n); re-reading the whole text after every line would cost
+    O(n^2).
+    """
+
+    def __init__(self):
+        self.tokens = []
+        self.lines = 0  # lines whose tokens are in self.tokens
+        self.open = ""  # lines that end inside a string literal
+        self.depth = 0  # lists open among self.tokens
+        self.last = None  # kind of the last token
+        self.dangling = False  # the last token is a mark awaiting its operand
+
+    def __bool__(self):
+        return bool(self.tokens or self.open)
+
+    def feed(self, line):
+        """Take in one line (without its newline). True when reading the
+        text fed so far gives expressions or an error that no further input
+        could change; False while more input could complete it. Raises the
+        ReadError of a line whose text cannot be lexed."""
+        text = self.open + line + "\n"
+        try:
+            tokens = _lex(text, self.lines + 1)
+        except ReadError as e:
+            if not e.incomplete:
+                raise
+            self.open = text
+            return False
+        self.open = ""
+        self.lines += text.count("\n")
+        self.tokens += tokens
+        settled = False
+        depth, last, dangling = self.depth, self.last, self.dangling
+        for kind, word, _, _ in tokens:
+            if kind == "(":
+                depth += 1
+            elif kind == ")":
+                # a closing paren with no list to close, or where a mark
+                # needs its operand, is an error
+                if depth == 0 or dangling:
+                    settled = True
+                depth -= 1
+            elif kind == "num" and not INT_MIN <= int(word) <= INT_MAX:
+                settled = True
+            # a mark right after "(" is the list's operator, not a prefix
+            dangling = kind in _MARKS and last != "("
+            last = kind
+        self.depth, self.last, self.dangling = depth, last, dangling
+        return settled or (depth == 0 and not dangling)
+
+    def read(self):
+        """Every expression of the text fed; raises as read_program does on
+        that text."""
+        return _read_all(self.tokens + _lex(self.open, self.lines + 1))
 
 
 def to_text(expr):

@@ -13,6 +13,7 @@ from conftest import check_installs
 from lambdix import cli as cli_module
 from lambdix import corpus as corpus_module
 from lambdix import deep
+from lambdix import reader
 from lambdix.corpus import run_corpus
 from lambdix.evaluator import Interpreter
 from lambdix.oracle import generate_program
@@ -162,6 +163,50 @@ def test_unicode_digit_is_an_undefined_name(tmp_path):
 def test_repl_multiline_continuation():
     proc = cli("repl", stdin="(+ 1\n2)\n")
     assert "= 3" in proc.stdout
+
+
+def test_repl_lexes_each_line_of_a_pending_form_once(monkeypatch, capsys):
+    # re-reading the whole pending text after every line lexes a form of n
+    # lines O(n^2) characters: about 1,400 times the form's length here
+    lines = ["(car '(1"] + [str(k) for k in range(2, 3000)] + ["))"]
+    lexed = []
+    lex = reader._lex
+
+    def counted(text, *args):
+        lexed.append(len(text))
+        return lex(text, *args)
+
+    monkeypatch.setattr(reader, "_lex", counted)
+    feed = iter(lines)
+
+    def fake_input(prompt):
+        line = next(feed, None)
+        if line is None:
+            raise EOFError
+        return line
+
+    monkeypatch.setattr("builtins.input", fake_input)
+    assert cli_module.main(["repl"]) == 0
+    assert capsys.readouterr().out == "= 1\n\n"
+    assert sum(lexed) <= 2 * sum(len(line) + 1 for line in lines)
+
+
+def test_repl_multi_line_transcript():
+    # a string across lines, an unknown escape, an integer out of range
+    # before the form closes, a stray ')' after a complete form, two forms
+    # ending on one line, and the end of the input inside a string
+    stdin = ('(print "a\nb" (car\n (quote\n (1 2))))\n"x\\q"\n(+ 1\n'
+             ' 99999999999999999999999\n(car ()) )\n(+ 1 2) (+ 3\n 4)\n'
+             '"unterminated\n more')
+    proc = cli("repl", stdin=stdin)
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "$ + + + ** error - print: expected 1 argument(s), got 2 **\n"
+        "$ ** error - 1:3: unknown escape \\q **\n"
+        "$ + ** error - 2:2: integer literal out of 64-bit range **\n"
+        "$ ** error - 1:10: unbalanced parenthesis: unexpected ')' **\n"
+        "$ + = 3\n= 7\n"
+        "$ + + \n** error - 1:1: unterminated string literal **\n")
 
 
 def test_repl_reports_a_form_the_input_ends_inside():

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from lambdix.errors import ReadError
-from lambdix.reader import (SList, SNum, SStr, SSym, read_expr, read_program,
-                            to_text, tokenize)
+from lambdix.reader import (PendingForm, SList, SNum, SStr, SSym, read_expr,
+                            read_program, to_text, tokenize)
 
 
 def kinds(text):
@@ -153,3 +153,193 @@ def test_round_trip(seed):
     text = to_text(expr)
     back = read_program(text)
     assert back == [expr]
+
+
+# the reader's contract, pinned: every token's fields, every node's source
+# position, and every ReadError's (message, line, col, incomplete). Lines
+# are 1-based; a column counts code points, and a tab, \f, \v or a lone \r
+# is one column.
+
+def _tree(expr):
+    if type(expr) is SList:
+        return (expr.pos, [_tree(e) for e in expr.items])
+    return (repr(expr), expr.pos)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ReadError as e:
+        return ("error", e.message, e.line, e.col, e.incomplete)
+
+
+# (name, text, tokenize's outcome, read_program's outcome)
+READER_GOLDEN = [
+    ('crlf', '(a\r\nb)\r\n c',
+     [('(', '(', 1, 1), ('sym', 'a', 1, 2), ('sym', 'b', 2, 1),
+      (')', ')', 2, 2), ('sym', 'c', 3, 2)],
+     [((1, 1), [('a', (1, 2)), ('b', (2, 1))]), ('c', (3, 2))]),
+    ('tab-ff-vt', '\ta\x0cb\x0bc (\t d)',
+     [('sym', 'a', 1, 2), ('sym', 'b', 1, 4), ('sym', 'c', 1, 6),
+      ('(', '(', 1, 8), ('sym', 'd', 1, 11), (')', ')', 1, 12)],
+     [('a', (1, 2)), ('b', (1, 4)), ('c', (1, 6)), ((1, 8), [('d', (1, 11))])]),
+    ('comment-at-eof', 'x ; no newline', [('sym', 'x', 1, 1)], [('x', (1, 1))]),
+    ('string-newline', '"ab\ncd" e\n f',
+     [('str', 'ab\ncd', 1, 1), ('sym', 'e', 2, 5), ('sym', 'f', 3, 2)],
+     [('"ab\\ncd"', (1, 1)), ('e', (2, 5)), ('f', (3, 2))]),
+    ('escapes', '"\\n\\t\\\\\\"" x',
+     [('str', '\n\t\\"', 1, 1), ('sym', 'x', 1, 12)],
+     [('"\\n\\t\\\\\\""', (1, 1)), ('x', (1, 12))]),
+    ('unknown-escape', '(a\n "b\\qc")',
+     ('error', '2:4: unknown escape \\q', 2, 4, False),
+     ('error', '2:4: unknown escape \\q', 2, 4, False)),
+    ('backslash-at-eof', '"ab\\',
+     ('error', '1:1: unterminated string literal', 1, 1, True),
+     ('error', '1:1: unterminated string literal', 1, 1, True)),
+    ('unterminated', '(a\n  "bc\nd',
+     ('error', '2:3: unterminated string literal', 2, 3, True),
+     ('error', '2:3: unterminated string literal', 2, 3, True)),
+    ('quote-at-eof', "x\n  '", [('sym', 'x', 1, 1), ("'", "'", 2, 3)],
+     ('error', "2:3: ' needs a following expression", 2, 3, True)),
+    ('excla-at-eof', '(f !',
+     [('(', '(', 1, 1), ('sym', 'f', 1, 2), ('!', '!', 1, 4)],
+     ('error', '1:4: ! needs a following expression', 1, 4, True)),
+    ('excla-operator', '(! (f x))',
+     [('(', '(', 1, 1), ('!', '!', 1, 2), ('(', '(', 1, 4), ('sym', 'f', 1, 5),
+      ('sym', 'x', 1, 7), (')', ')', 1, 8), (')', ')', 1, 9)],
+     [((1, 1), [('excla', (1, 2)), ((1, 4), [('f', (1, 5)), ('x', (1, 7))])])]),
+    ('quote-operator', "(' a b)",
+     [('(', '(', 1, 1), ("'", "'", 1, 2), ('sym', 'a', 1, 4),
+      ('sym', 'b', 1, 6), (')', ')', 1, 7)],
+     [((1, 1), [('quote', (1, 2)), ('a', (1, 4)), ('b', (1, 6))])]),
+    ('mark-chain', "''x (!'y)",
+     [("'", "'", 1, 1), ("'", "'", 1, 2), ('sym', 'x', 1, 3), ('(', '(', 1, 5),
+      ('!', '!', 1, 6), ("'", "'", 1, 7), ('sym', 'y', 1, 8),
+      (')', ')', 1, 9)],
+     [((1, 1),
+       [('quote', (1, 1)), ((1, 2), [('quote', (1, 2)), ('x', (1, 3))])]),
+      ((1, 5),
+       [('excla', (1, 6)), ((1, 7), [('quote', (1, 7)), ('y', (1, 8))])])]),
+    ('stray-paren', '(a) )',
+     [('(', '(', 1, 1), ('sym', 'a', 1, 2), (')', ')', 1, 3),
+      (')', ')', 1, 5)],
+     ('error', "1:5: unbalanced parenthesis: unexpected ')'", 1, 5, False)),
+    ('mark-before-paren', "(a ')",
+     [('(', '(', 1, 1), ('sym', 'a', 1, 2), ("'", "'", 1, 4),
+      (')', ')', 1, 5)],
+     ('error', "1:5: unbalanced parenthesis: unexpected ')'", 1, 5, False)),
+    ('unclosed', '(a (b\n c)',
+     [('(', '(', 1, 1), ('sym', 'a', 1, 2), ('(', '(', 1, 4),
+      ('sym', 'b', 1, 5), ('sym', 'c', 2, 2), (')', ')', 2, 3)],
+     ('error', "1:1: unbalanced parenthesis: '(' is never closed", 1, 1, True)),
+    ('out-of-range', '(f\n 9223372036854775808)',
+     [('(', '(', 1, 1), ('sym', 'f', 1, 2),
+      ('num', '9223372036854775808', 2, 2), (')', ')', 2, 21)],
+     ('error', '2:2: integer literal out of 64-bit range', 2, 2, False)),
+    ('int-bounds', '9223372036854775807 -9223372036854775808 +0',
+     [('num', '9223372036854775807', 1, 1),
+      ('num', '-9223372036854775808', 1, 21), ('num', '+0', 1, 42)],
+     [('9223372036854775807', (1, 1)), ('-9223372036854775808', (1, 21)),
+      ('0', (1, 42))]),
+    ('non-ascii-digits', '(٣ ²) -١٢ +7²',
+     [('(', '(', 1, 1), ('sym', '٣', 1, 2), ('sym', '²', 1, 4),
+      (')', ')', 1, 5), ('sym', '-١٢', 1, 7), ('sym', '+7²', 1, 11)],
+     [((1, 1), [('٣', (1, 2)), ('²', (1, 4))]), ('-١٢', (1, 7)),
+      ('+7²', (1, 11))]),
+    ('cr-alone', 'a\rb\r(c)',
+     [('sym', 'a', 1, 1), ('sym', 'b', 1, 3), ('(', '(', 1, 5),
+      ('sym', 'c', 1, 6), (')', ')', 1, 7)],
+     [('a', (1, 1)), ('b', (1, 3)), ((1, 5), [('c', (1, 6))])]),
+    ('code-points', 'λx "é\\n" (ü y)',
+     [('sym', 'λx', 1, 1), ('str', 'é\n', 1, 4), ('(', '(', 1, 10),
+      ('sym', 'ü', 1, 11), ('sym', 'y', 1, 13), (')', ')', 1, 14)],
+     [('λx', (1, 1)), ('"é\\n"', (1, 4)),
+      ((1, 10), [('ü', (1, 11)), ('y', (1, 13))])]),
+    ('comment-between', '(a ; c ) d\n b)',
+     [('(', '(', 1, 1), ('sym', 'a', 1, 2), ('sym', 'b', 2, 2),
+      (')', ')', 2, 3)],
+     [((1, 1), [('a', (1, 2)), ('b', (2, 2))])]),
+    ('escape-after-newline', '"a\n  \\z"',
+     ('error', '2:3: unknown escape \\z', 2, 3, False),
+     ('error', '2:3: unknown escape \\z', 2, 3, False)),
+    ('blank', ' \t\n ; only a comment\n', [], []),
+]
+
+
+@pytest.mark.parametrize("name,text,tokens,trees", READER_GOLDEN,
+                         ids=[row[0] for row in READER_GOLDEN])
+def test_reader_golden(name, text, tokens, trees):
+    assert _outcome(lambda: [(t.kind, t.text, t.line, t.col)
+                             for t in tokenize(text)]) == tokens
+    assert _outcome(lambda: [_tree(e) for e in read_program(text)]) == trees
+
+
+_FUZZ_ALPHABET = "()'! ;\"\\\n\t\r\fab7+-"
+
+
+def _read_each(text):
+    tokens = tokenize(text)
+    exprs, i = [], 0
+    while i < len(tokens):
+        expr, i = read_expr(tokens, i)
+        exprs.append(expr)
+    return exprs
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_read_program_matches_read_expr_over_tokenize(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        text = "".join(rng.choice(_FUZZ_ALPHABET)
+                       for _ in range(rng.randint(0, 30)))
+        whole = _outcome(lambda: [_tree(e) for e in read_program(text)])
+        each = _outcome(lambda: [_tree(e) for e in _read_each(text)])
+        assert whole == each, text
+
+
+# a REPL reads the lines typed since its last complete read; PendingForm
+# must give, after every line and at the end of the input, what reading the
+# whole text again gives
+
+def _reread_outcomes(lines):
+    outcomes, text = [], ""
+    for line in lines:
+        text += line + "\n"
+        outcome = _outcome(lambda: [_tree(e) for e in read_program(text)])
+        if type(outcome) is tuple and outcome[4]:
+            outcomes.append("more")
+            continue
+        outcomes.append(outcome)
+        text = ""
+    if text:
+        outcomes.append(_outcome(lambda: read_program(text)))
+    return outcomes
+
+
+def _pending_outcomes(lines):
+    outcomes, pending = [], PendingForm()
+    for line in lines:
+        outcome = _outcome(lambda: pending.feed(line)
+                           and [_tree(e) for e in pending.read()])
+        if outcome is False:
+            outcomes.append("more")
+            continue
+        outcomes.append(outcome)
+        pending = PendingForm()
+    if pending:
+        outcomes.append(_outcome(pending.read))
+    return outcomes
+
+
+_LINE_PARTS = ["(", ")", "'", "!", " ", ";", '"', "\\", "\t", "\r", "a",
+               "7", "-", "(f x)", "99999999999999999999", "\\n"]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pending_form_reads_as_the_whole_text(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        lines = ["".join(rng.choice(_LINE_PARTS)
+                         for _ in range(rng.randint(0, 8)))
+                 for _ in range(rng.randint(1, 6))]
+        assert _pending_outcomes(lines) == _reread_outcomes(lines), lines

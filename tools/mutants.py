@@ -109,6 +109,16 @@ MUTANTS = [
      "evaluator.py",
      "            prim.bound = slot is prim",
      "            prim.bound = True"),
+    ("column kept after a newline",
+     "the lexer goes on counting columns across a line end",
+     "reader.py",
+     "            col = 1",
+     "            pass"),
+    ("a newline inside a string keeps the line",
+     "the lexer counts no line for a newline inside a string literal",
+     "reader.py",
+     "                    line += string.count(\"\\n\")",
+     "                    pass"),
 ]
 
 
