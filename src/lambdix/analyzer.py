@@ -450,11 +450,12 @@ def _pos(sx):
     return ""
 
 
-def _param_names(sx, what):
+def _param_names(sx, what, first=0):
+    # the names of the list sx's items from `first` on
     if type(sx) is not SList:
         raise AnalysisError(f"{_pos(sx)}{what}: parameter list expected")
     names = []
-    for p in sx.items:
+    for p in sx.items[first:]:
         if type(p) is not SSym:
             raise AnalysisError(f"{_pos(p)}{what}: parameter must be a symbol")
         names.append(p.name)
@@ -488,7 +489,7 @@ def parse_de(sx):
         if not target.items or type(target.items[0]) is not SSym:
             raise AnalysisError(f"{_pos(sx)}de: function name must be a symbol")
         name = target.items[0].name
-        params = _param_names(SList(target.items[1:], target.pos), f"de {name}")
+        params = _param_names(target, f"de {name}", 1)
         if len(items) != 3:
             raise AnalysisError(f"{_pos(sx)}de {name}: exactly one body expression expected")
         return "func", name, params, items[2]
@@ -524,31 +525,30 @@ class Analyzer:
         """Compile one expression in the scope of `struct`, the innermost
         enclosing lambda structure (the top pseudo-struct at top level)."""
         t = type(sx)
-        if t is SNum:
-            return Lit(sx.value)
-        if t is SStr:
-            return Lit(sx.text)
-        if t is SEmbed:
-            return Lit(sx.value)
-        if t is SSym:
-            addr = resolve(struct, sx.name)
-            if addr is None:
-                # top level is late-bound: missing names fail at use time
-                return TopRef(sx.name)
-            target, offset = addr
-            return LocalRef(offset, sx.name, target)
         if t is SList:
             items = sx.items
             if not items:
                 return Lit(EMPTY)
             head = items[0]
-            if (type(head) is SSym and head.name in SPECIAL_FORMS
-                    and resolve(struct, head.name) is None):
-                return self._special(head.name, sx, struct)
-            compiled_head = self.analyze(head, struct)
-            args = [self.analyze(a, struct) for a in items[1:]]
-            if type(compiled_head) is TopRef:
-                prim = self.primitives.get(compiled_head.name)
+            if type(head) is SSym:
+                # the head's one resolution decides between a special form,
+                # a local and a top-level name
+                name = head.name
+                addr = resolve(struct, name)
+                if addr is not None:
+                    target, offset = addr
+                    head = LocalRef(offset, name, target)
+                elif name in SPECIAL_FORMS:
+                    return self._special(name, sx, struct)
+                else:
+                    head = TopRef(name)
+            else:
+                head = self.analyze(head, struct)
+            args = []
+            for a in items[1:]:
+                args.append(self.analyze(a, struct))
+            if type(head) is TopRef:
+                prim = self.primitives.get(head.name)
                 if (prim is not None and prim.arity == len(args)
                         and not prim.lazy):
                     local = type(args[0]) is LocalRef
@@ -562,8 +562,21 @@ class Analyzer:
                             shape = PrimLK if local else PrimEK
                         else:
                             shape = PrimEE
-                    return shape(compiled_head, args, prim)
-            return self.call(compiled_head, args)
+                    return shape(head, args, prim)
+            return self.call(head, args)
+        if t is SSym:
+            addr = resolve(struct, sx.name)
+            if addr is None:
+                # top level is late-bound: missing names fail at use time
+                return TopRef(sx.name)
+            target, offset = addr
+            return LocalRef(offset, sx.name, target)
+        if t is SNum:
+            return Lit(sx.value)
+        if t is SStr:
+            return Lit(sx.text)
+        if t is SEmbed:
+            return Lit(sx.value)
         raise AnalysisError(f"cannot analyze {sx!r}")
 
     def _special(self, name, sx, struct):
@@ -605,8 +618,11 @@ class Analyzer:
             trim_dead(struct, (struct.body,), True)
         else:
             struct.demand = demand = demand_prefix(struct)
-            struct.suspend = tuple(i for i in range(len(struct.names))
-                                   if i not in demand)
+            suspend = []
+            for i in range(len(params)):
+                if i not in demand:
+                    suspend.append(i)
+            struct.suspend = tuple(suspend)
         return struct
 
     def analyze_let(self, bindings_sx, body_sx, parent):

@@ -49,8 +49,8 @@ def _add_eval_flags(p):
     p.add_argument("--step-limit", type=_positive_int, default=None,
                    metavar="N", help="abort after N closure applications")
     p.add_argument("--depth-limit", type=_depth_limit, default=100_000,
-                   metavar="N", help="abort past N nested calls (default "
-                   f"100000, at most {MAX_DEPTH_LIMIT})")
+                   metavar="N", help="abort past N nested calls and forcings "
+                   f"(default 100000, at most {MAX_DEPTH_LIMIT})")
     p.add_argument("--print-depth", type=_positive_int, default=100,
                    metavar="N", help="max list elements printed per spine (default 100)")
     p.add_argument("--print-nesting", type=_positive_int, default=20,

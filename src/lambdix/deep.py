@@ -4,16 +4,17 @@ chunk and the cyclic collector's schedule.
 Recursion limit. Evaluation recurses through the nodes' `ev` methods: one
 Python frame per application, `if` or `let` between two interpreted calls,
 plus two (the variable read and `_force`) per thunk forced on the way;
-FRAMES_PER_LEVEL is the most one interpreted level takes on the shapes
-tests/test_evaluator.py measures. Since Python 3.11, Python-to-Python
+FRAMES_PER_LEVEL is the most one interpreted level, one depth unit (a call
+or a forcing), takes on the shapes tests/test_evaluator.py measures: 5,
+for a primitive shape whose name was redefined, which runs its call shape
+in a second frame, inside a let. Since Python 3.11, Python-to-Python
 calls use no C stack, so the calling thread can run the configured depth
 limit (default 100,000) once the recursion limit is raised; no dedicated
 thread is needed. The command line refuses a depth limit above
 MAX_DEPTH_LIMIT, where the recursion limit would bind first on those
 shapes. Should it still bind first (a deeper shape, such as a call nested
-in five sums, or a primitive shape whose name was redefined, which runs
-its call shape in a second frame: 5 frames a level; or a caller that
-passes a larger limit), the RecursionError is reported as the depth limit.
+in five sums, or a caller that passes a larger limit), the RecursionError
+is reported as the depth limit.
 
 Reserved chunk. CPython keeps Python frames in data-stack chunks of 16 KB.
 A call that does not fit in the current chunk maps a new one, and the
@@ -70,7 +71,7 @@ RECURSION_LIMIT = 700_000
 
 # the most Python frames one interpreted level takes, and the largest depth
 # limit whose levels then all fit under the recursion limit
-FRAMES_PER_LEVEL = 4
+FRAMES_PER_LEVEL = 5
 MAX_DEPTH_LIMIT = (RECURSION_LIMIT - 1) // FRAMES_PER_LEVEL
 
 # value-stack slots of the reserving frame (8 bytes each); CPython rounds

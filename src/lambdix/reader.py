@@ -126,6 +126,36 @@ _TOKEN = re.compile(rf"""
 """, re.VERBOSE)
 
 
+# the scan of one line (or of text up to `end`) that _lex and read_program
+# both run: one findall a line, since a list of match tuples as long as a
+# whole program's tokens would leave that many tuples on CPython's free list
+_scan = _TOKEN.findall
+
+
+def _string(text, end, string, close, bad, line, col):
+    """Finish the string literal that starts at (line, col) and whose match
+    up to its line's end `end` is `string`, `close` and `bad`. Returns its
+    value, the offset where the text after it is scanned from, and the line
+    and column after it."""
+    if not close and not bad and end < len(text):
+        # the literal goes on past this line's end
+        m = _TOKEN.match(text, end - len(string))
+        _, _, _, _, string, close, bad = m.groups()
+        end = m.end()
+    if not close and not bad:
+        raise ReadError("unterminated string literal", line, col,
+                        incomplete=True)
+    if "\n" in string:
+        line += string.count("\n")
+        col = len(string) - string.rindex("\n")
+    else:
+        col += len(string)
+    if bad:
+        raise ReadError(f"unknown escape {bad}", line, col)
+    value = re.sub(r"\\(.)", lambda e: _ESCAPES[e[1]], string[1:])
+    return value, end, line, col + 1  # past the closing quote
+
+
 def _lex(text, line=1):
     """Split program text into (kind, text, line, col) tuples, kind one of
     ( ) ' ! num sym str; comments and whitespace vanish. Lines count from
@@ -134,12 +164,10 @@ def _lex(text, line=1):
     append = tokens.append
     col = 1
     start, n = 0, len(text)
-    # one findall a line: a list of match tuples as long as a whole
-    # program's tokens would leave that many tuples on CPython's free list
     while start < n:
         end = text.find("\n", start) + 1 or n
         for blanks, punct, num, sym, string, close, bad in \
-                _TOKEN.findall(text, start, end):
+                _scan(text, start, end):
             if blanks:
                 col += len(blanks)
             if punct:
@@ -152,26 +180,10 @@ def _lex(text, line=1):
                 append(("num", num, line, col))
                 col += len(num)
             elif string:
-                if not close and not bad and end < n:
-                    # the literal goes on past this line's end
-                    m = _TOKEN.match(text, end - len(string))
-                    _, _, _, _, string, close, bad = m.groups()
-                    end = m.end()
-                if close:
-                    body = string[1:]
-                    append(("str", re.sub(r"\\(.)", lambda e: _ESCAPES[e[1]],
-                                          body), line, col))
-                elif not bad:
-                    raise ReadError("unterminated string literal", line, col,
-                                    incomplete=True)
-                if "\n" in string:
-                    line += string.count("\n")
-                    col = len(string) - string.rindex("\n")
-                else:
-                    col += len(string)
-                if bad:
-                    raise ReadError(f"unknown escape {bad}", line, col)
-                col += 1  # the closing quote
+                value, end, nline, ncol = _string(text, end, string, close,
+                                                  bad, line, col)
+                append(("str", value, line, col))
+                line, col = nline, ncol
         if text[end - 1] == "\n":
             line += 1
             col = 1
@@ -249,19 +261,91 @@ def read_expr(tokens, start=0):
     raise ReadError(f"unexpected token {text!r}", line, col)
 
 
-def _read_all(tokens):
-    exprs = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        expr, i = read_expr(tokens, i)
-        exprs.append(expr)
-    return exprs
+def _misread(text, message, line, col):
+    # a parse error: reading over tokenize lexes the whole text first, so
+    # an error in lexing it, anywhere, is the one raised
+    _lex(text)
+    raise ReadError(message, line, col)
 
 
 def read_program(text):
-    """Read every expression in the text; pure function, no evaluation."""
-    return _read_all(_lex(text))
+    """Read every expression in the text; pure function, no evaluation.
+
+    One pass over each line's matches, with no token list and no
+    recursion: `items` collects the innermost open list (or the
+    expressions read, at top level), and `stack` holds, for each list or
+    mark around it, the items it goes into, that one's mark and its own
+    position. Gives what read_expr over tokenize gives, errors included."""
+    exprs = items = []
+    stack = []
+    mark = None  # "'" or "!" while items awaits a mark's operand
+    line = col = 1
+    start, n = 0, len(text)
+    while start < n:
+        end = text.find("\n", start) + 1 or n
+        for blanks, punct, num, sym, string, close, bad in \
+                _scan(text, start, end):
+            if blanks:
+                col += len(blanks)
+            if sym:
+                items.append(SSym(sym, (line, col)))
+                col += len(sym)
+            elif punct == "(":
+                stack.append((items, mark, (line, col)))
+                items = []
+                mark = None
+                col += 1
+                continue
+            elif punct == ")":
+                if mark or not stack:
+                    _misread(text, "unbalanced parenthesis: unexpected ')'",
+                             line, col)
+                outer, mark, pos = stack.pop()
+                outer.append(SList(items, pos))
+                items = outer
+                col += 1
+            elif num:
+                value = int(num)
+                if not INT_MIN <= value <= INT_MAX:
+                    _misread(text, "integer literal out of 64-bit range",
+                             line, col)
+                items.append(SNum(value, (line, col)))
+                col += len(num)
+            elif punct:
+                if not mark and stack and not items:
+                    # a mark in operator position stands for the operator
+                    # symbol itself, as in read_expr
+                    items.append(SSym(_MARKS[punct], (line, col)))
+                else:
+                    stack.append((items, mark, (line, col)))
+                    items = []
+                    mark = punct
+                col += 1
+                continue
+            elif string:
+                value, end, nline, ncol = _string(text, end, string, close,
+                                                  bad, line, col)
+                items.append(SStr(value, (line, col)))
+                line, col = nline, ncol
+            else:
+                continue  # a comment
+            # the item just read completes the marks awaiting it
+            while mark:
+                (operand,) = items
+                op = _MARKS[mark]
+                items, mark, pos = stack.pop()
+                items.append(SList((SSym(op, pos), operand), pos))
+        if text[end - 1] == "\n":
+            line, col = line + 1, 1
+        start = end
+    if stack:
+        line, col = stack[-1][2]
+        if mark:
+            raise ReadError(f"{mark} needs a following expression", line, col,
+                            incomplete=True)
+        raise ReadError("unbalanced parenthesis: '(' is never closed", line,
+                        col, incomplete=True)
+    return exprs
 
 
 class PendingForm:
@@ -271,22 +355,22 @@ class PendingForm:
     keeps the paren depth of the tokens so far. Outside a string literal a
     token never spans a line end, so the tokens of the lines fed are the
     tokens of their text. A line that ends inside a string is kept as text
-    and lexed again with the next line. `read` parses the tokens once
+    and lexed again with the next line. `read` reads the text fed, once
     `feed` says that more input cannot change the outcome, so a form of n
     lines costs O(n); re-reading the whole text after every line would cost
     O(n^2).
     """
 
     def __init__(self):
-        self.tokens = []
-        self.lines = 0  # lines whose tokens are in self.tokens
+        self.text = []  # the lines lexed, each with its newline
+        self.lines = 0  # lines in self.text
         self.open = ""  # lines that end inside a string literal
-        self.depth = 0  # lists open among self.tokens
+        self.depth = 0  # lists open among the tokens lexed
         self.last = None  # kind of the last token
         self.dangling = False  # the last token is a mark awaiting its operand
 
     def __bool__(self):
-        return bool(self.tokens or self.open)
+        return self.last is not None or bool(self.open)
 
     def feed(self, line):
         """Take in one line (without its newline). True when reading the
@@ -303,7 +387,7 @@ class PendingForm:
             return False
         self.open = ""
         self.lines += text.count("\n")
-        self.tokens += tokens
+        self.text.append(text)
         settled = False
         depth, last, dangling = self.depth, self.last, self.dangling
         for kind, word, _, _ in tokens:
@@ -325,8 +409,8 @@ class PendingForm:
 
     def read(self):
         """Every expression of the text fed; raises as read_program does on
-        that text."""
-        return _read_all(self.tokens + _lex(self.open, self.lines + 1))
+        that text, as it is read_program of that text."""
+        return read_program("".join(self.text) + self.open)
 
 
 def to_text(expr):

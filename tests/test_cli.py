@@ -170,13 +170,15 @@ def test_repl_lexes_each_line_of_a_pending_form_once(monkeypatch, capsys):
     # lines O(n^2) characters: about 1,400 times the form's length here
     lines = ["(car '(1"] + [str(k) for k in range(2, 3000)] + ["))"]
     lexed = []
-    lex = reader._lex
+    scan = reader._scan
 
-    def counted(text, *args):
-        lexed.append(len(text))
-        return lex(text, *args)
+    # every character the REPL scans, as it feeds a line and as it reads
+    # the form, goes through this one scan
+    def counted(text, start, end):
+        lexed.append(end - start)
+        return scan(text, start, end)
 
-    monkeypatch.setattr(reader, "_lex", counted)
+    monkeypatch.setattr(reader, "_scan", counted)
     feed = iter(lines)
 
     def fake_input(prompt):

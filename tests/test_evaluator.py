@@ -3,6 +3,7 @@ import itertools
 import resource
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -180,39 +181,60 @@ def test_default_depth_limit_past_the_reserved_chunk(strategy):
     )[-1] == "63"
 
 
-# Python frames per interpreted call: (probe 0) at the bottom of a 100-
-# and a 200-deep recursion records the Python stack's height, and the
-# difference, over 100, is what each level of the recursion costs. Each
-# level is one depth unit, so the largest figure times the default depth
-# limit must stay under the recursion limit. Entries: definition, call
-# with {} for the depth, strategies, frames per level.
+# Python frames per depth unit: (probe 0) at the bottom of a 100- and a
+# 200-deep recursion records the Python stack's height and the interpreter's
+# depth, and the differences give what each depth unit (a call or a
+# forcing) of the recursion costs. The depth limit bounds depth units, so
+# the largest figure times the default depth limit must stay under the
+# recursion limit. Entries: definition, call with {} for the depth, and
+# the frames per depth unit under each strategy the row runs.
+BOTH = ("value", "need")
+
+# `+` redefined as a closure over the primitive, which `plus` holds; plus
+# is read once before the redefinition, as under need its definition is a
+# thunk of `+` until forced
+PLUS_REDEFINED = "(de plus +) plus (de + (lambda (a b) (plus a b))) "
+
 FRAMES_PER_CALL = {
     "primitive-around-the-call": (
         "(de (down n) (if (= n 0) (probe 0) (+ 1 (down (- n 1)))))",
-        "(down {})", ("value", "need"), 3),
+        "(down {})", dict.fromkeys(BOTH, 3)),
     "tail-call": (
         "(de (down n) (if (= n 0) (probe 0) (down (- n 1))))",
-        "(down {})", ("value", "need"), 2),
+        "(down {})", dict.fromkeys(BOTH, 2)),
     "call-inside-a-let": (
         "(de (down n) (if (= n 0) (probe 0)"
         " (let ((m (- n 1))) (+ 1 (down m)))))",
-        "(down {})", ("value", "need"), 4),
+        "(down {})", dict.fromkeys(BOTH, 4)),
     "three-arguments": (
         "(de (down n a b) (if (= n 0) (probe 0) (+ a (down (- n 1) a b))))",
-        "(down {} 1 1)", ("value", "need"), 3),
+        "(down {} 1 1)", dict.fromkeys(BOTH, 3)),
     # a primitive passed as a value is applied inline by the call that
     # reads it, so its arguments cost no frame beyond that call's
     "primitive-passed-around-the-call": (
         "(de (down n p) (if (= n 0) (probe 0) (p 1 (down (- n 1) p))))",
-        "(down {} +)", ("value", "need"), 3),
+        "(down {} +)", dict.fromkeys(BOTH, 3)),
     "primitive-passed-inside-a-let": (
         "(de (down n p) (if (= n 0) (probe 0)"
         " (let ((m (- n 1))) (p 1 (down m p)))))",
-        "(down {} +)", ("value", "need"), 4),
+        "(down {} +)", dict.fromkeys(BOTH, 4)),
     # under need cons suspends the call, and car returns it unforced
     "through-car-and-cons": (
         "(de (down n) (if (= n 0) (probe 0) (car (cons (down (- n 1)) ()))))",
-        "(down {})", ("value",), 4),
+        "(down {})", {"value": 4}),
+    # a primitive shape whose name was redefined runs its call shape in a
+    # second frame; under need, where a redefined primitive turns demand
+    # prefixes off, the closure gets (down ...) suspended and plus forces
+    # it: three depth units (the call of +, the forcing, the call of down)
+    # in 7 frames, 8 inside a let
+    "primitive-redefined-around-the-call": (
+        PLUS_REDEFINED
+        + "(de (down n) (if (= n 0) (probe 0) (+ 1 (down (- n 1)))))",
+        "(down {})", {"value": 4, "need": Fraction(7, 3)}),
+    "primitive-redefined-inside-a-let": (
+        PLUS_REDEFINED + "(de (down n) (if (= n 0) (probe 0)"
+        " (let ((m (- n 1))) (+ 1 (down m)))))",
+        "(down {})", {"value": 5, "need": Fraction(8, 3)}),
 }
 
 
@@ -223,30 +245,35 @@ def _python_stack_height():
     return height
 
 
+def _largest_frames_per_unit():
+    return max(frames for entry in FRAMES_PER_CALL.values()
+               for frames in entry[2].values())
+
+
 @pytest.mark.parametrize("name,strategy", [
     (name, strategy) for name, entry in sorted(FRAMES_PER_CALL.items())
     for strategy in entry[2]])
 def test_python_frames_per_interpreted_call(name, strategy):
-    definition, call, _, frames = FRAMES_PER_CALL[name]
-    heights = []
+    definition, call, frames = FRAMES_PER_CALL[name]
+    probes = []
 
     def probe(interp, v):
-        heights.append(_python_stack_height())
+        probes.append((_python_stack_height(), interp.depth))
         return v
 
     interp, _ = make_interp(strategy)
     interp.rt.top_table["probe"] = Primitive("probe", 1, probe)
     interp.eval_source(f"{definition} {call.format(100)} {call.format(200)}")
-    assert len(heights) == 2
-    assert heights[1] - heights[0] == 100 * frames
-    assert max(entry[3] for entry in FRAMES_PER_CALL.values()) \
-        * interp.depth_limit < RECURSION_LIMIT
+    assert len(probes) == 2
+    heights, depths = (b - a for a, b in zip(*probes))
+    assert depths >= 100
+    assert heights == frames[strategy] * depths
+    assert _largest_frames_per_unit() * interp.depth_limit < RECURSION_LIMIT
 
 
 def test_frames_per_level_is_the_largest_measured():
     # the command line's largest depth limit rests on this figure
-    assert FRAMES_PER_LEVEL == max(entry[3]
-                                   for entry in FRAMES_PER_CALL.values())
+    assert FRAMES_PER_LEVEL == _largest_frames_per_unit()
 
 
 @pytest.mark.parametrize("strategy", ["value", "need"])
@@ -1197,7 +1224,7 @@ def test_rebinding_a_primitive_leaves_other_interpreters_bound(strategy,
     assert guard_failed == {rebound}
 
 
-def test_strict_sieve_keeps_no_dead_list():
+def test_strict_sieve_keeps_no_dead_list(monkeypatch):
     # Safe for space: each sieve level's input list is dead once strike
     # has read it, and strike's cells once its recursive call has read
     # them, so a strict run holds about one list at a time rather than
@@ -1208,10 +1235,16 @@ def test_strict_sieve_keeps_no_dead_list():
     # 50 s; the first 100 primes take about 1 s.
     import tracemalloc
 
+    import lambdix.evaluator
     from lambdix.bench import program_source
+    from lambdix.reader import read_program
     text = program_source("Sieve", "value").replace("(upto 2 2741)",
                                                     "(upto 2 541)")
     interp, out = make_interp("value")
+    # read before tracing starts, so that the peak is evaluation's alone
+    # and not also what reading left on CPython's free lists
+    forms = read_program(text)
+    monkeypatch.setattr(lambdix.evaluator, "read_program", lambda _: forms)
     tracemalloc.start()
     try:
         interp.eval_source(text)

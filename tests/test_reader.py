@@ -343,3 +343,46 @@ def test_pending_form_reads_as_the_whole_text(seed):
                          for _ in range(rng.randint(0, 8)))
                  for _ in range(rng.randint(1, 6))]
         assert _pending_outcomes(lines) == _reread_outcomes(lines), lines
+
+
+# the same three readings, on fixed inputs: every corpus program and every
+# bundled program
+
+def _fixed_programs():
+    from importlib import resources
+
+    from lambdix.corpus import CORPUS
+    programs = [(entry["name"], entry["text"]) for entry in CORPUS]
+    for path in sorted(resources.files("lambdix").joinpath("programs")
+                       .iterdir(), key=lambda p: p.name):
+        if path.name.endswith(".lx"):
+            programs.append((path.name, path.read_text()))
+    return programs
+
+
+def _shifted(tree, lines):
+    # a tree of _tree with every line number `lines` further down
+    first, second = tree
+    if type(second) is list:
+        return ((first[0] + lines, first[1]),
+                [_shifted(t, lines) for t in second])
+    return (first, (second[0] + lines, second[1]))
+
+
+@pytest.mark.parametrize("name,text", _fixed_programs(),
+                         ids=[name for name, _ in _fixed_programs()])
+def test_readers_agree_on_fixed_programs(name, text):
+    whole = _outcome(lambda: [_tree(e) for e in read_program(text)])
+    assert whole == _outcome(lambda: [_tree(e) for e in _read_each(text)])
+    lines = text.split("\n")
+    pending = _pending_outcomes(lines)
+    assert pending == _reread_outcomes(lines)
+    if type(whole) is list:
+        # the forms a REPL reads, each numbered from its own first line,
+        # are the program's forms in place
+        forms, first = [], 0
+        for k, outcome in enumerate(pending):
+            if outcome != "more":
+                forms += [_shifted(t, first) for t in outcome]
+                first = k + 1
+        assert forms == whole

@@ -110,15 +110,20 @@ MUTANTS = [
      "            prim.bound = slot is prim",
      "            prim.bound = True"),
     ("column kept after a newline",
-     "the lexer goes on counting columns across a line end",
+     "read_program goes on counting columns across a line end",
      "reader.py",
-     "            col = 1",
-     "            pass"),
+     "            line, col = line + 1, 1",
+     "            line += 1"),
     ("a newline inside a string keeps the line",
-     "the lexer counts no line for a newline inside a string literal",
+     "the reader counts no line for a newline inside a string literal",
      "reader.py",
-     "                    line += string.count(\"\\n\")",
-     "                    pass"),
+     "        line += string.count(\"\\n\")",
+     "        pass"),
+    ("list position from its closing paren",
+     "read_program gives a list the position of its closing paren",
+     "reader.py",
+     "                outer.append(SList(items, pos))",
+     "                outer.append(SList(items, (line, col)))"),
 ]
 
 
