@@ -45,6 +45,12 @@ block that nothing reads after its application (trim_dead), which the
 call clears before entering the callee; an analyzer for call-by-need
 skips that walk.
 
+An application's head symbol is resolved once, where the application is
+analyzed, and that one resolution decides between a special form, a local
+and a top-level name. Analysis takes 16 % of the op time of the
+benchmark's REPL session, about 7 µs for the median form (reading, 26 %
+and 13 µs; reader.py).
+
 Original names are kept on every reference for diagnostics and reflection.
 One analyzer serves one strategy: its call shapes, its primitive table
 (cons) and its per-level records are that strategy's.

@@ -5,6 +5,14 @@ Accepts UTF-8 text with `;` line comments, `'` and `!` shorthand marks,
 signed 64-bit integer literals (ASCII digits with an optional sign),
 double-quoted strings, and symbols made of any other run of characters
 outside the delimiter set. Reading never evaluates anything.
+
+read_program builds the tree in one pass over each line's matches, with no
+token list and no recursion; tokenize and read_expr are the public token
+API and the reference it is tested against. In an in-process pass of the
+benchmark's REPL session (Python 3.11.7, 2-core host) reading takes 26 %
+of the op time, about 13 µs for the median form, and analysis 16 %, about
+7 µs (28 % and 17 µs, and 19 % and 9 µs, when reading went over a
+token list).
 """
 
 import re
@@ -126,8 +134,8 @@ _TOKEN = re.compile(rf"""
 """, re.VERBOSE)
 
 
-# the scan of one line (or of text up to `end`) that _lex and read_program
-# both run: one findall a line, since a list of match tuples as long as a
+# the matches of one line, (text, start, end): the one scan that _lex and
+# read_program run. One findall a line: a list of match tuples as long as a
 # whole program's tokens would leave that many tuples on CPython's free list
 _scan = _TOKEN.findall
 
@@ -272,10 +280,11 @@ def read_program(text):
     """Read every expression in the text; pure function, no evaluation.
 
     One pass over each line's matches, with no token list and no
-    recursion: `items` collects the innermost open list (or the
-    expressions read, at top level), and `stack` holds, for each list or
-    mark around it, the items it goes into, that one's mark and its own
-    position. Gives what read_expr over tokenize gives, errors included."""
+    recursion. `items` collects the innermost open list (the expressions
+    read, at top level), or a mark's operand while `mark` is set. For each
+    list or mark open around it, `stack` holds the items and mark it was
+    opened in and its position. Gives what read_expr over tokenize gives,
+    errors included."""
     exprs = items = []
     stack = []
     mark = None  # "'" or "!" while items awaits a mark's operand
@@ -362,8 +371,8 @@ class PendingForm:
     """
 
     def __init__(self):
-        self.text = []  # the lines lexed, each with its newline
-        self.lines = 0  # lines in self.text
+        self.fed = []  # the lines lexed, each with its newline
+        self.lines = 0  # lines in self.fed
         self.open = ""  # lines that end inside a string literal
         self.depth = 0  # lists open among the tokens lexed
         self.last = None  # kind of the last token
@@ -387,7 +396,7 @@ class PendingForm:
             return False
         self.open = ""
         self.lines += text.count("\n")
-        self.text.append(text)
+        self.fed.append(text)
         settled = False
         depth, last, dangling = self.depth, self.last, self.dangling
         for kind, word, _, _ in tokens:
@@ -408,9 +417,8 @@ class PendingForm:
         return settled or (depth == 0 and not dangling)
 
     def read(self):
-        """Every expression of the text fed; raises as read_program does on
-        that text, as it is read_program of that text."""
-        return read_program("".join(self.text) + self.open)
+        """read_program of the text fed."""
+        return read_program("".join(self.fed) + self.open)
 
 
 def to_text(expr):
