@@ -591,7 +591,8 @@ def test_repl_reads_a_deeply_nested_first_form():
 
 def test_repl_reports_a_form_too_deep_to_read(monkeypatch, capsys):
     # a recursion policy of 2,000 frames stands in for one that a form
-    # outgrows; the session goes on
+    # outgrows; reading does not recurse, so the depth limit is reported
+    # as the quoted form becomes a datum, and the session goes on
     lines = iter(["'" + "(" * 3000 + ")" * 3000, "(+ 1 2)"])
 
     def fake_input(prompt):
