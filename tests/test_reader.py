@@ -369,8 +369,11 @@ def _shifted(tree, lines):
     return (first, (second[0] + lines, second[1]))
 
 
-@pytest.mark.parametrize("name,text", _fixed_programs(),
-                         ids=[name for name, _ in _fixed_programs()])
+FIXED_PROGRAMS = _fixed_programs()
+
+
+@pytest.mark.parametrize("name,text", FIXED_PROGRAMS,
+                         ids=[name for name, _ in FIXED_PROGRAMS])
 def test_readers_agree_on_fixed_programs(name, text):
     whole = _outcome(lambda: [_tree(e) for e in read_program(text)])
     assert whole == _outcome(lambda: [_tree(e) for e in _read_each(text)])
